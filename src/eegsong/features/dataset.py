@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from ..core import Epoch
-from .dfa import dfa
+from .dfa import dfa_batch
 from .entropy import entropy_features
 from .spectral import EEG_BANDS, BandDefinition, spectopo_bandpower
 from .wavelet import wavedec_bandpower
@@ -51,8 +51,7 @@ class Dataset:
         if len(set(self.feature_names)) != d:
             raise ValueError("feature names are not unique")
         for name in ("labels",) + tuple(META_COLUMNS):
-            field = getattr(self, "song_id" if name == "song_id" else name)
-            if field.shape != (n,):
+            if getattr(self, name).shape != (n,):
                 raise ValueError(f"{name} must have one entry per row")
 
     @property
@@ -86,7 +85,7 @@ class Dataset:
 def _channel_features(
     epoch: Epoch, selection: tuple[str, ...], bands: BandDefinition
 ) -> dict[str, np.ndarray]:
-    """Feature name -> per-channel values for one epoch."""
+    """Feature name -> per-channel values for one epoch, one call per family."""
     out: dict[str, np.ndarray] = {}
     if "spectopo" in selection:
         bp = spectopo_bandpower(epoch.data, epoch.sample_rate_hz, bands)
@@ -97,19 +96,16 @@ def _channel_features(
         for j, level in enumerate(we.level_names):
             out[f"wavedec_{level}"] = we.relative_energy[:, j]
     if "dfa" in selection:
-        results = [dfa(epoch.data[c]) for c in range(epoch.n_channels)]
-        out["dfa_alpha"] = np.array([r.alpha for r in results])
-        out["dfa_dim"] = np.array([r.dim for r in results])
-        out["dfa_intercept"] = np.array([r.intercept for r in results])
-        n_sizes = len(results[0].fluctuations)
-        for i in range(n_sizes):
-            out[f"dfa_f{i:02d}"] = np.array(
-                [r.fluctuations[i][1] for r in results]
-            )
+        fit = dfa_batch(epoch.data)
+        out["dfa_alpha"] = fit.alpha
+        out["dfa_dim"] = fit.dim
+        out["dfa_intercept"] = fit.intercept
+        for i in range(fit.fluctuations.shape[-1]):
+            out[f"dfa_f{i:02d}"] = fit.fluctuations[:, i]
     if "entropy" in selection:
-        pairs = [entropy_features(epoch.data[c]) for c in range(epoch.n_channels)]
-        out["entropy_log_energy"] = np.array([p.log_energy for p in pairs])
-        out["entropy_shannon"] = np.array([p.shannon for p in pairs])
+        pair = entropy_features(epoch.data)
+        out["entropy_log_energy"] = pair.log_energy
+        out["entropy_shannon"] = pair.shannon
     return out
 
 
@@ -153,12 +149,8 @@ def build_feature_matrix(
                 f"epoch {pos} produced a different feature layout "
                 "(mixed channel counts or lengths?)"
             )
-        row = np.concatenate(
-            [
-                np.array([per_channel[fname][c] for fname in feature_order])
-                for c in range(epoch.n_channels)
-            ]
-        )
+        # (channels, features) flattened row-major is the channel-major layout
+        row = np.stack([per_channel[fname] for fname in feature_order], axis=1).ravel()
         bad = np.nonzero(~np.isfinite(row))[0]
         if bad.size:
             raise ValueError(

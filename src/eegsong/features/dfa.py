@@ -5,11 +5,28 @@ boxes per box size, linearly detrend each box, and take the RMS residual
 F(n). The scaling exponent alpha is the least-squares slope of log2 F(n)
 against log2 n; dim = 3 - alpha is the fractal-dimension reading of the same
 fit. White noise gives alpha near 0.5, 1/f noise near 1.
+
+F(n) is computed from per-box moments instead of a residual array: for a box
+y of n samples against t = 0..n-1, the residual sum of squares of the
+least-squares line is
+
+    sum(y^2) - sum(y)^2 / n - sum((t - tbar) y)^2 / sum((t - tbar)^2).
+
+Each box is first shifted by its own first profile sample. A linear fit's
+residual does not change under a constant shift, but the raw sums do: on a
+drifting profile (a random walk, or a signal with a DC offset) sum(y^2) and
+sum(y)^2 / n would both be huge and nearly equal, and their difference would
+lose most of its digits. Anchored at its first sample, each box only holds
+its own excursion, so the subtraction stays well conditioned.
+
+dfa_batch works on (..., samples) arrays, looping only over the box sizes;
+dfa is its single-channel form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +53,19 @@ class DfaResult:
         return 3.0 - self.alpha
 
 
+class DfaBatch(NamedTuple):
+    """DFA of every row of a (..., samples) array."""
+
+    box_sizes: np.ndarray  # (n_sizes,)
+    fluctuations: np.ndarray  # (..., n_sizes): F(n) per row and box size
+    alpha: np.ndarray  # (...)
+    intercept: np.ndarray  # (...)
+
+    @property
+    def dim(self) -> np.ndarray:
+        return 3.0 - self.alpha
+
+
 def default_box_sizes(n_samples: int) -> np.ndarray:
     """12 log-spaced integer box sizes from 4 to n/4, deduplicated."""
     largest = n_samples // 4
@@ -52,12 +82,34 @@ def default_box_sizes(n_samples: int) -> np.ndarray:
     return sizes
 
 
-def dfa(signal: np.ndarray, box_sizes: np.ndarray | None = None) -> DfaResult:
-    """DFA of a single channel; see module docstring for the recipe."""
-    x = np.asarray(signal, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("dfa takes a single channel (1-D signal)")
-    n = x.shape[0]
+def _fluctuations(x: np.ndarray, box_sizes: np.ndarray) -> np.ndarray:
+    """F(n) along the last axis of x, one column per box size."""
+    n = x.shape[-1]
+    profile = np.cumsum(x - x.mean(axis=-1, keepdims=True), axis=-1)
+    out = np.empty(x.shape[:-1] + (len(box_sizes),))
+    for j, size in enumerate(box_sizes):
+        n_boxes = n // size
+        boxes = profile[..., : n_boxes * size].reshape(
+            profile.shape[:-1] + (n_boxes, size)
+        )
+        y = boxes - boxes[..., :1]
+        t_centered = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
+        sum_y = y.sum(axis=-1)
+        sum_ty = y @ t_centered
+        rss = (
+            (y * y).sum(axis=-1)
+            - sum_y * sum_y / size
+            - sum_ty * sum_ty / (t_centered @ t_centered)
+        )
+        # rounding can leave a perfectly linear box a hair below zero
+        out[..., j] = np.sqrt(np.maximum(rss, 0.0).sum(axis=-1) / (n_boxes * size))
+    return out
+
+
+def dfa_batch(data: np.ndarray, box_sizes: np.ndarray | None = None) -> DfaBatch:
+    """DFA of every row of a (..., samples) array; see module docstring."""
+    x = np.asarray(data, dtype=np.float64)
+    n = x.shape[-1]
     if box_sizes is None:
         box_sizes = default_box_sizes(n)
     else:
@@ -69,22 +121,7 @@ def dfa(signal: np.ndarray, box_sizes: np.ndarray | None = None) -> DfaResult:
             f"got {len(box_sizes)}"
         )
 
-    profile = np.cumsum(x - x.mean())
-    fluctuations = []
-    for size in box_sizes:
-        n_boxes = n // size
-        boxes = profile[: n_boxes * size].reshape(n_boxes, size)
-        # least-squares line per box against t = 0..size-1
-        t = np.arange(size, dtype=np.float64)
-        t_centered = t - t.mean()
-        denom = (t_centered**2).sum()
-        slopes = (boxes * t_centered).sum(axis=1) / denom
-        intercepts = boxes.mean(axis=1)
-        residuals = boxes - (intercepts[:, None] + slopes[:, None] * t_centered)
-        f_n = np.sqrt((residuals**2).mean())
-        fluctuations.append((int(size), float(f_n)))
-
-    f_values = np.array([f for _, f in fluctuations])
+    f_values = _fluctuations(x, box_sizes)
     if np.any(f_values <= DEGENERATE_FLUCTUATION):
         raise DegenerateFluctuationsError(
             "degenerate fluctuations: F(n) is effectively zero for some box "
@@ -92,10 +129,27 @@ def dfa(signal: np.ndarray, box_sizes: np.ndarray | None = None) -> DfaResult:
         )
 
     log_n = np.log2(box_sizes.astype(np.float64))
-    log_f = np.log2(f_values)
-    slope, intercept = np.polyfit(log_n, log_f, 1)
+    log_f = np.log2(f_values).reshape(-1, len(box_sizes))
+    slope, intercept = np.polyfit(log_n, log_f.T, 1)
+    return DfaBatch(
+        box_sizes=box_sizes,
+        fluctuations=f_values,
+        alpha=slope.reshape(x.shape[:-1]),
+        intercept=intercept.reshape(x.shape[:-1]),
+    )
+
+
+def dfa(signal: np.ndarray, box_sizes: np.ndarray | None = None) -> DfaResult:
+    """DFA of a single channel; see module docstring for the recipe."""
+    x = np.asarray(signal, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError("dfa takes a single channel (1-D signal)")
+    batch = dfa_batch(x, box_sizes)
     return DfaResult(
-        alpha=float(slope),
-        intercept=float(intercept),
-        fluctuations=tuple(fluctuations),
+        alpha=float(batch.alpha),
+        intercept=float(batch.intercept),
+        fluctuations=tuple(
+            (int(size), float(f_n))
+            for size, f_n in zip(batch.box_sizes, batch.fluctuations)
+        ),
     )

@@ -17,18 +17,20 @@ ENTROPY_EPS = 1e-12
 
 @dataclass(frozen=True)
 class EntropyPair:
-    log_energy: float
-    shannon: float
+    """Scalars for a single channel; arrays of shape (...) for (..., n) input."""
+
+    log_energy: float | np.ndarray
+    shannon: float | np.ndarray
 
 
 def entropy_features(signal: np.ndarray) -> EntropyPair:
-    """Both entropy measures of a single channel's raw samples."""
+    """Both entropy measures of raw samples, reduced along the last axis."""
     x = np.asarray(signal, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("input contains non-finite samples")
     s2 = x**2 + ENTROPY_EPS
     log_s2 = np.log(s2)
     return EntropyPair(
-        log_energy=float(log_s2.sum()),
-        shannon=float(-(s2 * log_s2).sum()),
+        log_energy=log_s2.sum(axis=-1),
+        shannon=-(s2 * log_s2).sum(axis=-1),
     )

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # Daubechies scaling filter with 8 vanishing moments (extremal phase),
 # normalized so sum(h) = sqrt(2). Standard published values; the test suite
@@ -43,10 +44,17 @@ DB8_LOWPASS = np.array(
 # Quadrature mirror high-pass: g[k] = (-1)^k h[N-1-k].
 DB8_HIGHPASS = ((-1.0) ** np.arange(16)) * DB8_LOWPASS[::-1]
 
+# Both analysis filters as the columns of one (16, 2) matrix, so that a single
+# matmul per level yields the approximation and the detail.
+_FILTER_PAIR = np.stack([DB8_LOWPASS, DB8_HIGHPASS], axis=1)
+
 
 @dataclass(frozen=True)
 class WaveletCoefficients:
-    """approx is the final low-pass output; details[0] is the finest level d1."""
+    """approx is the final low-pass output; details[0] is the finest level d1.
+
+    Coefficients run along the last axis; any leading axes are channels.
+    """
 
     approx: np.ndarray
     details: tuple[np.ndarray, ...]
@@ -69,14 +77,16 @@ class WaveletEnergy:
 
 
 def _analysis_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = x.shape[0]
-    if n % 2 == 1:
-        x = np.concatenate([x, x[-1:]])
-        n += 1
-    # a[k] = sum_m h[m] x[(2k + m) mod n], likewise for the high-pass.
-    idx = (2 * np.arange(n // 2)[:, None] + np.arange(16)[None, :]) % n
-    windows = x[idx]
-    return windows @ DB8_LOWPASS, windows @ DB8_HIGHPASS
+    """One analysis level along the last axis: (approximation, detail)."""
+    if x.shape[-1] % 2 == 1:
+        x = np.concatenate([x, x[..., -1:]], axis=-1)
+    taps = len(DB8_LOWPASS)
+    # a[k] = sum_m h[m] x[(2k + m) mod n], likewise for the high-pass: every
+    # other length-16 window of the periodically extended signal.
+    extended = np.concatenate([x, x[..., : taps - 1]], axis=-1)
+    windows = sliding_window_view(extended, taps, axis=-1)[..., ::2, :]
+    out = windows @ _FILTER_PAIR
+    return out[..., 0], out[..., 1]
 
 
 def _synthesis_step(
@@ -91,6 +101,24 @@ def _synthesis_step(
     return x[:out_len]
 
 
+def _decompose(x: np.ndarray, levels: int) -> WaveletCoefficients:
+    """Multilevel analysis along the last axis of x."""
+    details = []
+    lengths = []
+    for level in range(1, levels + 1):
+        if x.shape[-1] < len(DB8_LOWPASS):
+            raise ValueError(
+                f"signal too short at level {level}: {x.shape[-1]} samples "
+                f"< {len(DB8_LOWPASS)}-tap filter"
+            )
+        lengths.append(x.shape[-1])
+        x, d = _analysis_step(x)
+        details.append(d)
+    return WaveletCoefficients(
+        approx=x, details=tuple(details), level_lengths=tuple(lengths)
+    )
+
+
 def dwt_multilevel(signal: np.ndarray, levels: int) -> WaveletCoefficients:
     """Decompose a 1-D signal into `levels` detail bands plus an approximation."""
     if levels < 1:
@@ -98,20 +126,7 @@ def dwt_multilevel(signal: np.ndarray, levels: int) -> WaveletCoefficients:
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("dwt_multilevel takes a single channel (1-D signal)")
-    details = []
-    lengths = []
-    for level in range(1, levels + 1):
-        if x.shape[0] < len(DB8_LOWPASS):
-            raise ValueError(
-                f"signal too short at level {level}: {x.shape[0]} samples "
-                f"< {len(DB8_LOWPASS)}-tap filter"
-            )
-        lengths.append(x.shape[0])
-        x, d = _analysis_step(x)
-        details.append(d)
-    return WaveletCoefficients(
-        approx=x, details=tuple(details), level_lengths=tuple(lengths)
-    )
+    return _decompose(x, levels)
 
 
 def idwt_multilevel(coefficients: WaveletCoefficients) -> np.ndarray:
@@ -139,15 +154,18 @@ def wavedec_bandpower(
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     levels = wavedec_levels(sample_rate_hz)
     names = tuple(f"d{k}" for k in range(1, levels + 1)) + (f"a{levels}",)
-    energy = np.empty((data.shape[0], levels + 1))
-    for c in range(data.shape[0]):
-        coeffs = dwt_multilevel(data[c], levels)
-        per_level = [float((d**2).sum()) for d in coeffs.details]
-        per_level.append(float((coeffs.approx**2).sum()))
-        total = sum(per_level)
-        if total == 0.0:
-            # zero signal: no energy anywhere; report the flat distribution
-            energy[c] = 1.0 / (levels + 1)
-        else:
-            energy[c] = np.asarray(per_level) / total
+    coeffs = _decompose(data, levels)
+    per_level = np.stack(
+        [(d**2).sum(axis=-1) for d in coeffs.details]
+        + [(coeffs.approx**2).sum(axis=-1)],
+        axis=-1,
+    )
+    total = per_level.sum(axis=-1, keepdims=True)
+    # a zero signal has no energy anywhere; report the flat distribution
+    energy = np.divide(
+        per_level,
+        total,
+        out=np.full_like(per_level, 1.0 / (levels + 1)),
+        where=total != 0.0,
+    )
     return WaveletEnergy(level_names=names, relative_energy=energy)

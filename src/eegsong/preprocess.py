@@ -20,6 +20,7 @@ import numpy as np
 from scipy import signal as sp_signal
 
 from .core import (
+    BASELINE_SECONDS,
     REJECTION_MEASURES,
     ChannelMask,
     Epoch,
@@ -78,7 +79,7 @@ def capture_music_epochs(
     of silence immediately preceding its song's onset as baseline."""
     fs = session.sample_rate_hz
     epoch_len = epoch_seconds * fs
-    baseline_len = 10 * fs
+    baseline_len = BASELINE_SECONDS * fs
 
     starts = {m.song_id: m.sample_index for m in session.markers if m.kind == "song_start"}
     ends = {m.song_id: m.sample_index for m in session.markers if m.kind == "song_end"}
@@ -97,7 +98,8 @@ def capture_music_epochs(
             )
         if s < baseline_len:
             raise PipelineError(
-                f"song {song_id} starts at sample {s}, too early for a 10 s baseline"
+                f"song {song_id} starts at sample {s}, too early for a "
+                f"{BASELINE_SECONDS} s baseline"
             )
         baseline = extract_segment(session, s - baseline_len, s)
         segment = extract_segment(session, s, e)
@@ -158,10 +160,11 @@ def average_rereference(segment: np.ndarray, mask: ChannelMask) -> np.ndarray:
     return out
 
 
-def _excess_kurtosis(x: np.ndarray) -> np.ndarray:
-    centered = x - x.mean(axis=1, keepdims=True)
-    m2 = (centered**2).mean(axis=1)
-    m4 = (centered**4).mean(axis=1)
+def _excess_kurtosis(centered: np.ndarray) -> np.ndarray:
+    """Excess kurtosis per row of an already mean-centred array."""
+    squared = centered * centered
+    m2 = squared.mean(axis=1)
+    m4 = (squared * squared).mean(axis=1)
     m2 = np.where(m2 == 0, 1.0, m2)
     return m4 / m2**2 - 3.0
 
@@ -201,7 +204,7 @@ def reject_bad_channels(
     centered = segment - segment.mean(axis=1, keepdims=True)
     measures = {
         "probability": np.abs(centered).mean(axis=1),
-        "kurtosis": _excess_kurtosis(segment),
+        "kurtosis": _excess_kurtosis(centered),
         "spectrum": _band_power_1_45(segment, sample_rate_hz),
     }
     assert tuple(measures) == REJECTION_MEASURES

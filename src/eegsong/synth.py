@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EventMarker, SessionRecording
+from .core import BASELINE_SECONDS, EventMarker, SessionRecording
 
 # Canonical EEG band edges, [low, high) Hz. Shared with the feature modules.
 BAND_EDGES = (
@@ -94,6 +94,15 @@ class GeneratorConfig:
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        # Each song's baseline is the BASELINE_SECONDS just before its onset;
+        # a shorter silence would reach back into the previous song (or before
+        # the recording starts).
+        for name in ("lead_silence_seconds", "inter_song_silence_seconds"):
+            if getattr(self, name) < BASELINE_SECONDS:
+                raise ValueError(
+                    f"{name} must be >= the {BASELINE_SECONDS} s pre-song "
+                    f"baseline, got {getattr(self, name)}"
+                )
         if self.class_separation < 0:
             raise ValueError("class_separation must be >= 0")
         if self.n_bad_channels < 0:

@@ -5,6 +5,14 @@ import pytest
 
 from eegsong import build_feature_matrix, read_dataset_csv, write_dataset_csv
 from eegsong.core import BASELINE_SECONDS, Epoch
+from eegsong.features import (
+    FEATURE_FAMILIES,
+    dfa,
+    dwt_multilevel,
+    entropy_features,
+    spectopo_bandpower,
+    wavedec_levels,
+)
 
 FS = 250
 
@@ -81,6 +89,41 @@ def test_all_four_families_have_finite_values(rng):
     assert np.all(np.isfinite(ds.X))
     families = {n.split("_", 2)[1] for n in ds.feature_names}
     assert families == {"spectopo", "wavedec", "dfa", "entropy"}
+
+
+def per_channel_reference(epoch):
+    """Feature name -> value for every channel, one family call per channel."""
+    out = {}
+    fs = epoch.sample_rate_hz
+    levels = wavedec_levels(fs)
+    for c, x in enumerate(epoch.data):
+        bp = spectopo_bandpower(x, fs)
+        for j, band in enumerate(bp.band_names):
+            out[f"ch{c}_spectopo_{band}"] = bp.power_db[0, j]
+        coeffs = dwt_multilevel(x, levels)
+        energy = [(d**2).sum() for d in coeffs.details] + [(coeffs.approx**2).sum()]
+        names = [f"d{k}" for k in range(1, levels + 1)] + [f"a{levels}"]
+        for name, e in zip(names, energy):
+            out[f"ch{c}_wavedec_{name}"] = e / sum(energy)
+        result = dfa(x)
+        out[f"ch{c}_dfa_alpha"] = result.alpha
+        out[f"ch{c}_dfa_dim"] = result.dim
+        out[f"ch{c}_dfa_intercept"] = result.intercept
+        for i, (_, f_n) in enumerate(result.fluctuations):
+            out[f"ch{c}_dfa_f{i:02d}"] = f_n
+        pair = entropy_features(x)
+        out[f"ch{c}_entropy_log_energy"] = pair.log_energy
+        out[f"ch{c}_entropy_shannon"] = pair.shannon
+    return out
+
+
+def test_matches_per_channel_reference(tiny_epochs):
+    ds = build_feature_matrix(tiny_epochs, FEATURE_FAMILIES)
+    reference = [per_channel_reference(ep) for ep in tiny_epochs]
+    assert set(ds.feature_names) == set(reference[0])
+    for j, name in enumerate(ds.feature_names):
+        expected = [ref[name] for ref in reference]
+        np.testing.assert_allclose(ds.X[:, j], expected, rtol=1e-12, err_msg=name)
 
 
 def test_unknown_family_rejected(rng):

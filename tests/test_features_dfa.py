@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from eegsong.features import DegenerateFluctuationsError, dfa
-from eegsong.features.dfa import default_box_sizes
+from eegsong.features.dfa import default_box_sizes, dfa_batch
 
 
 def pink_noise(rng, n):
@@ -145,3 +145,46 @@ def test_custom_box_sizes_filtered_and_used(rng):
 def test_rejects_2d(rng):
     with pytest.raises(ValueError, match="1-D"):
         dfa(rng.normal(size=(2, 500)))
+
+
+class TestBatch:
+    """dfa_batch on a (rows, n) block against the loop oracle and row-by-row dfa."""
+
+    N = 2500
+
+    def signals(self, rng):
+        white = rng.standard_normal((3, self.N)) + 1e6
+        walk = np.cumsum(rng.standard_normal((3, self.N)), axis=-1) + 1e6
+        integrated_walk = np.cumsum(
+            np.cumsum(rng.standard_normal((3, self.N)), axis=-1), axis=-1
+        )
+        return {"white+dc": white, "walk+dc": walk, "integrated walk": integrated_walk}
+
+    def test_matches_bruteforce_oracle(self, rng):
+        sizes = default_box_sizes(self.N)
+        for name, block in self.signals(rng).items():
+            batch = dfa_batch(block)
+            assert np.array_equal(batch.box_sizes, sizes)
+            oracle = np.array([[naive_fluctuation(row, s) for s in sizes] for row in block])
+            np.testing.assert_allclose(batch.fluctuations, oracle, rtol=1e-9, err_msg=name)
+
+    def test_matches_row_by_row_dfa(self, rng):
+        for name, block in self.signals(rng).items():
+            batch = dfa_batch(block)
+            for r, row in enumerate(block):
+                single = dfa(row)
+                np.testing.assert_allclose(
+                    batch.fluctuations[r],
+                    [f for _, f in single.fluctuations],
+                    rtol=1e-12,
+                    err_msg=name,
+                )
+                assert batch.alpha[r] == pytest.approx(single.alpha, rel=1e-12)
+                assert batch.intercept[r] == pytest.approx(single.intercept, rel=1e-12)
+                assert batch.dim[r] == pytest.approx(single.dim, rel=1e-12)
+
+    def test_one_flat_row_is_degenerate(self, rng):
+        block = rng.standard_normal((4, self.N))
+        block[2] = 1.2
+        with pytest.raises(DegenerateFluctuationsError):
+            dfa_batch(block)

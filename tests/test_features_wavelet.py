@@ -144,3 +144,26 @@ class TestBandpower:
     def test_zero_signal_flat_distribution(self):
         we = wavedec_bandpower(np.zeros(2500), FS)
         assert np.allclose(we.relative_energy, 1.0 / 6.0)
+
+    def test_block_matches_per_row_transform(self, rng):
+        # 2500 samples give odd lengths at the deeper levels (625 -> 313 -> 157)
+        block = rng.normal(size=(6, 2500))
+        we = wavedec_bandpower(block, FS)
+        for r, row in enumerate(block):
+            coeffs = dwt_multilevel(row, wavedec_levels(FS))
+            energy = np.array(
+                [(d**2).sum() for d in coeffs.details] + [(coeffs.approx**2).sum()]
+            )
+            np.testing.assert_allclose(
+                we.relative_energy[r], energy / energy.sum(), rtol=0, atol=1e-14
+            )
+
+    def test_zero_row_in_block_is_flat_and_isolated(self, rng):
+        block = rng.normal(size=(4, 2500))
+        with_zero = np.insert(block, 1, 0.0, axis=0)
+        we = wavedec_bandpower(with_zero, FS)
+        assert np.allclose(we.relative_energy[1], 1.0 / 6.0)
+        alone = wavedec_bandpower(block, FS).relative_energy
+        np.testing.assert_allclose(
+            np.delete(we.relative_energy, 1, axis=0), alone, rtol=0, atol=1e-15
+        )

@@ -41,6 +41,14 @@ def test_config_validation():
         GeneratorConfig(seed=-1)
 
 
+@pytest.mark.parametrize("name", ["lead_silence_seconds", "inter_song_silence_seconds"])
+def test_silence_shorter_than_baseline_rejected(name):
+    # the pre-song baseline would reach back into the previous song
+    with pytest.raises(ValueError, match=f"{name} must be >= the {BASELINE_SECONDS} s"):
+        GeneratorConfig(**{name: BASELINE_SECONDS - 1})
+    GeneratorConfig(**{name: BASELINE_SECONDS})
+
+
 def test_determinism_bitwise(tiny_config):
     a = generate_session(tiny_config, subject_id=1)
     b = generate_session(tiny_config, subject_id=1)
