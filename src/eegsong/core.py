@@ -28,6 +28,16 @@ EXPECTED_SAMPLE_RATES = (250, 1000)
 
 BASELINE_SECONDS = 10
 
+# Canonical EEG band edges, (name, low, high) with [low, high) in Hz: the bands
+# of the planted song signatures and of the spectral features.
+EEG_BAND_EDGES = (
+    ("delta", 1.0, 4.0),
+    ("theta", 4.0, 8.0),
+    ("alpha", 8.0, 13.0),
+    ("beta", 13.0, 30.0),
+    ("gamma", 30.0, 45.0),
+)
+
 
 class PipelineError(Exception):
     """A pipeline stage could not produce a valid result."""
@@ -103,27 +113,25 @@ class SessionRecording:
 
 @dataclass(frozen=True)
 class Epoch:
-    """A labeled channels x samples window plus its 10 s pre-song baseline."""
+    """A labeled channels x samples window plus its song's baseline offset:
+    per channel, the mean of the BASELINE_SECONDS of silence before onset."""
 
     subject_id: int
     song_id: int
     epoch_index: int
     data: np.ndarray
-    baseline: np.ndarray
+    baseline_mean: np.ndarray
     sample_rate_hz: int
 
     def __post_init__(self):
         object.__setattr__(self, "data", _freeze(self.data))
-        object.__setattr__(self, "baseline", _freeze(self.baseline))
-        if self.data.ndim != 2 or self.baseline.ndim != 2:
-            raise ValueError("data and baseline must be 2-D channels x samples")
-        if self.baseline.shape[0] != self.data.shape[0]:
-            raise ValueError("baseline channel count differs from data")
-        expected = BASELINE_SECONDS * self.sample_rate_hz
-        if self.baseline.shape[1] != expected:
+        object.__setattr__(self, "baseline_mean", _freeze(self.baseline_mean))
+        if self.data.ndim != 2:
+            raise ValueError("data must be 2-D channels x samples")
+        if self.baseline_mean.shape != (self.data.shape[0],):
             raise ValueError(
-                f"baseline must cover {BASELINE_SECONDS} s "
-                f"({expected} samples), got {self.baseline.shape[1]}"
+                f"baseline_mean must have shape ({self.data.shape[0]},), "
+                f"got {self.baseline_mean.shape}"
             )
 
     @property
@@ -139,13 +147,13 @@ class Epoch:
         return self.n_samples / self.sample_rate_hz
 
     def with_data(self, new_data: np.ndarray) -> Epoch:
-        """New epoch with replaced data, same identity and baseline."""
+        """New epoch with replaced data, same identity and baseline offset."""
         return Epoch(
             subject_id=self.subject_id,
             song_id=self.song_id,
             epoch_index=self.epoch_index,
             data=new_data,
-            baseline=self.baseline,
+            baseline_mean=self.baseline_mean,
             sample_rate_hz=self.sample_rate_hz,
         )
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal as sp_signal
 
+from ..core import EEG_BAND_EDGES
+
 # Floor under the linear mean PSD before taking dB, so an all-zero channel
 # yields a finite sentinel (-300 dB) instead of -inf.
 PSD_DB_FLOOR = 1e-30
@@ -22,13 +24,7 @@ PSD_DB_FLOOR = 1e-30
 class BandDefinition:
     """Named frequency bands, [low, high) Hz, disjoint and ascending."""
 
-    bands: tuple[tuple[str, float, float], ...] = (
-        ("delta", 1.0, 4.0),
-        ("theta", 4.0, 8.0),
-        ("alpha", 8.0, 13.0),
-        ("beta", 13.0, 30.0),
-        ("gamma", 30.0, 45.0),
-    )
+    bands: tuple[tuple[str, float, float], ...] = EEG_BAND_EDGES
 
     def __post_init__(self):
         prev_high = 0.0

@@ -189,11 +189,8 @@ def predict_proba(model: TrainedModel, rows: np.ndarray) -> np.ndarray:
     if model.kind == "mlp":
         return softmax(neural.mlp_logits(model.params, Xs))
     if model.kind == "kmeans":
-        dist_sq = np.sum(
-            (Xs[:, None, :] - model.params["centroids"][None, :, :]) ** 2, axis=2
-        )
         # hard assignment expressed as a one-hot score table
-        return one_hot(np.argmin(dist_sq, axis=1), n_classes)
+        return one_hot(clustering.kmeans_assign(model.params["centroids"], Xs), n_classes)
     if model.kind == "gmm":
         return clustering.gmm_responsibilities(model.params, Xs)
     raise PredictError(f"unknown model kind {model.kind!r}")

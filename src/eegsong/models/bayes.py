@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import logsumexp
 
+from .common import diag_gaussian_log_pdf
+
 GNB_VAR_FLOOR = 1e-9
 
 
@@ -23,17 +25,9 @@ def fit_gnb(
     return {"means": means, "variances": variances, "log_priors": log_priors}
 
 
-def gnb_log_joint(params: dict[str, np.ndarray], rows: np.ndarray) -> np.ndarray:
-    means = params["means"]
-    variances = params["variances"]
-    diff = rows[:, None, :] - means[None, :, :]
-    log_like = -0.5 * np.sum(
-        np.log(2.0 * np.pi * variances)[None, :, :] + diff**2 / variances[None, :, :],
-        axis=2,
-    )
-    return log_like + params["log_priors"][None, :]
-
-
 def gnb_proba(params: dict[str, np.ndarray], rows: np.ndarray) -> np.ndarray:
-    log_joint = gnb_log_joint(params, rows)
+    log_joint = (
+        diag_gaussian_log_pdf(rows, params["means"], params["variances"])
+        + params["log_priors"][None, :]
+    )
     return np.exp(log_joint - logsumexp(log_joint, axis=1, keepdims=True))

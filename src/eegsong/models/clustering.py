@@ -11,7 +11,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
-from .common import FitError
+from .common import FitError, diag_gaussian_log_pdf
 
 KMEANS_MAX_ITER = 300
 GMM_MAX_ITER = 200
@@ -77,13 +77,7 @@ def _gmm_log_components(
     means: np.ndarray,
     variances: np.ndarray,
 ) -> np.ndarray:
-    diff = rows[:, None, :] - means[None, :, :]
-    log_pdf = -0.5 * np.sum(
-        np.log(2.0 * np.pi * variances)[None, :, :]
-        + diff**2 / variances[None, :, :],
-        axis=2,
-    )
-    return log_pdf + np.log(weights)[None, :]
+    return diag_gaussian_log_pdf(rows, means, variances) + np.log(weights)[None, :]
 
 
 def fit_gmm(

@@ -112,6 +112,17 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def diag_gaussian_log_pdf(
+    rows: np.ndarray, means: np.ndarray, variances: np.ndarray
+) -> np.ndarray:
+    """(n, k) log density of each row under each of k diagonal Gaussians."""
+    diff = rows[:, None, :] - means[None, :, :]
+    return -0.5 * np.sum(
+        np.log(2.0 * np.pi * variances)[None, :, :] + diff**2 / variances[None, :, :],
+        axis=2,
+    )
+
+
 def one_hot(indices: np.ndarray, n_classes: int) -> np.ndarray:
     out = np.zeros((indices.shape[0], n_classes))
     out[np.arange(indices.shape[0]), indices] = 1.0

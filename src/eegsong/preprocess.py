@@ -75,8 +75,8 @@ class PipelineResult:
 def capture_music_epochs(
     session: SessionRecording, epoch_seconds: int
 ) -> list[Epoch]:
-    """Slice every song into non-overlapping epochs, each carrying the 10 s
-    of silence immediately preceding its song's onset as baseline."""
+    """Slice every song into non-overlapping epochs, each carrying the per-channel
+    mean of the BASELINE_SECONDS of silence before its song's onset."""
     fs = session.sample_rate_hz
     epoch_len = epoch_seconds * fs
     baseline_len = BASELINE_SECONDS * fs
@@ -101,7 +101,7 @@ def capture_music_epochs(
                 f"song {song_id} starts at sample {s}, too early for a "
                 f"{BASELINE_SECONDS} s baseline"
             )
-        baseline = extract_segment(session, s - baseline_len, s)
+        baseline_mean = extract_segment(session, s - baseline_len, s).mean(axis=1)
         segment = extract_segment(session, s, e)
         for i in range(seg_len // epoch_len):
             epochs.append(
@@ -110,7 +110,7 @@ def capture_music_epochs(
                     song_id=song_id,
                     epoch_index=i,
                     data=segment[:, i * epoch_len : (i + 1) * epoch_len],
-                    baseline=baseline,
+                    baseline_mean=baseline_mean,
                     sample_rate_hz=fs,
                 )
             )
@@ -118,9 +118,8 @@ def capture_music_epochs(
 
 
 def baseline_correct(epoch: Epoch) -> Epoch:
-    """Subtract each channel's baseline mean from that channel's data."""
-    means = epoch.baseline.mean(axis=1, keepdims=True)
-    return epoch.with_data(epoch.data - means)
+    """Subtract each channel's baseline offset from that channel's data."""
+    return epoch.with_data(epoch.data - epoch.baseline_mean[:, None])
 
 
 def notch_filter(
@@ -295,9 +294,13 @@ def run_pipeline(session: SessionRecording, config: PreprocessConfig) -> Pipelin
     )
 
 
+EPOCHS_FORMAT_VERSION = 2
+
+
 @dataclass(frozen=True)
 class EpochsFile:
-    """Pooled preprocessed epochs from one or more subjects, as stored on disk."""
+    """Pooled preprocessed epochs from one or more subjects, as stored on disk:
+    each epoch's data and its (C,) baseline offset, not the baseline window."""
 
     epochs: tuple[Epoch, ...]
     masks: dict[int, ChannelMask]
@@ -328,11 +331,11 @@ def save_epochs(path, epochs_file: EpochsFile):
 
     rating_keys = sorted(epochs_file.ratings)
     payload = {
-        "format_version": np.asarray(1),
+        "format_version": np.asarray(EPOCHS_FORMAT_VERSION),
         "sample_rate_hz": np.asarray(epochs_file.sample_rate_hz),
         "n_dropped_epochs": np.asarray(epochs_file.n_dropped_epochs),
         "data": np.stack([ep.data for ep in epochs]),
-        "baseline": np.stack([ep.baseline for ep in epochs]),
+        "baseline_mean": np.stack([ep.baseline_mean for ep in epochs]),
         "subject_id": np.asarray([ep.subject_id for ep in epochs]),
         "song_id": np.asarray([ep.song_id for ep in epochs]),
         "epoch_index": np.asarray([ep.epoch_index for ep in epochs]),
@@ -358,11 +361,11 @@ def save_epochs(path, epochs_file: EpochsFile):
 def load_epochs(path) -> EpochsFile:
     with np.load(path, allow_pickle=False) as archive:
         version = int(archive["format_version"])
-        if version != 1:
+        if version != EPOCHS_FORMAT_VERSION:
             raise PipelineError(f"{path}: unsupported epochs format version {version}")
         fs = int(archive["sample_rate_hz"])
         data = archive["data"]
-        baseline = archive["baseline"]
+        baseline_mean = archive["baseline_mean"]
         subject_id = archive["subject_id"]
         song_id = archive["song_id"]
         epoch_index = archive["epoch_index"]
@@ -372,7 +375,7 @@ def load_epochs(path) -> EpochsFile:
                 song_id=int(song_id[i]),
                 epoch_index=int(epoch_index[i]),
                 data=data[i],
-                baseline=baseline[i],
+                baseline_mean=baseline_mean[i],
                 sample_rate_hz=fs,
             )
             for i in range(data.shape[0])

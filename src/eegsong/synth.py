@@ -29,16 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BASELINE_SECONDS, EventMarker, SessionRecording
-
-# Canonical EEG band edges, [low, high) Hz. Shared with the feature modules.
-BAND_EDGES = (
-    ("delta", 1.0, 4.0),
-    ("theta", 4.0, 8.0),
-    ("alpha", 8.0, 13.0),
-    ("beta", 13.0, 30.0),
-    ("gamma", 30.0, 45.0),
-)
+from .core import BASELINE_SECONDS, EEG_BAND_EDGES, EventMarker, SessionRecording
 
 # Baseline amplitude of the 1/f background, microvolts RMS per channel.
 BACKGROUND_RMS_UV = 10.0
@@ -156,7 +147,7 @@ def _pink_noise(
 
 def _band_envelope(freqs: np.ndarray, profile: np.ndarray) -> np.ndarray:
     env = np.zeros_like(freqs)
-    for (name, lo, hi), amp in zip(BAND_EDGES, profile):
+    for (name, lo, hi), amp in zip(EEG_BAND_EDGES, profile):
         env[(freqs >= lo) & (freqs < hi)] = amp
     return env
 

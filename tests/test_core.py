@@ -69,23 +69,24 @@ class TestSessionRecording:
 
 
 class TestEpoch:
-    def test_baseline_length_enforced(self):
+    def test_baseline_mean_shape_enforced(self):
+        """The offset is one value per channel, not the baseline window."""
         fs = 250
-        with pytest.raises(ValueError, match="baseline must cover 10 s"):
-            Epoch(1, 1, 0, np.zeros((4, fs * 10)), np.zeros((4, fs * 3)), fs)
+        with pytest.raises(ValueError, match=r"baseline_mean must have shape \(4,\)"):
+            Epoch(1, 1, 0, np.zeros((4, fs * 10)), np.zeros((4, fs * BASELINE_SECONDS)), fs)
 
     def test_baseline_channel_count_enforced(self):
         fs = 250
-        with pytest.raises(ValueError, match="channel count"):
-            Epoch(1, 1, 0, np.zeros((4, fs * 10)), np.zeros((3, fs * BASELINE_SECONDS)), fs)
+        with pytest.raises(ValueError, match=r"shape \(4,\), got \(3,\)"):
+            Epoch(1, 1, 0, np.zeros((4, fs * 10)), np.zeros(3), fs)
 
     def test_with_data_keeps_identity(self):
         fs = 250
-        e = Epoch(2, 5, 3, np.ones((2, fs * 10)), np.zeros((2, fs * BASELINE_SECONDS)), fs)
+        e = Epoch(2, 5, 3, np.ones((2, fs * 10)), np.array([0.5, -1.0]), fs)
         e2 = e.with_data(np.full((2, fs * 10), 7.0))
         assert (e2.subject_id, e2.song_id, e2.epoch_index) == (2, 5, 3)
         assert np.all(e2.data == 7.0)
-        assert e2.baseline is e.baseline
+        assert e2.baseline_mean is e.baseline_mean
 
 
 class TestChannelMask:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eegsong import build_feature_matrix, read_dataset_csv, write_dataset_csv
-from eegsong.core import BASELINE_SECONDS, Epoch
+from eegsong.core import Epoch
 from eegsong.features import (
     FEATURE_FAMILIES,
     dfa,
@@ -23,7 +23,7 @@ def make_epoch(rng, n_channels=4, subject=1, song=1, index=0, seconds=10):
         song_id=song,
         epoch_index=index,
         data=rng.normal(size=(n_channels, seconds * FS)),
-        baseline=rng.normal(size=(n_channels, BASELINE_SECONDS * FS)),
+        baseline_mean=rng.normal(size=n_channels),
         sample_rate_hz=FS,
     )
 

@@ -67,7 +67,8 @@ class TestCapture:
         fs = tiny_config.sample_rate_hz
         start = tiny_config.lead_silence_seconds * fs
         assert np.array_equal(
-            first.baseline, tiny_session.samples[:, start - 10 * fs : start]
+            first.baseline_mean,
+            tiny_session.samples[:, start - 10 * fs : start].mean(axis=1),
         )
 
     def test_epochs_tile_the_song(self, tiny_session):
@@ -102,7 +103,9 @@ class TestCapture:
 
 class TestBaseline:
     def make_epoch(self, data, baseline):
-        return Epoch(1, 1, 0, data, baseline, FS)
+        """An epoch whose offset is the mean of the given baseline window,
+        as capture_music_epochs computes it."""
+        return Epoch(1, 1, 0, data, np.mean(baseline, axis=1), FS)
 
     def test_constant_data_constant_baseline_cancels(self):
         e = self.make_epoch(np.full((2, FS * 10), 3.5), np.full((2, FS * 10), 3.5))
@@ -381,7 +384,7 @@ class TestEpochsFile:
                 b.epoch_index,
             )
             assert np.array_equal(a.data, b.data)
-            assert np.array_equal(a.baseline, b.baseline)
+            assert np.array_equal(a.baseline_mean, b.baseline_mean)
         assert back.ratings == ef.ratings
         assert back.sample_rate_hz == ef.sample_rate_hz
         assert back.n_dropped_epochs == ef.n_dropped_epochs
@@ -394,3 +397,16 @@ class TestEpochsFile:
         ef = EpochsFile(epochs=(), masks={}, ratings={}, sample_rate_hz=250)
         with pytest.raises(PipelineError, match="empty"):
             save_epochs(tmp_path / "e.npz", ef)
+
+    def test_refuses_version_1(self, tiny_pipeline, tiny_session, tmp_path):
+        """A version-1 file (a full baseline window per epoch) is not read."""
+        path = tmp_path / "epochs.npz"
+        save_epochs(path, self.make_file(tiny_pipeline, tiny_session))
+        with np.load(path) as archive:
+            payload = dict(archive)
+        payload["format_version"] = np.asarray(1)
+        payload["baseline"] = np.zeros(payload["data"].shape[:2] + (10 * FS,))
+        del payload["baseline_mean"]
+        np.savez(path, **payload)
+        with pytest.raises(PipelineError, match="unsupported epochs format version 1"):
+            load_epochs(path)
