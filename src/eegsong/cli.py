@@ -38,7 +38,16 @@ from .preprocess import (
     run_pipeline,
     save_epochs,
 )
-from .synth import GeneratorConfig, generate_session, read_session, write_session
+from .synth import (
+    EVENTS_NAME,
+    MANIFEST_NAME,
+    SAMPLES_NAME,
+    GeneratorConfig,
+    generate_session,
+    read_session,
+    session_dir_name,
+    write_session,
+)
 
 SESSIONS_DIR = "sessions"
 EPOCHS_FILE = "epochs.npz"
@@ -315,15 +324,22 @@ def do_report(config: RunConfig) -> tuple[Path, Path]:
 
 
 def _sessions_reusable(config: RunConfig) -> bool:
-    sidecar = Path(str(config.out / SESSIONS_DIR) + ".meta.json")
+    """True when the sessions sidecar matches the generator config and every
+    subject's manifest, samples and events files are present."""
+    sessions_dir = config.out / SESSIONS_DIR
+    sidecar = Path(str(sessions_dir) + ".meta.json")
     if not sidecar.is_file():
         return False
     try:
         meta = json.loads(sidecar.read_text())
     except json.JSONDecodeError:
         return False
-    return meta.get("config", {}).get("generator") == dataclasses.asdict(
-        config.generator
+    if meta.get("config", {}).get("generator") != dataclasses.asdict(config.generator):
+        return False
+    return all(
+        (sessions_dir / session_dir_name(subject_id) / name).is_file()
+        for subject_id in range(1, config.generator.n_subjects + 1)
+        for name in (MANIFEST_NAME, SAMPLES_NAME, EVENTS_NAME)
     )
 
 

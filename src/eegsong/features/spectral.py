@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from ..core import EEG_BAND_EDGES
 
@@ -67,6 +66,8 @@ def welch_psd(
             f"need at least {2 * nperseg} samples (two 1 s windows), "
             f"got {data.shape[-1]}"
         )
+    from scipy import signal as sp_signal
+
     freqs, psd = sp_signal.welch(
         data,
         fs=sample_rate_hz,

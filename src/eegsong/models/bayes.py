@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .common import diag_gaussian_log_pdf
 
@@ -26,6 +25,8 @@ def fit_gnb(
 
 
 def gnb_proba(params: dict[str, np.ndarray], rows: np.ndarray) -> np.ndarray:
+    from scipy.special import logsumexp
+
     log_joint = (
         diag_gaussian_log_pdf(rows, params["means"], params["variances"])
         + params["log_priors"][None, :]

@@ -8,8 +8,6 @@ index, and the mixture is initialized from the converged k-means run.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist
-from scipy.special import logsumexp
 
 from .common import FitError, diag_gaussian_log_pdf
 
@@ -41,6 +39,8 @@ def fit_kmeans(
     X: np.ndarray, k: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (centroids, assignments, per-iteration objective)."""
+    from scipy.spatial.distance import cdist
+
     n = X.shape[0]
     if k > n:
         raise FitError(f"n_clusters={k} exceeds the {n} training rows available")
@@ -68,6 +68,8 @@ def fit_kmeans(
 
 
 def kmeans_assign(centroids: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    from scipy.spatial.distance import cdist
+
     return np.argmin(cdist(rows, centroids, metric="sqeuclidean"), axis=1)
 
 
@@ -88,6 +90,8 @@ def fit_gmm(
     Returns the parameter dict and the per-iteration total log-likelihood,
     which is non-decreasing up to the stopping tolerance.
     """
+    from scipy.special import logsumexp
+
     n, d = X.shape
     centroids, assignments, _ = fit_kmeans(X, k, seed)
     weights = np.bincount(assignments, minlength=k) / n
@@ -121,6 +125,8 @@ def fit_gmm(
 
 
 def gmm_responsibilities(params: dict[str, np.ndarray], rows: np.ndarray) -> np.ndarray:
+    from scipy.special import logsumexp
+
     log_comp = _gmm_log_components(
         rows, params["weights"], params["means"], params["variances"]
     )

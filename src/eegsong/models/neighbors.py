@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .common import FitError
 
@@ -28,6 +27,8 @@ def knn_vote(
     distance resolve toward the smaller class, and equal vote counts resolve
     the same way downstream via argmax.
     """
+    from scipy.spatial.distance import cdist
+
     votes = np.empty((rows.shape[0], n_classes))
     for start in range(0, rows.shape[0], PREDICT_CHUNK):
         chunk = rows[start : start + PREDICT_CHUNK]

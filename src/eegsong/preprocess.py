@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from .core import (
     BASELINE_SECONDS,
+    EEG_BAND_EDGES,
     REJECTION_MEASURES,
     ChannelMask,
     Epoch,
@@ -140,6 +140,8 @@ def notch_filter(
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("input contains non-finite samples")
+    from scipy import signal as sp_signal
+
     b, a = sp_signal.iirnotch(notch_hz, notch_hz / bandwidth_hz, fs=sample_rate_hz)
     return sp_signal.filtfilt(b, a, x, axis=-1)
 
@@ -168,13 +170,18 @@ def _excess_kurtosis(centered: np.ndarray) -> np.ndarray:
     return m4 / m2**2 - 3.0
 
 
-def _band_power_1_45(x: np.ndarray, sample_rate_hz: float) -> np.ndarray:
-    """Total 1-45 Hz power per channel via a Welch PSD."""
+def _eeg_span_power(x: np.ndarray, sample_rate_hz: float) -> np.ndarray:
+    """Total power per channel over the span of EEG_BAND_EDGES, from the lowest
+    lower edge to the highest upper edge, via a Welch PSD."""
+    from scipy import signal as sp_signal
+
     nperseg = min(x.shape[1], int(sample_rate_hz))
     freqs, psd = sp_signal.welch(
         x, fs=sample_rate_hz, window="hamming", nperseg=nperseg, axis=-1
     )
-    band = (freqs >= 1.0) & (freqs < 45.0)
+    lo = min(edge for _, edge, _ in EEG_BAND_EDGES)
+    hi = max(edge for _, _, edge in EEG_BAND_EDGES)
+    band = (freqs >= lo) & (freqs < hi)
     df = freqs[1] - freqs[0] if len(freqs) > 1 else 1.0
     return psd[:, band].sum(axis=1) * df
 
@@ -191,7 +198,7 @@ def reject_bad_channels(
     rejection_zscore: float = 5.0,
     sample_rate_hz: float = 250.0,
 ) -> ChannelMask:
-    """Flag channels whose amplitude distribution, kurtosis, or 1-45 Hz power
+    """Flag channels whose amplitude distribution, kurtosis, or EEG-span power
     is a cross-channel outlier (|z| above the threshold on any measure)."""
     segment = np.asarray(segment, dtype=np.float64)
     n_channels = segment.shape[0]
@@ -204,7 +211,7 @@ def reject_bad_channels(
     measures = {
         "probability": np.abs(centered).mean(axis=1),
         "kurtosis": _excess_kurtosis(centered),
-        "spectrum": _band_power_1_45(segment, sample_rate_hz),
+        "spectrum": _eeg_span_power(segment, sample_rate_hz),
     }
     assert tuple(measures) == REJECTION_MEASURES
 

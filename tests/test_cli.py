@@ -1,8 +1,11 @@
 """End-to-end command-line runs on a downsized session corpus."""
 
 import json
+import os
 import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,6 +109,17 @@ class TestHeldOutDiscipline:
         assert code == 0
         assert "reusing sessions" in capsys.readouterr().out
 
+    def test_rerun_regenerates_a_missing_session_file(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_CONFIG))
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        (out / "sessions" / "subject_2" / "samples.f32").unlink()
+        code = main(["pipeline", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 0
+        assert "[generate] wrote" in capsys.readouterr().out
+
 
 class TestDeterminism:
     def test_same_config_same_bytes(self, workspace):
@@ -187,6 +201,23 @@ class TestErrorHandling:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "pipeline" in capsys.readouterr().out
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.signal alone costs every stage process over a second of start-up;
+    # it is imported inside the functions that call it.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import eegsong, eegsong.cli, sys; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_is_installed():
