@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core import PipelineError
+from .core import PipelineError, validate_session
 from .evaluation import (
     DEFAULT_TEST_FRACTION,
     EvalError,
@@ -154,7 +154,7 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         out_dir = args.out
 
     try:
-        return RunConfig(
+        config = RunConfig(
             seed=seed,
             out_dir=str(out_dir),
             features=tuple(features),
@@ -165,6 +165,14 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         )
     except TypeError as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
+    song_seconds = config.generator.song_seconds
+    epoch_seconds = config.preprocess.epoch_seconds
+    if song_seconds % epoch_seconds != 0:
+        raise ConfigError(
+            f"epoch_seconds {epoch_seconds} does not divide the "
+            f"{song_seconds} s songs"
+        )
+    return config
 
 
 def resolved_config_dict(config: RunConfig) -> dict:
@@ -188,18 +196,54 @@ def _log_config(stage: str, config: RunConfig) -> None:
     print(f"[{stage}] config: {json.dumps(resolved_config_dict(config), sort_keys=True)}")
 
 
-def _subject_dirs(sessions_dir: Path) -> list[Path]:
+def _sessions_meta(sessions_dir: Path) -> dict:
+    """The sidecar `generate` wrote next to sessions_dir, or {} when it is
+    absent or unreadable."""
+    sidecar = Path(str(sessions_dir) + ".meta.json")
+    if not sidecar.is_file():
+        return {}
+    try:
+        return json.loads(sidecar.read_text())
+    except json.JSONDecodeError:
+        return {}
+
+
+def _missing_subjects(sessions_dir: Path, n_subjects: int) -> list[int]:
+    """Subjects among 1..n_subjects without a manifest, samples or events file."""
+    return [
+        subject_id
+        for subject_id in range(1, n_subjects + 1)
+        if not all(
+            (sessions_dir / session_dir_name(subject_id) / name).is_file()
+            for name in (MANIFEST_NAME, SAMPLES_NAME, EVENTS_NAME)
+        )
+    ]
+
+
+def _session_manifests(sessions_dir: Path) -> list[Path]:
+    """Manifests of subjects 1..n_subjects of the generator config recorded in
+    the sessions sidecar; other subject directories are not read."""
     if not sessions_dir.is_dir():
         raise PipelineError(
             f"no session directory at {sessions_dir}; run `generate` first"
         )
-    found = sorted(
-        (p for p in sessions_dir.iterdir() if p.is_dir() and p.name.startswith("subject_")),
-        key=lambda p: int(p.name.split("_", 1)[1]),
-    )
-    if not found:
-        raise PipelineError(f"{sessions_dir} contains no subject_<id> directories")
-    return found
+    meta = _sessions_meta(sessions_dir)
+    n_subjects = meta.get("config", {}).get("generator", {}).get("n_subjects")
+    if not isinstance(n_subjects, int):
+        raise PipelineError(
+            f"{sessions_dir}: no sessions sidecar records the subject count; "
+            "run `generate` again"
+        )
+    missing = _missing_subjects(sessions_dir, n_subjects)
+    if missing:
+        raise PipelineError(
+            f"{sessions_dir}: sessions of subjects {missing} of the {n_subjects} "
+            "its sidecar records are missing; run `generate` again"
+        )
+    return [
+        sessions_dir / session_dir_name(subject_id) / MANIFEST_NAME
+        for subject_id in range(1, n_subjects + 1)
+    ]
 
 
 def do_generate(config: RunConfig) -> Path:
@@ -223,8 +267,11 @@ def do_preprocess(config: RunConfig) -> Path:
     ratings = {}
     n_dropped = 0
     sample_rate = None
-    for subject_dir in _subject_dirs(sessions_dir):
-        session = read_session(subject_dir / "manifest.txt")
+    for manifest in _session_manifests(sessions_dir):
+        session = read_session(manifest)
+        violations = validate_session(session)
+        if violations:
+            raise PipelineError(f"{manifest.parent}: " + "; ".join(violations))
         result = run_pipeline(session, config.preprocess)
         epochs.extend(result.epochs)
         masks[session.subject_id] = result.channel_mask
@@ -327,20 +374,10 @@ def _sessions_reusable(config: RunConfig) -> bool:
     """True when the sessions sidecar matches the generator config and every
     subject's manifest, samples and events files are present."""
     sessions_dir = config.out / SESSIONS_DIR
-    sidecar = Path(str(sessions_dir) + ".meta.json")
-    if not sidecar.is_file():
-        return False
-    try:
-        meta = json.loads(sidecar.read_text())
-    except json.JSONDecodeError:
-        return False
+    meta = _sessions_meta(sessions_dir)
     if meta.get("config", {}).get("generator") != dataclasses.asdict(config.generator):
         return False
-    return all(
-        (sessions_dir / session_dir_name(subject_id) / name).is_file()
-        for subject_id in range(1, config.generator.n_subjects + 1)
-        for name in (MANIFEST_NAME, SAMPLES_NAME, EVENTS_NAME)
-    )
+    return not _missing_subjects(sessions_dir, config.generator.n_subjects)
 
 
 def do_pipeline(config: RunConfig, force: bool = False) -> Path:

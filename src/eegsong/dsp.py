@@ -1,0 +1,124 @@
+"""Numpy signal kernels: the Welch PSD and the zero-phase IIR notch.
+
+Both reproduce the arithmetic of the scipy.signal calls they stand in for
+(`welch` with a periodic Hamming window and density scaling; `iirnotch` and
+`filtfilt` with odd padding), operation for operation, so their outputs are
+bit-identical to scipy's on the same inputs; the tests hold them to that with
+scipy.signal as the oracle.  Nothing here imports scipy, whose signal package
+costs well over a second to import.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+# filtfilt's default odd padding: three times the number of biquad taps.
+BIQUAD_PADLEN = 9
+
+
+def periodic_hamming(n: int) -> np.ndarray:
+    """n-point periodic Hamming window, built as scipy.signal.get_window builds
+    it: the general-cosine sum over n + 1 points, last point dropped."""
+    fac = np.linspace(-np.pi, np.pi, n + 1)
+    w = np.zeros(n + 1)
+    for k, coef in enumerate((0.54, 1.0 - 0.54)):
+        w += coef * np.cos(k * fac)
+    return w[:-1]
+
+
+def welch(
+    x: np.ndarray, sample_rate_hz: float, nperseg: int, detrend: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided Welch PSD along the last axis: periodic Hamming window of
+    nperseg samples, 50% overlap, density scaling, mean over segments.
+    detrend subtracts each segment's mean before windowing."""
+    x = np.asarray(x, dtype=np.float64)
+    noverlap = nperseg // 2
+    hop = nperseg - noverlap
+    n_seg = (x.shape[-1] - noverlap) // hop
+    win = periodic_hamming(nperseg)
+    # ShortTimeFFT.scale_to('psd'): builtin sum, divided by T = 1 / fs
+    win = win * (1 / np.sqrt(sum(win * win) / (1 / sample_rate_hz)))
+    segments = np.lib.stride_tricks.sliding_window_view(x, nperseg, axis=-1)
+    segments = segments[..., : n_seg * hop : hop, :]
+    if detrend:
+        segments = segments - segments.mean(axis=-1, keepdims=True)
+    spec = np.fft.rfft(segments * win, axis=-1)
+    # average over a C-contiguous (..., freq, segment) array, as scipy does,
+    # so the pairwise summation runs in the same order
+    spec = np.ascontiguousarray(np.swapaxes(spec, -1, -2))
+    power = spec.real**2 + spec.imag**2
+    power[..., 1 : -1 if nperseg % 2 == 0 else None, :] *= 2
+    return np.fft.rfftfreq(nperseg, 1 / sample_rate_hz), power.mean(axis=-1)
+
+
+def iirnotch(
+    notch_hz: float, quality: float, sample_rate_hz: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Second-order notch coefficients (b, a), as scipy.signal.iirnotch."""
+    w0 = 2 * float(notch_hz) / sample_rate_hz
+    bw = w0 / float(quality) * math.pi
+    w0 = w0 * math.pi
+    gain = 1.0 / (1.0 + math.tan(bw / 2.0))
+    b = gain * np.asarray([1.0, -2.0 * math.cos(w0), 1.0])
+    a = np.asarray([1.0, -2.0 * gain * math.cos(w0), 2.0 * gain - 1.0])
+    return b, a
+
+
+def _biquad_steady_state(b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """scipy.signal.lfilter_zi for a biquad with a[0] == 1: the state after a
+    unit step has settled, solved as (I - companion(a).T) zi = B."""
+    companion = np.array([[-a[1], -a[2]], [1.0, 0.0]])
+    return np.linalg.solve(np.eye(2) - companion.T, b[1:] - a[1:] * b[0])
+
+
+def _biquad_pass(a: np.ndarray, z_init: np.ndarray, taps: np.ndarray) -> None:
+    """One transposed direct-form II pass over the leading (sample) axis, in
+    the operation order of scipy's C lfilter kernel:
+
+        y = z0 + b0 x;  z0 = (z1 + b1 x) - a1 y;  z1 = b2 x - a2 y
+
+    taps[k] holds (b0 x, b1 x, b2 x) of sample k on entry and has y in
+    taps[k, 0] on return.  A third state row of -0.0, which added to b2 x
+    changes no bit, makes each sample three array calls."""
+    state = np.empty((3, taps.shape[2]))
+    state[:2] = z_init
+    state[2] = -0.0
+    z = state[:2]
+    feedback = a[1:, None]
+    ay = np.empty((2, taps.shape[2]))
+    for tap, y, tail in zip(taps, taps[:, 0], taps[:, 1:]):
+        np.add(state, tap, out=tap)
+        np.multiply(feedback, y, out=ay)
+        np.subtract(tail, ay, out=z)
+
+
+def filtfilt(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Forward-backward biquad (b, a with a[0] == 1) along the last axis, as
+    scipy.signal.filtfilt with its default odd padding of BIQUAD_PADLEN
+    samples and lfilter_zi initial conditions scaled by each pass's first
+    sample.  Every row is filtered at once: the more rows per call, the less
+    loop overhead each."""
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[-1]
+    pad = BIQUAD_PADLEN
+    if n <= pad:
+        raise ValueError(
+            "The length of the input vector x must be greater than padlen, "
+            f"which is {pad}."
+        )
+    rows = x.reshape(-1, n).T  # samples on the leading axis
+    taps = np.empty((n + 2 * pad, 3, rows.shape[1]))
+    ext = taps[:, 0]
+    ext[:pad] = 2 * rows[0] - rows[pad:0:-1]
+    ext[pad : n + pad] = rows
+    ext[n + pad :] = 2 * rows[-1] - rows[-2 : -pad - 2 : -1]
+    zi = _biquad_steady_state(b, a)
+    for taps_pass in (taps, taps[::-1]):  # forward, then backward over y
+        first = taps_pass[0, 0].copy()
+        np.multiply(taps_pass[:, :1], b[1:, None], out=taps_pass[:, 1:])
+        np.multiply(taps_pass[:, 0], b[0], out=taps_pass[:, 0])
+        _biquad_pass(a, zi[:, None] * first, taps_pass)
+    return np.ascontiguousarray(taps[pad : n + pad, 0].T).reshape(x.shape)

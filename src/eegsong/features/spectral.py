@@ -4,6 +4,12 @@ PSD recipe: 1 s Hamming windows, 50% overlap, plain periodogram average,
 one-sided, density scaling (microvolt^2 per Hz). Band power is the dB of the
 mean PSD over the band's bins; linear band power is kept alongside so tests
 can check against direct DFT arithmetic.
+
+The PSD is the numpy Welch of `dsp`, shared with bad-channel rejection: the
+periodic Hamming window built as scipy.signal.get_window builds it, scaled by
+1 / sqrt(sum(w^2) * fs), np.fft.rfft of each segment, re^2 + im^2, bins 1:-1
+doubled, mean over segments.  That is scipy.signal.welch's arithmetic in its
+order, so the PSD is bit-identical to it.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import dsp
 from ..core import EEG_BAND_EDGES
 
 # Floor under the linear mean PSD before taking dB, so an all-zero channel
@@ -66,20 +73,7 @@ def welch_psd(
             f"need at least {2 * nperseg} samples (two 1 s windows), "
             f"got {data.shape[-1]}"
         )
-    from scipy import signal as sp_signal
-
-    freqs, psd = sp_signal.welch(
-        data,
-        fs=sample_rate_hz,
-        window="hamming",
-        nperseg=nperseg,
-        noverlap=nperseg // 2,
-        detrend=False,
-        scaling="density",
-        average="mean",
-        axis=-1,
-    )
-    return freqs, psd
+    return dsp.welch(data, sample_rate_hz, nperseg, detrend=False)
 
 
 def spectopo_bandpower(

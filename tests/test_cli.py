@@ -1,5 +1,6 @@
 """End-to-end command-line runs on a downsized session corpus."""
 
+import ast
 import json
 import os
 import subprocess
@@ -121,6 +122,51 @@ class TestHeldOutDiscipline:
         assert "[generate] wrote" in capsys.readouterr().out
 
 
+class TestSessionIngest:
+    def test_stale_subjects_are_not_read(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_CONFIG))
+        out = tmp_path / "run"
+        assert main(["generate", "--config", str(cfg_path), "--subjects", "3", "--out", str(out)]) == 0
+        assert main(["pipeline", "--config", str(cfg_path), "--subjects", "2", "--out", str(out)]) == 0
+        assert "from 2 subjects" in capsys.readouterr().out
+        with np.load(out / "epochs.npz") as archive:
+            assert sorted(set(archive["subject_id"].tolist())) == [1, 2]
+            assert archive["mask_subjects"].tolist() == [1, 2]
+
+    def test_missing_subject_is_named(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_CONFIG))
+        out = tmp_path / "run"
+        assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        (out / "sessions" / "subject_2" / "manifest.txt").unlink()
+        assert main(["preprocess", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert "sessions of subjects [2] of the 2" in capsys.readouterr().err
+
+    def test_marker_past_the_end_is_refused(self, tmp_path, capsys):
+        cfg = dict(SMALL_CONFIG, generator=dict(SMALL_CONFIG["generator"], n_subjects=1))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        with open(out / "sessions" / "subject_1" / "events.csv", "a") as fh:
+            fh.write("99999999,rating_screen,\n")
+        assert main(["preprocess", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "marker out of range: rating_screen at sample 99999999" in err
+        assert not (out / "epochs.npz").exists()
+
+    def test_epoch_longer_than_song_refused_before_any_stage(self, tmp_path, capsys):
+        cfg = dict(SMALL_CONFIG, generator=dict(SMALL_CONFIG["generator"], song_seconds=60))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        code = main(["pipeline", "--config", str(cfg_path), "--epoch-seconds", "120", "--out", str(out)])
+        assert code == 1
+        assert "does not divide the 60 s songs" in capsys.readouterr().err
+        assert not (out / "sessions").exists()
+
+
 class TestDeterminism:
     def test_same_config_same_bytes(self, workspace):
         root, cfg_path, out_a = workspace
@@ -218,6 +264,44 @@ def test_cli_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_signal_stages_load_no_scipy(tmp_path):
+    # generate, preprocess and features run on numpy alone; scipy is left to
+    # evaluate and to the kmeans/gmm fits
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(SMALL_CONFIG))
+    code = (
+        "import sys; from eegsong.cli import main\n"
+        "for stage in ('generate', 'preprocess', 'features'):\n"
+        f"    assert main([stage, '--config', {str(cfg_path)!r}, '--out', {str(tmp_path / 'run')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_no_module_imports_scipy_signal():
+    package = Path(__file__).resolve().parents[1] / "src" / "eegsong"
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(n == "scipy.signal" or n.startswith("scipy.signal.") for n in names):
+                offenders.append(f"{path.relative_to(package)}:{node.lineno}")
+    assert offenders == []
 
 
 def test_console_script_is_installed():

@@ -1,0 +1,127 @@
+"""The numpy Welch PSD and zero-phase notch, held bit for bit to the
+scipy.signal calls they replace (scipy is the oracle here, not a dependency
+of the package)."""
+
+import numpy as np
+import pytest
+from scipy import signal
+
+from eegsong import PreprocessConfig, dsp, preprocess, run_pipeline
+from eegsong.core import EEG_BAND_EDGES
+from eegsong.features import welch_psd
+from eegsong.preprocess import (
+    _eeg_span_power,
+    baseline_correct,
+    capture_music_epochs,
+    notch_filter,
+)
+
+FS = 250
+SHAPES = ((), (4,), (3, 4))  # leading axes: 1-D, (C, n) and (E, C, n)
+
+
+def noise(lead: tuple[int, ...], n: int, seed: int = 0) -> np.ndarray:
+    """Offset, drifting noise: detrending and the DC bin both matter."""
+    rng = np.random.default_rng(seed)
+    drift = np.linspace(0.0, 40.0, n)
+    return 30.0 * rng.normal(size=lead + (n,)) + drift + 12.5
+
+
+@pytest.mark.parametrize("n_samples", [250, 251, 1000])
+def test_periodic_hamming_matches_get_window(n_samples):
+    assert np.array_equal(
+        dsp.periodic_hamming(n_samples), signal.get_window("hamming", n_samples)
+    )
+
+
+@pytest.mark.parametrize(
+    "notch_hz,quality,fs", [(50.0, 25.0, 250), (60.0, 30.0, 1000), (50.0, 7.5, 250.0)]
+)
+def test_iirnotch_matches_scipy(notch_hz, quality, fs):
+    b, a = dsp.iirnotch(notch_hz, quality, fs)
+    b_ref, a_ref = signal.iirnotch(notch_hz, quality, fs=fs)
+    assert np.array_equal(b, b_ref)
+    assert np.array_equal(a, a_ref)
+
+
+class TestWelch:
+    @pytest.mark.parametrize("lead", SHAPES)
+    @pytest.mark.parametrize("n_samples", [2500, 3001])
+    @pytest.mark.parametrize("detrend", [False, True])
+    @pytest.mark.parametrize("nperseg", [250, 251])
+    def test_matches_scipy(self, lead, n_samples, detrend, nperseg):
+        x = noise(lead, n_samples)
+        freqs, psd = dsp.welch(x, FS, nperseg, detrend)
+        freqs_ref, psd_ref = signal.welch(
+            x,
+            fs=FS,
+            window="hamming",
+            nperseg=nperseg,
+            noverlap=nperseg // 2,
+            detrend="constant" if detrend else False,
+            scaling="density",
+            average="mean",
+            axis=-1,
+        )
+        assert np.array_equal(freqs, freqs_ref)
+        assert np.array_equal(psd, psd_ref)
+
+    @pytest.mark.parametrize("lead", SHAPES)
+    @pytest.mark.parametrize("n_samples", [500, 2500, 3001])
+    def test_welch_psd_matches_scipy(self, lead, n_samples):
+        x = noise(lead, n_samples, seed=1)
+        freqs, psd = welch_psd(x, FS)
+        freqs_ref, psd_ref = signal.welch(
+            x, fs=FS, window="hamming", nperseg=FS, noverlap=FS // 2, detrend=False
+        )
+        assert np.array_equal(freqs, freqs_ref)
+        assert np.array_equal(psd, psd_ref)
+
+    @pytest.mark.parametrize("n_samples", [200, 2500, 12_001])
+    def test_span_power_matches_scipy_welch(self, n_samples):
+        x = noise((6,), n_samples, seed=2)
+        nperseg = min(n_samples, FS)
+        freqs, psd = signal.welch(x, fs=FS, window="hamming", nperseg=nperseg, axis=-1)
+        band = (freqs >= EEG_BAND_EDGES[0][1]) & (freqs < EEG_BAND_EDGES[-1][2])
+        expected = psd[:, band].sum(axis=1) * (freqs[1] - freqs[0])
+        assert np.array_equal(_eeg_span_power(x, FS), expected)
+
+
+class TestNotch:
+    @pytest.mark.parametrize("lead", SHAPES)
+    @pytest.mark.parametrize("n_samples", [10, 11, 13, 37, 2501])
+    def test_matches_scipy_filtfilt(self, lead, n_samples):
+        x = noise(lead, n_samples, seed=3)
+        b, a = signal.iirnotch(50.0, 50.0 / 2.0, fs=FS)
+        expected = signal.filtfilt(b, a, x, axis=-1)
+        out = notch_filter(x, FS, 50.0, 2.0)
+        assert out.shape == x.shape
+        assert np.array_equal(out, expected)
+
+    def test_signed_zeros_match_scipy(self):
+        # array_equal takes -0.0 == 0.0; the sign bits are compared here
+        x = np.zeros((2, 40))
+        x[1] = -0.0
+        b, a = signal.iirnotch(50.0, 25.0, fs=FS)
+        expected = signal.filtfilt(b, a, x)
+        assert np.array_equal(np.signbit(notch_filter(x, FS)), np.signbit(expected))
+
+    @pytest.mark.parametrize("n_samples", [1, 5, 9])
+    def test_nine_samples_or_fewer_rejected_like_filtfilt(self, n_samples):
+        x = np.ones(n_samples)
+        b, a = signal.iirnotch(50.0, 25.0, fs=FS)
+        with pytest.raises(ValueError, match="padlen"):
+            signal.filtfilt(b, a, x)
+        with pytest.raises(ValueError, match="padlen"):
+            notch_filter(x, FS)
+
+    def test_run_pipeline_blocks_match_epoch_by_epoch(self, tiny_session, monkeypatch):
+        # 8 epochs in blocks of 3, 3 and 2: each block is one filtfilt call
+        monkeypatch.setattr(preprocess, "_NOTCH_BLOCK_EPOCHS", 3)
+        config = PreprocessConfig(step_order=("capture", "baseline", "notch"))
+        blocked = run_pipeline(tiny_session, config).epochs
+        epochs = capture_music_epochs(tiny_session, config.epoch_seconds)
+        assert len(epochs) == 8
+        for got, ep in zip(blocked, epochs):
+            expected = notch_filter(baseline_correct(ep).data, FS)
+            assert np.array_equal(got.data, expected)
