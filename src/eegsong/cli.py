@@ -402,9 +402,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--epoch-seconds",
         type=int,
-        choices=(10, 120),
         dest="epoch_seconds",
-        help="epoch length within each song",
+        help="epoch length within each song; must divide the song length",
     )
     common.add_argument(
         "--features", metavar="LIST", help=f"comma-separated subset of {','.join(FEATURE_FAMILIES)}"

@@ -207,12 +207,6 @@ def evaluate_ratings(
     )
 
 
-def seed_summary(accuracies_pct: list[float]) -> dict[str, float]:
-    """Mean and max accuracy over repeated seeded runs, labeled explicitly."""
-    values = np.asarray(accuracies_pct, dtype=float)
-    return {"mean_pct": float(values.mean()), "max_pct": float(values.max())}
-
-
 # --- plan files ---------------------------------------------------------------
 
 
@@ -392,10 +386,3 @@ def render_confusion(report: EvalReport, out_dir: str | Path) -> tuple[Path, Pat
         fh.write(f"P5\n{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii"))
         fh.write(image.tobytes())
     return csv_path, pgm_path
-
-
-def read_confusion_csv(path: str | Path) -> np.ndarray:
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln]
-    return np.asarray(
-        [[int(v) for v in line.split(",")[1:]] for line in lines[1:]], dtype=np.int64
-    )

@@ -1,5 +1,5 @@
-"""Feature extraction: spectral band power, wavelet energies, DFA, entropy,
-dataset assembly, and PCA projection."""
+"""Feature extraction: spectral band power, wavelet energies, DFA, entropy
+and dataset assembly."""
 
 from .dataset import (
     FEATURE_FAMILIES,
@@ -10,7 +10,6 @@ from .dataset import (
 )
 from .dfa import DegenerateFluctuationsError, DfaResult, default_box_sizes, dfa
 from .entropy import ENTROPY_EPS, EntropyPair, entropy_features
-from .pca import PcaProjection, pca_project
 from .spectral import (
     EEG_BANDS,
     BandDefinition,
@@ -42,8 +41,6 @@ __all__ = [
     "ENTROPY_EPS",
     "EntropyPair",
     "entropy_features",
-    "PcaProjection",
-    "pca_project",
     "EEG_BANDS",
     "BandDefinition",
     "BandPowerSet",

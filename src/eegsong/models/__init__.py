@@ -83,8 +83,8 @@ def fit(spec: ModelSpec, X: np.ndarray, labels: np.ndarray) -> TrainedModel:
             "k": np.asarray(spec.knn_k),
         }
     elif spec.kind == "tree":
-        tree = trees.fit_classification_tree(
-            Xs, y_idx, n_classes, spec.tree_max_depth, spec.tree_min_leaf
+        tree = trees.grow_tree(
+            Xs, one_hot(y_idx, n_classes), spec.tree_max_depth, spec.tree_min_leaf
         )
         params = trees.trees_to_arrays([tree])
     elif spec.kind == "gboost":
@@ -96,7 +96,7 @@ def fit(spec: ModelSpec, X: np.ndarray, labels: np.ndarray) -> TrainedModel:
             spec.gboost_depth,
             spec.gboost_learning_rate,
         )
-        params = trees.trees_to_arrays([t for rnd in forest for t in rnd])
+        params = trees.trees_to_arrays(forest)
         params["learning_rate"] = np.asarray(spec.gboost_learning_rate)
         params["n_rounds"] = np.asarray(spec.gboost_rounds)
         params["train_loss"] = losses
@@ -175,13 +175,11 @@ def predict_proba(model: TrainedModel, rows: np.ndarray) -> np.ndarray:
         tree = trees.arrays_to_trees(model.params)[0]
         return trees.tree_predict_value(tree, Xs)
     if model.kind == "gboost":
-        forest_flat = trees.arrays_to_trees(model.params)
-        rounds = int(model.params["n_rounds"])
-        forest = [
-            forest_flat[r * n_classes : (r + 1) * n_classes] for r in range(rounds)
-        ]
         logits = trees.gboost_logits(
-            forest, float(model.params["learning_rate"]), Xs, n_classes
+            trees.arrays_to_trees(model.params),
+            float(model.params["learning_rate"]),
+            Xs,
+            n_classes,
         )
         return softmax(logits)
     if model.kind == "gnb":

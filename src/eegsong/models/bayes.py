@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import diag_gaussian_log_pdf
+from .common import diag_gaussian_log_pdf, normalize_log_scores
 
 GNB_VAR_FLOOR = 1e-9
 
@@ -25,10 +25,7 @@ def fit_gnb(
 
 
 def gnb_proba(params: dict[str, np.ndarray], rows: np.ndarray) -> np.ndarray:
-    from scipy.special import logsumexp
-
-    log_joint = (
+    return normalize_log_scores(
         diag_gaussian_log_pdf(rows, params["means"], params["variances"])
         + params["log_priors"][None, :]
     )
-    return np.exp(log_joint - logsumexp(log_joint, axis=1, keepdims=True))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import FitError, diag_gaussian_log_pdf
+from .common import FitError, diag_gaussian_log_pdf, normalize_log_scores
 
 KMEANS_MAX_ITER = 300
 GMM_MAX_ITER = 200
@@ -125,9 +125,6 @@ def fit_gmm(
 
 
 def gmm_responsibilities(params: dict[str, np.ndarray], rows: np.ndarray) -> np.ndarray:
-    from scipy.special import logsumexp
-
-    log_comp = _gmm_log_components(
-        rows, params["weights"], params["means"], params["variances"]
+    return normalize_log_scores(
+        _gmm_log_components(rows, params["weights"], params["means"], params["variances"])
     )
-    return np.exp(log_comp - logsumexp(log_comp, axis=1, keepdims=True))

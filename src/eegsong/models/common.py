@@ -112,6 +112,20 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def normalize_log_scores(log_scores: np.ndarray) -> np.ndarray:
+    """Rows of exp(log_scores) rescaled to sum to 1, computed in log space."""
+    from scipy.special import logsumexp
+
+    return np.exp(log_scores - logsumexp(log_scores, axis=1, keepdims=True))
+
+
+def mean_cross_entropy(proba: np.ndarray, y_idx: np.ndarray) -> float:
+    """Mean negative log probability of each row's true class, clipped at
+    1e-300 so a zero probability gives a large finite loss."""
+    picked = np.clip(proba[np.arange(proba.shape[0]), y_idx], 1e-300, None)
+    return float(-np.mean(np.log(picked)))
+
+
 def diag_gaussian_log_pdf(
     rows: np.ndarray, means: np.ndarray, variances: np.ndarray
 ) -> np.ndarray:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import one_hot, softmax
+from .common import mean_cross_entropy, one_hot, softmax
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2")
 
@@ -38,8 +38,7 @@ def mlp_loss_and_grads(
     hidden = np.maximum(pre, 0.0)
     logits = hidden @ params["w2"] + params["b2"]
     proba = softmax(logits)
-    picked = np.clip(proba[np.arange(n), y_idx], 1e-300, None)
-    loss = float(-np.mean(np.log(picked)))
+    loss = mean_cross_entropy(proba, y_idx)
 
     d_logits = (proba - one_hot(y_idx, n_classes)) / n
     d_hidden = d_logits @ params["w2"].T

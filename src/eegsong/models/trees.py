@@ -1,5 +1,13 @@
 """Decision trees grown on presorted features, plus gradient boosting.
 
+There is one grower (grow_tree) and one exact split search (_best_split),
+both over an (n, K) float target matrix.  A CART classification tree is a
+regression tree on one-hot class indicators: a node's summed squared error
+of those indicators is n times its Gini impurity (Breiman et al. 1984), so
+the least-squares split is the Gini split and each node's mean target row
+is its class fractions.  Gradient boosting grows K = 1 regression trees on
+the softmax residuals.
+
 Trees are stored as flat parallel arrays (feature, threshold, left, right,
 value) so prediction is a vectorized walk and serialization is plain numpy.
 Split ties are broken toward the smallest feature index, then the smallest
@@ -12,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .common import FitError, one_hot, softmax
+from .common import FitError, mean_cross_entropy, one_hot, softmax
 
 LEAF = -1
 
@@ -23,7 +31,7 @@ class FlatTree:
     threshold: np.ndarray  # float, 0.0 at leaves
     left: np.ndarray  # int child ids, LEAF at leaves
     right: np.ndarray
-    value: np.ndarray  # (n_nodes,) regression mean or (n_nodes, C) class fractions
+    value: np.ndarray  # (n_nodes, K) mean target row of each node's members
 
     @property
     def n_nodes(self) -> int:
@@ -39,90 +47,68 @@ def _node_rows_sorted(sorted_idx: np.ndarray, member: np.ndarray) -> np.ndarray:
     return sorted_idx.T[keep.T].reshape(d, m).T
 
 
-def _best_split_gini(
+def _best_split(
     X: np.ndarray,
-    y_idx: np.ndarray,
+    T: np.ndarray,
     rows_sorted: np.ndarray,
-    n_classes: int,
     min_leaf: int,
-) -> tuple[int, float, float] | None:
+) -> tuple[int, float] | None:
+    """Exact least-squares split of one node over the (n, K) targets T.
+
+    A cut's score is sum_k (S_left_k**2 / n_left + S_right_k**2 / n_right)
+    over the per-side target sums S; maximising it minimises the summed
+    squared error.  On one-hot class targets that error is n times the
+    node's Gini impurity, so the same search grows Gini trees.
+    """
     m, d = rows_sorted.shape
     if m < 2 * min_leaf:
         return None
-    total = np.bincount(y_idx[rows_sorted[:, 0]], minlength=n_classes).astype(float)
-    parent_impurity = 1.0 - np.sum((total / m) ** 2)
-    if parent_impurity == 0.0:
-        return None
-    best = None
-    best_gain = 0.0
-    positions = np.arange(min_leaf, m - min_leaf + 1)
-    for j in range(d):
-        order = rows_sorted[:, j]
-        vals = X[order, j]
-        prefix = np.cumsum(one_hot(y_idx[order], n_classes), axis=0)
-        left = prefix[positions - 1]
-        right = total - left
-        n_left = positions.astype(float)
-        n_right = m - n_left
-        gini_left = 1.0 - np.sum(left**2, axis=1) / n_left**2
-        gini_right = 1.0 - np.sum(right**2, axis=1) / n_right**2
-        weighted = (n_left * gini_left + n_right * gini_right) / m
-        gain = parent_impurity - weighted
-        # a split must separate distinct values
-        splittable = vals[positions - 1] < vals[positions]
-        gain[~splittable] = -np.inf
-        if not splittable.any():
-            continue
-        at = int(np.argmax(gain))
-        if gain[at] > best_gain + 1e-12:
-            best_gain = gain[at]
-            cut = positions[at]
-            best = (j, 0.5 * (vals[cut - 1] + vals[cut]), best_gain)
-    return best
-
-
-def _best_split_mse(
-    X: np.ndarray,
-    g: np.ndarray,
-    rows_sorted: np.ndarray,
-    min_leaf: int,
-) -> tuple[int, float, float] | None:
-    m, d = rows_sorted.shape
-    if m < 2 * min_leaf:
-        return None
-    G = g[rows_sorted]  # (m, d): node targets ordered per feature
     vals = X[rows_sorted, np.arange(d)[None, :]]
-    total = float(G[:, 0].sum())
-    base_score = total * total / m
-    prefix = np.cumsum(G, axis=0)
-    positions = np.arange(min_leaf, m - min_leaf + 1)
-    s_left = prefix[positions - 1]  # (P, d)
+    positions = np.arange(min_leaf, m - min_leaf + 1)  # left-side sizes
+    cuts = slice(min_leaf - 1, m - min_leaf)  # last left row of each cut
+    # (P, d) sums over the target columns of the squared per-side sums, one
+    # column at a time: an (m, d, K) block would cost K times the memory.
+    # Starting from the first column's squares rather than zeros gives the
+    # same bits (0.0 + x == x) with one pass less.
+    sq_left = sq_right = None
+    base_score = 0.0
+    for k in range(T.shape[1]):
+        G = np.ascontiguousarray(T[:, k])[rows_sorted]  # (m, d): node targets per feature
+        total = float(G[:, 0].sum())
+        base_score += total * total
+        s_left = np.cumsum(G, axis=0)[cuts]  # (P, d)
+        s_right = total - s_left
+        s_left *= s_left
+        s_right *= s_right
+        if sq_left is None:
+            sq_left, sq_right = s_left, s_right
+        else:
+            sq_left += s_left
+            sq_right += s_right
+    base_score /= m
     n_left = positions[:, None].astype(float)
-    n_right = m - n_left
-    # minimizing squared error == maximizing sum of per-side sum^2/count
-    score = s_left**2 / n_left + (total - s_left) ** 2 / n_right
-    score[vals[positions - 1] >= vals[positions]] = -np.inf
+    score = sq_left / n_left + sq_right / (m - n_left)
+    # a split must separate distinct values
+    score[vals[cuts] >= vals[min_leaf : m - min_leaf + 1]] = -np.inf
     flat = score.T.ravel()  # feature-major so argmax honors the tie order
     at = int(np.argmax(flat))
     if not np.isfinite(flat[at]) or flat[at] <= base_score + 1e-12:
         return None
     j, pos_at = divmod(at, positions.shape[0])
     cut = positions[pos_at]
-    return j, 0.5 * (vals[cut - 1, j] + vals[cut, j]), float(flat[at])
+    return j, 0.5 * (vals[cut - 1, j] + vals[cut, j])
 
 
 def grow_tree(
     X: np.ndarray,
-    target: np.ndarray,
-    mode: str,
+    T: np.ndarray,
     max_depth: int,
     min_leaf: int,
-    n_classes: int = 0,
     sorted_idx: np.ndarray | None = None,
 ) -> FlatTree:
-    """Grow one CART tree.  mode 'gini' classifies integer class indices in
-    target; mode 'mse' regresses on float targets.  Callers fitting many trees
-    on one matrix should presort it once and pass sorted_idx."""
+    """Grow one CART tree on the (n, K) float targets T; every node's value
+    is the mean target row of its members.  Callers fitting many trees on
+    one matrix should presort it once and pass sorted_idx."""
     n = X.shape[0]
     if n == 0:
         raise FitError("cannot grow a tree on an empty sample")
@@ -132,13 +118,7 @@ def grow_tree(
     threshold: list[float] = []
     left: list[int] = []
     right: list[int] = []
-    value: list[np.ndarray | float] = []
-
-    def leaf_value(member: np.ndarray):
-        if mode == "gini":
-            counts = np.bincount(target[member], minlength=n_classes).astype(float)
-            return counts / counts.sum()
-        return float(target[member].mean())
+    value: list[np.ndarray] = []
 
     # (member mask, depth, slot in the child arrays to patch)
     root_member = np.ones(n, dtype=bool)
@@ -154,36 +134,29 @@ def grow_tree(
         split = None
         if depth < max_depth:
             rows_sorted = _node_rows_sorted(sorted_idx, member)
-            if mode == "gini":
-                split = _best_split_gini(X, target, rows_sorted, n_classes, min_leaf)
-            else:
-                split = _best_split_mse(X, target, rows_sorted, min_leaf)
+            split = _best_split(X, T, rows_sorted, min_leaf)
+        left.append(LEAF)
+        right.append(LEAF)
+        value.append(T[member].mean(axis=0))
         if split is None:
             feature.append(LEAF)
             threshold.append(0.0)
-            left.append(LEAF)
-            right.append(LEAF)
-            value.append(leaf_value(member))
             continue
-        j, cut, _ = split
+        j, cut = split
         feature.append(j)
         threshold.append(cut)
-        left.append(LEAF)
-        right.append(LEAF)
-        value.append(leaf_value(member))
         go_left = member & (X[:, j] <= cut)
         go_right = member & ~(X[:, j] <= cut)
         # push right first so the left child is materialized first
         stack.append((go_right, depth + 1, node_id, "R"))
         stack.append((go_left, depth + 1, node_id, "L"))
 
-    value_arr = np.asarray(value, dtype=np.float64)
     return FlatTree(
         feature=np.asarray(feature, dtype=np.int64),
         threshold=np.asarray(threshold, dtype=np.float64),
         left=np.asarray(left, dtype=np.int64),
         right=np.asarray(right, dtype=np.int64),
-        value=value_arr,
+        value=np.asarray(value, dtype=np.float64),
     )
 
 
@@ -216,9 +189,7 @@ def trees_to_arrays(trees: list[FlatTree]) -> dict[str, np.ndarray]:
         "threshold": np.concatenate([t.threshold for t in trees]),
         "left": np.concatenate([t.left for t in trees]),
         "right": np.concatenate([t.right for t in trees]),
-        "value": np.concatenate(
-            [np.atleast_1d(t.value).reshape(t.n_nodes, -1) for t in trees]
-        ),
+        "value": np.concatenate([t.value for t in trees]),
     }
 
 
@@ -228,25 +199,16 @@ def arrays_to_trees(arrays: dict[str, np.ndarray]) -> list[FlatTree]:
     trees = []
     for i in range(counts.shape[0]):
         lo, hi = offsets[i], offsets[i + 1]
-        value = arrays["value"][lo:hi]
-        if value.shape[1] == 1:
-            value = value[:, 0]
         trees.append(
             FlatTree(
                 feature=arrays["feature"][lo:hi],
                 threshold=arrays["threshold"][lo:hi],
                 left=arrays["left"][lo:hi],
                 right=arrays["right"][lo:hi],
-                value=value,
+                value=arrays["value"][lo:hi],
             )
         )
     return trees
-
-
-def fit_classification_tree(
-    X: np.ndarray, y_idx: np.ndarray, n_classes: int, max_depth: int, min_leaf: int
-) -> FlatTree:
-    return grow_tree(X, y_idx, "gini", max_depth, min_leaf, n_classes=n_classes)
 
 
 def _newton_leaf_values(
@@ -270,43 +232,40 @@ def fit_gradient_boosting(
     rounds: int,
     depth: int,
     learning_rate: float,
-) -> tuple[list[list[FlatTree]], np.ndarray]:
+) -> tuple[list[FlatTree], np.ndarray]:
     """Additive model on the softmax cross-entropy objective.
 
     Each round fits one shallow regression tree per class to the negative
     gradient (one-hot minus predicted probability), then sets each leaf by a
-    single Newton step on that objective.  Returns the forest as rounds x
-    classes and the training loss after each round.
+    single Newton step on that objective.  Returns the forest as one
+    round-major list (tree r * n_classes + c is class c of round r) and the
+    training loss after each round.
     """
     n = X.shape[0]
     targets = one_hot(y_idx, n_classes)
     logits = np.zeros((n, n_classes))
-    forest: list[list[FlatTree]] = []
+    forest: list[FlatTree] = []
     losses = np.empty(rounds)
     sorted_idx = np.argsort(X, axis=0, kind="stable")
+    proba = softmax(logits)
     for r in range(rounds):
-        proba = softmax(logits)
         residual = targets - proba
-        round_trees = []
         for c in range(n_classes):
-            t = grow_tree(X, residual[:, c], "mse", depth, 1, sorted_idx=sorted_idx)
+            t = grow_tree(X, residual[:, c : c + 1], depth, 1, sorted_idx=sorted_idx)
             leaf_ids = tree_apply(t, X)
             t = _newton_leaf_values(t, leaf_ids, residual[:, c], n_classes)
-            logits[:, c] += learning_rate * t.value[leaf_ids]
-            round_trees.append(t)
-        forest.append(round_trees)
+            logits[:, c] += learning_rate * t.value[leaf_ids, 0]
+            forest.append(t)
         proba = softmax(logits)
-        losses[r] = -np.mean(
-            np.log(np.clip(proba[np.arange(n), y_idx], 1e-300, None))
-        )
+        losses[r] = mean_cross_entropy(proba, y_idx)
     return forest, losses
 
 
 def gboost_logits(
-    forest: list[list[FlatTree]], learning_rate: float, X: np.ndarray, n_classes: int
+    forest: list[FlatTree], learning_rate: float, X: np.ndarray, n_classes: int
 ) -> np.ndarray:
+    """Summed leaf values of a round-major forest, one logit column per class."""
     logits = np.zeros((X.shape[0], n_classes))
-    for round_trees in forest:
-        for c, t in enumerate(round_trees):
-            logits[:, c] += learning_rate * tree_predict_value(t, X)
+    for i, t in enumerate(forest):
+        logits[:, i % n_classes] += learning_rate * tree_predict_value(t, X)[:, 0]
     return logits

@@ -57,9 +57,10 @@ class PreprocessConfig:
     step_order: tuple[str, ...] = PIPELINE_STEPS
 
     def __post_init__(self):
-        if self.epoch_seconds <= 0 or 120 % self.epoch_seconds != 0:
+        # divisibility by the song length is checked where the song is known
+        if self.epoch_seconds <= 0:
             raise ValueError(
-                f"epoch_seconds must divide 120, got {self.epoch_seconds}"
+                f"epoch_seconds must be positive, got {self.epoch_seconds}"
             )
         if self.notch_bandwidth_hz <= 0:
             raise ValueError("notch_bandwidth_hz must be positive")

@@ -29,7 +29,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BASELINE_SECONDS, EEG_BAND_EDGES, EventMarker, SessionRecording
+from .core import (
+    BASELINE_SECONDS,
+    EEG_BAND_EDGES,
+    EXPECTED_SAMPLE_RATES,
+    EventMarker,
+    SessionRecording,
+)
 
 # Baseline amplitude of the 1/f background, microvolts RMS per channel.
 BACKGROUND_RMS_UV = 10.0
@@ -85,6 +91,12 @@ class GeneratorConfig:
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        # validate_session refuses any other rate at ingest
+        if self.sample_rate_hz not in EXPECTED_SAMPLE_RATES:
+            raise ValueError(
+                f"sample_rate_hz must be one of {EXPECTED_SAMPLE_RATES}, "
+                f"got {self.sample_rate_hz}"
+            )
         # Each song's baseline is the BASELINE_SECONDS just before its onset;
         # a shorter silence would reach back into the previous song (or before
         # the recording starts).

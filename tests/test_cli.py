@@ -166,6 +166,28 @@ class TestSessionIngest:
         assert "does not divide the 60 s songs" in capsys.readouterr().err
         assert not (out / "sessions").exists()
 
+    def test_epoch_dividing_a_non_default_song_length_runs(self, tmp_path, capsys):
+        gen = dict(SMALL_CONFIG["generator"], song_seconds=60)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(SMALL_CONFIG, generator=gen)))
+        out = tmp_path / "run"
+        code = main(["pipeline", "--config", str(cfg_path), "--epoch-seconds", "20", "--out", str(out)])
+        assert code == 0
+        capsys.readouterr()
+        with np.load(out / "epochs.npz") as archive:
+            songs = archive["subject_id"] * 100 + archive["song_id"]
+        _, per_song = np.unique(songs, return_counts=True)
+        assert per_song.tolist() == [3] * gen["n_subjects"] * gen["n_songs"]
+
+    def test_unexpected_sample_rate_refused_before_generate(self, tmp_path, capsys):
+        gen = dict(SMALL_CONFIG["generator"], sample_rate_hz=500)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(SMALL_CONFIG, generator=gen)))
+        out = tmp_path / "run"
+        assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert "sample_rate_hz must be one of (250, 1000)" in capsys.readouterr().err
+        assert not (out / "sessions").exists()
+
 
 class TestDeterminism:
     def test_same_config_same_bytes(self, workspace):
@@ -237,7 +259,7 @@ class TestErrorHandling:
         assert "run `generate` first" in capsys.readouterr().err
 
     def test_bad_flag_value_exits_two(self, capsys):
-        assert main(["pipeline", "--epoch-seconds", "17"]) == 2
+        assert main(["pipeline", "--epoch-seconds", "ten"]) == 2
         capsys.readouterr()
 
     def test_missing_subcommand_exits_two(self, capsys):

@@ -1,6 +1,7 @@
 """Split/evaluate protocol: stratification, report math, and artifact files."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,18 +14,24 @@ from eegsong.evaluation import (
     evaluate,
     evaluate_ratings,
     mark_plan_consumed,
-    read_confusion_csv,
     read_plan,
     read_report,
     render_confusion,
     report_from_predictions,
-    seed_summary,
     split_dataset,
     write_plan,
     write_report,
 )
 from eegsong.features.dataset import Dataset
 from eegsong.models import ModelSpec, fit_dataset
+
+
+def read_confusion_csv(path: Path) -> np.ndarray:
+    """Count matrix of a confusion.csv: header row and label column dropped."""
+    lines = [ln for ln in path.read_text().splitlines() if ln]
+    return np.asarray(
+        [[int(v) for v in line.split(",")[1:]] for line in lines[1:]], dtype=np.int64
+    )
 
 
 def toy_dataset(strata, width=3, seed=0, ratings=None):
@@ -159,10 +166,6 @@ class TestReportMath:
         model = fit_dataset(ModelSpec(kind="knn"), ds)
         with pytest.raises(EvalError, match="empty test set"):
             evaluate(model, ds.subset(np.array([], dtype=int)))
-
-    def test_seed_summary_labels_mean_and_max(self):
-        out = seed_summary([10.0, 30.0, 20.0])
-        assert out == {"mean_pct": 20.0, "max_pct": 30.0}
 
 
 class TestRatingEvaluation:

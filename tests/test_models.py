@@ -15,14 +15,38 @@ from eegsong.models import (
     predict_proba,
     save_model,
 )
-from eegsong.models.common import majority_label
+from eegsong.models.common import majority_label, one_hot
 from eegsong.models.neural import init_mlp, mlp_loss_and_grads
+from eegsong.models.trees import LEAF, grow_tree
 
 
 def blobs(rng, centers, n_per, scale=0.5):
     X = np.vstack([c + scale * rng.normal(size=(n_per, len(c))) for c in centers])
     y = np.repeat(np.arange(len(centers)), n_per)
     return X, y
+
+
+def weighted_gini(y, left, n_classes):
+    """Size-weighted mean Gini impurity of the two sides of a split."""
+    total = 0.0
+    for side in (y[left], y[~left]):
+        p = np.bincount(side, minlength=n_classes) / side.shape[0]
+        total += side.shape[0] * (1.0 - np.sum(p**2))
+    return total / y.shape[0]
+
+
+def brute_force_min_gini(X, y, min_leaf, n_classes):
+    """Smallest weighted Gini over every cut between distinct column values
+    that leaves min_leaf rows on each side; None when there is no such cut."""
+    best = None
+    for j in range(X.shape[1]):
+        for v in np.unique(X[:, j])[:-1]:
+            left = X[:, j] <= v
+            if min(left.sum(), (~left).sum()) < min_leaf:
+                continue
+            g = weighted_gini(y, left, n_classes)
+            best = g if best is None else min(best, g)
+    return best
 
 
 TWO_CENTERS = [(-3.0, -3.0, 0.0), (3.0, 3.0, 0.0)]
@@ -141,6 +165,50 @@ class TestTrees:
         X, y = blobs(rng, TWO_CENTERS, 25)
         model = fit(ModelSpec(kind="tree", tree_max_depth=1), X, y)
         assert model.params["tree_counts"][0] <= 3  # root plus two leaves
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_split_matches_brute_force_gini(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(12, 41))
+        min_leaf = int(rng.integers(1, 4))
+        X = rng.integers(0, 4, size=(n, 5)).astype(float)  # many tied values
+        y = rng.permutation(np.arange(n) % 3)
+        depth_limit = 3
+        model = fit(
+            ModelSpec(kind="tree", tree_max_depth=depth_limit, tree_min_leaf=min_leaf), X, y
+        )
+        p = model.params
+        Xs = (X - model.feature_mean) / model.feature_std
+        stack = [(0, np.ones(n, dtype=bool), 0)]
+        while stack:
+            node, rows, depth = stack.pop()
+            counts = np.bincount(y[rows], minlength=3)
+            # node values are the class fractions of the node's rows
+            np.testing.assert_array_equal(p["value"][node], counts / counts.sum())
+            expected = brute_force_min_gini(X[rows], y[rows], min_leaf, 3)
+            j = int(p["feature"][node])
+            if j == LEAF:
+                node_gini = 1.0 - np.sum((counts / counts.sum()) ** 2)
+                if depth < depth_limit:
+                    assert expected is None or expected >= node_gini - 1e-12
+                continue
+            left = rows & (Xs[:, j] <= p["threshold"][node])
+            right = rows & ~left
+            # the left rows are the node's rows up to one distinct value of column j
+            assert np.array_equal(left, rows & (X[:, j] <= X[left, j].max()))
+            assert min(left.sum(), right.sum()) >= min_leaf
+            assert abs(weighted_gini(y[rows], left[rows], 3) - expected) <= 1e-12
+            stack.append((p["left"][node], left, depth + 1))
+            stack.append((p["right"][node], right, depth + 1))
+
+    def test_pure_node_or_tied_columns_give_no_split(self):
+        X = np.arange(12.0).reshape(6, 2)
+        pure = grow_tree(X, one_hot(np.zeros(6, dtype=int), 3), 4, 1)
+        assert pure.feature.tolist() == [LEAF]
+        np.testing.assert_array_equal(pure.value, [[1.0, 0.0, 0.0]])
+        tied = grow_tree(np.ones((6, 2)), one_hot(np.arange(6) % 3, 3), 4, 1)
+        assert tied.feature.tolist() == [LEAF]
+        np.testing.assert_array_equal(tied.value, np.full((1, 3), 1 / 3))
 
     def test_gboost_training_loss_never_increases(self, rng):
         X, y = blobs(rng, THREE_CENTERS, 25, scale=2.0)

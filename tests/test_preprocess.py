@@ -31,11 +31,12 @@ def sine(freq_hz, seconds=10, fs=FS, amplitude=1.0):
 
 
 class TestConfig:
-    def test_epoch_seconds_must_divide_120(self):
-        PreprocessConfig(epoch_seconds=120)
-        PreprocessConfig(epoch_seconds=10)
-        with pytest.raises(ValueError, match="divide 120"):
-            PreprocessConfig(epoch_seconds=7)
+    def test_epoch_seconds_must_be_positive(self):
+        # divisibility by the song length is checked at config load
+        PreprocessConfig(epoch_seconds=25)
+        for bad in (0, -10):
+            with pytest.raises(ValueError, match="epoch_seconds must be positive"):
+                PreprocessConfig(epoch_seconds=bad)
 
     def test_unknown_step_rejected(self):
         with pytest.raises(ValueError, match="unknown pipeline steps"):

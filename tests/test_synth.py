@@ -41,6 +41,13 @@ def test_config_validation():
         GeneratorConfig(seed=-1)
 
 
+def test_sample_rate_outside_expected_rates_rejected():
+    # validate_session would refuse the sessions at ingest
+    with pytest.raises(ValueError, match="sample_rate_hz must be one of"):
+        GeneratorConfig(sample_rate_hz=500)
+    GeneratorConfig(sample_rate_hz=1000)
+
+
 @pytest.mark.parametrize("name", ["lead_silence_seconds", "inter_song_silence_seconds"])
 def test_silence_shorter_than_baseline_rejected(name):
     # the pre-song baseline would reach back into the previous song
