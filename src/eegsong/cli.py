@@ -196,21 +196,36 @@ def _log_config(stage: str, config: RunConfig) -> None:
     print(f"[{stage}] config: {json.dumps(resolved_config_dict(config), sort_keys=True)}")
 
 
-def _sessions_meta(sessions_dir: Path) -> dict:
-    """The sidecar `generate` wrote next to sessions_dir, or {} when it is
-    absent or unreadable."""
+def _sessions_mismatch(config: RunConfig) -> str | None:
+    """Why the sessions under config.out cannot serve config, or None when they
+    can: the sessions sidecar must record config's generator, and each of its
+    subjects must have a manifest, samples and events file."""
+    sessions_dir = config.out / SESSIONS_DIR
+    if not sessions_dir.is_dir():
+        return f"no session directory at {sessions_dir}; run `generate` first"
     sidecar = Path(str(sessions_dir) + ".meta.json")
-    if not sidecar.is_file():
-        return {}
     try:
-        return json.loads(sidecar.read_text())
-    except json.JSONDecodeError:
-        return {}
-
-
-def _missing_subjects(sessions_dir: Path, n_subjects: int) -> list[int]:
-    """Subjects among 1..n_subjects without a manifest, samples or events file."""
-    return [
+        recorded = json.loads(sidecar.read_text())["config"]["generator"]
+    except (OSError, ValueError, KeyError, TypeError):
+        recorded = None
+    if not isinstance(recorded, dict):
+        return (
+            f"{sessions_dir}: no sessions sidecar records the generator config; "
+            "run `generate` again"
+        )
+    wanted = dataclasses.asdict(config.generator)
+    changed = sorted(
+        k for k in wanted.keys() | recorded.keys() if recorded.get(k) != wanted.get(k)
+    )
+    if changed:
+        was = ", ".join(f"{k}={recorded.get(k)!r}" for k in changed)
+        now = ", ".join(f"{k}={wanted.get(k)!r}" for k in changed)
+        return (
+            f"{sessions_dir}: generated with {was}, but this run has {now}; "
+            "run `generate` again"
+        )
+    n_subjects = config.generator.n_subjects
+    missing = [
         subject_id
         for subject_id in range(1, n_subjects + 1)
         if not all(
@@ -218,32 +233,12 @@ def _missing_subjects(sessions_dir: Path, n_subjects: int) -> list[int]:
             for name in (MANIFEST_NAME, SAMPLES_NAME, EVENTS_NAME)
         )
     ]
-
-
-def _session_manifests(sessions_dir: Path) -> list[Path]:
-    """Manifests of subjects 1..n_subjects of the generator config recorded in
-    the sessions sidecar; other subject directories are not read."""
-    if not sessions_dir.is_dir():
-        raise PipelineError(
-            f"no session directory at {sessions_dir}; run `generate` first"
-        )
-    meta = _sessions_meta(sessions_dir)
-    n_subjects = meta.get("config", {}).get("generator", {}).get("n_subjects")
-    if not isinstance(n_subjects, int):
-        raise PipelineError(
-            f"{sessions_dir}: no sessions sidecar records the subject count; "
-            "run `generate` again"
-        )
-    missing = _missing_subjects(sessions_dir, n_subjects)
     if missing:
-        raise PipelineError(
+        return (
             f"{sessions_dir}: sessions of subjects {missing} of the {n_subjects} "
-            "its sidecar records are missing; run `generate` again"
+            "are missing; run `generate` again"
         )
-    return [
-        sessions_dir / session_dir_name(subject_id) / MANIFEST_NAME
-        for subject_id in range(1, n_subjects + 1)
-    ]
+    return None
 
 
 def do_generate(config: RunConfig) -> Path:
@@ -267,7 +262,11 @@ def do_preprocess(config: RunConfig) -> Path:
     ratings = {}
     n_dropped = 0
     sample_rate = None
-    for manifest in _session_manifests(sessions_dir):
+    mismatch = _sessions_mismatch(config)
+    if mismatch:
+        raise PipelineError(mismatch)
+    for subject_id in range(1, config.generator.n_subjects + 1):
+        manifest = sessions_dir / session_dir_name(subject_id) / MANIFEST_NAME
         session = read_session(manifest)
         violations = validate_session(session)
         if violations:
@@ -370,18 +369,8 @@ def do_report(config: RunConfig) -> tuple[Path, Path]:
     return csv_path, pgm_path
 
 
-def _sessions_reusable(config: RunConfig) -> bool:
-    """True when the sessions sidecar matches the generator config and every
-    subject's manifest, samples and events files are present."""
-    sessions_dir = config.out / SESSIONS_DIR
-    meta = _sessions_meta(sessions_dir)
-    if meta.get("config", {}).get("generator") != dataclasses.asdict(config.generator):
-        return False
-    return not _missing_subjects(sessions_dir, config.generator.n_subjects)
-
-
 def do_pipeline(config: RunConfig, force: bool = False) -> Path:
-    if _sessions_reusable(config):
+    if _sessions_mismatch(config) is None:
         print(f"[pipeline] reusing sessions under {config.out / SESSIONS_DIR}")
     else:
         do_generate(config)

@@ -7,6 +7,7 @@ Signal values are microvolts, held as float64 in memory.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,26 @@ EEG_BAND_EDGES = (
 
 class PipelineError(Exception):
     """A pipeline stage could not produce a valid result."""
+
+
+def read_archive(
+    path, what: str, version: int, names: tuple[str, ...], error: type[Exception]
+) -> dict[str, np.ndarray]:
+    """Every array of the .npz archive at path, read in full.  Raises error,
+    naming path, when the file is not a readable archive, was written in
+    another format version, or lacks one of names."""
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise error(f"{path}: not a readable {what} archive ({exc})") from exc
+    if "format_version" in arrays and int(arrays["format_version"]) != version:
+        found = int(arrays["format_version"])
+        raise error(f"{path}: unsupported {what} format version {found}")
+    missing = [name for name in ("format_version", *names) if name not in arrays]
+    if missing:
+        raise error(f"{path}: {what} archive has no {', '.join(missing)} array")
+    return arrays
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

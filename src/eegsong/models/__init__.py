@@ -83,12 +83,11 @@ def fit(spec: ModelSpec, X: np.ndarray, labels: np.ndarray) -> TrainedModel:
             "k": np.asarray(spec.knn_k),
         }
     elif spec.kind == "tree":
-        tree = trees.grow_tree(
+        params = trees.grow_tree(
             Xs, one_hot(y_idx, n_classes), spec.tree_max_depth, spec.tree_min_leaf
         )
-        params = trees.trees_to_arrays([tree])
     elif spec.kind == "gboost":
-        forest, losses = trees.fit_gradient_boosting(
+        params, losses = trees.fit_gradient_boosting(
             Xs,
             y_idx,
             n_classes,
@@ -96,9 +95,7 @@ def fit(spec: ModelSpec, X: np.ndarray, labels: np.ndarray) -> TrainedModel:
             spec.gboost_depth,
             spec.gboost_learning_rate,
         )
-        params = trees.trees_to_arrays(forest)
         params["learning_rate"] = np.asarray(spec.gboost_learning_rate)
-        params["n_rounds"] = np.asarray(spec.gboost_rounds)
         params["train_loss"] = losses
     elif spec.kind == "gnb":
         params = bayes.fit_gnb(Xs, y_idx, n_classes)
@@ -172,11 +169,10 @@ def predict_proba(model: TrainedModel, rows: np.ndarray) -> np.ndarray:
             n_classes,
         )
     if model.kind == "tree":
-        tree = trees.arrays_to_trees(model.params)[0]
-        return trees.tree_predict_value(tree, Xs)
+        return model.params["value"][trees.forest_leaves(model.params, Xs)[:, 0]]
     if model.kind == "gboost":
         logits = trees.gboost_logits(
-            trees.arrays_to_trees(model.params),
+            model.params,
             float(model.params["learning_rate"]),
             Xs,
             n_classes,

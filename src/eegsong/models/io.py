@@ -6,10 +6,13 @@ from pathlib import Path
 
 import numpy as np
 
+from ..core import read_archive
 from .common import TrainedModel
 
-FORMAT_VERSION = 1
+# Version 2 stores tree and gboost models as one flat forest with per-tree roots.
+FORMAT_VERSION = 2
 _PARAM_PREFIX = "param_"
+_MODEL_ARRAYS = ("kind", "classes", "feature_mean", "feature_std")
 
 
 def save_model(model: TrainedModel, path: str | Path) -> Path:
@@ -32,26 +35,17 @@ def save_model(model: TrainedModel, path: str | Path) -> Path:
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    path = Path(path)
-    with np.load(path, allow_pickle=False) as archive:
-        version = int(archive["format_version"])
-        if version != FORMAT_VERSION:
-            raise ValueError(
-                f"{path}: unsupported model format version {version}"
-            )
-        params = {
-            key[len(_PARAM_PREFIX) :]: archive[key]
-            for key in archive.files
-            if key.startswith(_PARAM_PREFIX)
-        }
-        cluster_labels = (
-            archive["cluster_labels"] if "cluster_labels" in archive.files else None
-        )
-        return TrainedModel(
-            kind=str(archive["kind"]),
-            classes=archive["classes"],
-            feature_mean=archive["feature_mean"],
-            feature_std=archive["feature_std"],
-            params=params,
-            cluster_labels=cluster_labels,
-        )
+    arrays = read_archive(path, "model", FORMAT_VERSION, _MODEL_ARRAYS, ValueError)
+    params = {
+        key[len(_PARAM_PREFIX) :]: value
+        for key, value in arrays.items()
+        if key.startswith(_PARAM_PREFIX)
+    }
+    return TrainedModel(
+        kind=str(arrays["kind"]),
+        classes=arrays["classes"],
+        feature_mean=arrays["feature_mean"],
+        feature_std=arrays["feature_std"],
+        params=params,
+        cluster_labels=arrays.get("cluster_labels"),
+    )

@@ -8,34 +8,24 @@ the least-squares split is the Gini split and each node's mean target row
 is its class fractions.  Gradient boosting grows K = 1 regression trees on
 the softmax residuals.
 
-Trees are stored as flat parallel arrays (feature, threshold, left, right,
-value) so prediction is a vectorized walk and serialization is plain numpy.
+A forest, whether one tree or a boosted ensemble, is one dict of flat node
+arrays: feature, threshold, left, right and value per node, and the root node
+of each tree in roots.  Child ids are global across the forest, so one
+vectorized walk finds every tree's leaf for every row at once, and the same
+arrays are what model.npz stores.
+
 Split ties are broken toward the smallest feature index, then the smallest
 threshold, so training is deterministic for a fixed input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
-from .common import FitError, mean_cross_entropy, one_hot, softmax
+from .common import FitError, PredictError, mean_cross_entropy, one_hot, softmax
 
 LEAF = -1
-
-
-@dataclass(frozen=True)
-class FlatTree:
-    feature: np.ndarray  # int, LEAF at leaves
-    threshold: np.ndarray  # float, 0.0 at leaves
-    left: np.ndarray  # int child ids, LEAF at leaves
-    right: np.ndarray
-    value: np.ndarray  # (n_nodes, K) mean target row of each node's members
-
-    @property
-    def n_nodes(self) -> int:
-        return self.feature.shape[0]
+Forest = dict[str, np.ndarray]
 
 
 def _node_rows_sorted(sorted_idx: np.ndarray, member: np.ndarray) -> np.ndarray:
@@ -105,10 +95,11 @@ def grow_tree(
     max_depth: int,
     min_leaf: int,
     sorted_idx: np.ndarray | None = None,
-) -> FlatTree:
-    """Grow one CART tree on the (n, K) float targets T; every node's value
-    is the mean target row of its members.  Callers fitting many trees on
-    one matrix should presort it once and pass sorted_idx."""
+) -> Forest:
+    """Grow one CART tree on the (n, K) float targets T, as a one-tree forest
+    rooted at node 0; every node's value is the mean target row of its
+    members.  Callers fitting many trees on one matrix should presort it once
+    and pass sorted_idx."""
     n = X.shape[0]
     if n == 0:
         raise FitError("cannot grow a tree on an empty sample")
@@ -151,78 +142,52 @@ def grow_tree(
         stack.append((go_right, depth + 1, node_id, "R"))
         stack.append((go_left, depth + 1, node_id, "L"))
 
-    return FlatTree(
-        feature=np.asarray(feature, dtype=np.int64),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int64),
-        right=np.asarray(right, dtype=np.int64),
-        value=np.asarray(value, dtype=np.float64),
-    )
-
-
-def tree_apply(tree: FlatTree, X: np.ndarray) -> np.ndarray:
-    """Leaf node id for each row, computed as a vectorized level walk."""
-    node = np.zeros(X.shape[0], dtype=np.int64)
-    while True:
-        feat = tree.feature[node]
-        active = feat != LEAF
-        if not active.any():
-            return node
-        rows = np.nonzero(active)[0]
-        f = feat[rows]
-        goes_left = X[rows, f] <= tree.threshold[node[rows]]
-        node[rows] = np.where(
-            goes_left, tree.left[node[rows]], tree.right[node[rows]]
-        )
-
-
-def tree_predict_value(tree: FlatTree, X: np.ndarray) -> np.ndarray:
-    return tree.value[tree_apply(tree, X)]
-
-
-def trees_to_arrays(trees: list[FlatTree]) -> dict[str, np.ndarray]:
-    """Pack a forest into flat arrays with an offset index."""
-    counts = np.asarray([t.n_nodes for t in trees], dtype=np.int64)
     return {
-        "tree_counts": counts,
-        "feature": np.concatenate([t.feature for t in trees]),
-        "threshold": np.concatenate([t.threshold for t in trees]),
-        "left": np.concatenate([t.left for t in trees]),
-        "right": np.concatenate([t.right for t in trees]),
-        "value": np.concatenate([t.value for t in trees]),
+        "roots": np.zeros(1, dtype=np.int64),
+        "feature": np.asarray(feature, dtype=np.int64),
+        "threshold": np.asarray(threshold, dtype=np.float64),
+        "left": np.asarray(left, dtype=np.int64),
+        "right": np.asarray(right, dtype=np.int64),
+        "value": np.asarray(value, dtype=np.float64),
     }
 
 
-def arrays_to_trees(arrays: dict[str, np.ndarray]) -> list[FlatTree]:
-    counts = arrays["tree_counts"]
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    trees = []
-    for i in range(counts.shape[0]):
-        lo, hi = offsets[i], offsets[i + 1]
-        trees.append(
-            FlatTree(
-                feature=arrays["feature"][lo:hi],
-                threshold=arrays["threshold"][lo:hi],
-                left=arrays["left"][lo:hi],
-                right=arrays["right"][lo:hi],
-                value=arrays["value"][lo:hi],
-            )
-        )
-    return trees
+def join_forests(forests: list[Forest]) -> Forest:
+    """One forest holding the trees of each given forest in order; every
+    root and child id is shifted by the node count of the forests before it."""
+    sizes = [f["feature"].shape[0] for f in forests]
+    offsets = np.cumsum([0] + sizes[:-1])
+    joined = {key: np.concatenate([f[key] for f in forests]) for key in forests[0]}
+    joined["roots"] = np.concatenate([f["roots"] + at for f, at in zip(forests, offsets)])
+    shift = np.repeat(offsets, sizes)
+    for key in ("left", "right"):
+        joined[key] += np.where(joined[key] == LEAF, 0, shift)
+    return joined
+
+
+def forest_leaves(forest: Forest, X: np.ndarray) -> np.ndarray:
+    """(n_rows, n_trees) leaf node ids: every row walks every tree at once,
+    one level per step."""
+    node = np.tile(forest["roots"], (X.shape[0], 1))
+    while True:
+        rows, trees = np.nonzero(forest["feature"][node] != LEAF)
+        if rows.size == 0:
+            return node
+        at = node[rows, trees]
+        goes_left = X[rows, forest["feature"][at]] <= forest["threshold"][at]
+        node[rows, trees] = np.where(goes_left, forest["left"][at], forest["right"][at])
 
 
 def _newton_leaf_values(
-    tree: FlatTree, leaf_ids: np.ndarray, residual: np.ndarray, n_classes: int
-) -> FlatTree:
-    """Replace leaf means with the one-step Newton estimate for the softmax
-    cross-entropy objective: (K-1)/K * sum(r) / sum(|r|(1-|r|))."""
-    value = tree.value.copy()
+    tree: Forest, leaf_ids: np.ndarray, residual: np.ndarray, n_classes: int
+) -> None:
+    """Overwrite the tree's leaf means with the one-step Newton estimate for
+    the softmax cross-entropy objective: (K-1)/K * sum(r) / sum(|r|(1-|r|))."""
     scale = (n_classes - 1) / n_classes
     for leaf in np.unique(leaf_ids):
         r = residual[leaf_ids == leaf]
         denom = float(np.sum(np.abs(r) * (1.0 - np.abs(r))))
-        value[leaf] = 0.0 if denom < 1e-150 else scale * float(r.sum()) / denom
-    return replace(tree, value=value)
+        tree["value"][leaf] = 0.0 if denom < 1e-150 else scale * float(r.sum()) / denom
 
 
 def fit_gradient_boosting(
@@ -232,19 +197,19 @@ def fit_gradient_boosting(
     rounds: int,
     depth: int,
     learning_rate: float,
-) -> tuple[list[FlatTree], np.ndarray]:
+) -> tuple[Forest, np.ndarray]:
     """Additive model on the softmax cross-entropy objective.
 
     Each round fits one shallow regression tree per class to the negative
     gradient (one-hot minus predicted probability), then sets each leaf by a
-    single Newton step on that objective.  Returns the forest as one
-    round-major list (tree r * n_classes + c is class c of round r) and the
-    training loss after each round.
+    single Newton step on that objective.  Returns one round-major forest
+    (tree r * n_classes + c is class c of round r) and the training loss
+    after each round.
     """
     n = X.shape[0]
     targets = one_hot(y_idx, n_classes)
     logits = np.zeros((n, n_classes))
-    forest: list[FlatTree] = []
+    trees: list[Forest] = []
     losses = np.empty(rounds)
     sorted_idx = np.argsort(X, axis=0, kind="stable")
     proba = softmax(logits)
@@ -252,20 +217,27 @@ def fit_gradient_boosting(
         residual = targets - proba
         for c in range(n_classes):
             t = grow_tree(X, residual[:, c : c + 1], depth, 1, sorted_idx=sorted_idx)
-            leaf_ids = tree_apply(t, X)
-            t = _newton_leaf_values(t, leaf_ids, residual[:, c], n_classes)
-            logits[:, c] += learning_rate * t.value[leaf_ids, 0]
-            forest.append(t)
+            leaf_ids = forest_leaves(t, X)[:, 0]
+            _newton_leaf_values(t, leaf_ids, residual[:, c], n_classes)
+            logits[:, c] += learning_rate * t["value"][leaf_ids, 0]
+            trees.append(t)
         proba = softmax(logits)
         losses[r] = mean_cross_entropy(proba, y_idx)
-    return forest, losses
+    return join_forests(trees), losses
 
 
 def gboost_logits(
-    forest: list[FlatTree], learning_rate: float, X: np.ndarray, n_classes: int
+    forest: Forest, learning_rate: float, X: np.ndarray, n_classes: int
 ) -> np.ndarray:
-    """Summed leaf values of a round-major forest, one logit column per class."""
+    """Summed leaf values of a round-major forest, one logit column per class,
+    added one round at a time."""
+    n_trees = forest["roots"].shape[0]
+    if n_trees % n_classes:
+        raise PredictError(
+            f"boosted forest of {n_trees} trees is not whole rounds of {n_classes} classes"
+        )
+    leaf_values = forest["value"][forest_leaves(forest, X), 0]
     logits = np.zeros((X.shape[0], n_classes))
-    for i, t in enumerate(forest):
-        logits[:, i % n_classes] += learning_rate * tree_predict_value(t, X)[:, 0]
+    for r in range(0, n_trees, n_classes):
+        logits += learning_rate * leaf_values[:, r : r + n_classes]
     return logits

@@ -35,6 +35,7 @@ from .core import (
     PipelineError,
     SessionRecording,
     extract_segment,
+    read_archive,
 )
 
 PIPELINE_STEPS = (
@@ -313,6 +314,11 @@ def run_pipeline(session: SessionRecording, config: PreprocessConfig) -> Pipelin
 
 
 EPOCHS_FORMAT_VERSION = 2
+_EPOCHS_ARRAYS = (
+    "sample_rate_hz", "n_dropped_epochs", "data", "baseline_mean", "subject_id",
+    "song_id", "epoch_index", "mask_subjects", "mask_good", "mask_reasons",
+    "rating_keys", "rating_values",
+)
 
 
 @dataclass(frozen=True)
@@ -377,50 +383,45 @@ def save_epochs(path, epochs_file: EpochsFile):
 
 
 def load_epochs(path) -> EpochsFile:
-    with np.load(path, allow_pickle=False) as archive:
-        version = int(archive["format_version"])
-        if version != EPOCHS_FORMAT_VERSION:
-            raise PipelineError(f"{path}: unsupported epochs format version {version}")
-        fs = int(archive["sample_rate_hz"])
-        data = archive["data"]
-        baseline_mean = archive["baseline_mean"]
-        subject_id = archive["subject_id"]
-        song_id = archive["song_id"]
-        epoch_index = archive["epoch_index"]
-        epochs = tuple(
-            Epoch(
-                subject_id=int(subject_id[i]),
-                song_id=int(song_id[i]),
-                epoch_index=int(epoch_index[i]),
-                data=data[i],
-                baseline_mean=baseline_mean[i],
-                sample_rate_hz=fs,
-            )
-            for i in range(data.shape[0])
-        )
-        masks = {}
-        for i, sid in enumerate(archive["mask_subjects"]):
-            reasons = {}
-            flags = archive["mask_reasons"][i]
-            for ch in range(flags.shape[0]):
-                tripped = frozenset(
-                    REJECTION_MEASURES[j]
-                    for j in range(len(REJECTION_MEASURES))
-                    if flags[ch, j]
-                )
-                if tripped:
-                    reasons[ch] = tripped
-            masks[int(sid)] = ChannelMask(
-                good=archive["mask_good"][i], reasons=reasons
-            )
-        ratings = {
-            (int(k[0]), int(k[1])): (int(v[0]), int(v[1]))
-            for k, v in zip(archive["rating_keys"], archive["rating_values"])
-        }
-        return EpochsFile(
-            epochs=epochs,
-            masks=masks,
-            ratings=ratings,
+    archive = read_archive(path, "epochs", EPOCHS_FORMAT_VERSION, _EPOCHS_ARRAYS, PipelineError)
+    fs = int(archive["sample_rate_hz"])
+    data = archive["data"]
+    baseline_mean = archive["baseline_mean"]
+    subject_id = archive["subject_id"]
+    song_id = archive["song_id"]
+    epoch_index = archive["epoch_index"]
+    epochs = tuple(
+        Epoch(
+            subject_id=int(subject_id[i]),
+            song_id=int(song_id[i]),
+            epoch_index=int(epoch_index[i]),
+            data=data[i],
+            baseline_mean=baseline_mean[i],
             sample_rate_hz=fs,
-            n_dropped_epochs=int(archive["n_dropped_epochs"]),
         )
+        for i in range(data.shape[0])
+    )
+    masks = {}
+    for i, sid in enumerate(archive["mask_subjects"]):
+        reasons = {}
+        flags = archive["mask_reasons"][i]
+        for ch in range(flags.shape[0]):
+            tripped = frozenset(
+                REJECTION_MEASURES[j]
+                for j in range(len(REJECTION_MEASURES))
+                if flags[ch, j]
+            )
+            if tripped:
+                reasons[ch] = tripped
+        masks[int(sid)] = ChannelMask(good=archive["mask_good"][i], reasons=reasons)
+    ratings = {
+        (int(k[0]), int(k[1])): (int(v[0]), int(v[1]))
+        for k, v in zip(archive["rating_keys"], archive["rating_values"])
+    }
+    return EpochsFile(
+        epochs=epochs,
+        masks=masks,
+        ratings=ratings,
+        sample_rate_hz=fs,
+        n_dropped_epochs=int(archive["n_dropped_epochs"]),
+    )

@@ -134,6 +134,26 @@ class TestSessionIngest:
             assert sorted(set(archive["subject_id"].tolist())) == [1, 2]
             assert archive["mask_subjects"].tolist() == [1, 2]
 
+    @pytest.mark.parametrize(
+        "flags, was, now",
+        [
+            (["--subjects", "2"], "n_subjects=3", "n_subjects=2"),
+            (["--subjects", "3", "--seed", "9"], "seed=3", "seed=9"),
+            (["--subjects", "3", "--channels", "16"], "n_channels=8", "n_channels=16"),
+        ],
+        ids=["subjects", "seed", "channels"],
+    )
+    def test_sessions_of_another_generator_config_are_refused(
+        self, flags, was, now, tmp_path, capsys
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_CONFIG))
+        out = tmp_path / "run"
+        assert main(["generate", "--config", str(cfg_path), "--subjects", "3", "--out", str(out)]) == 0
+        assert main(["preprocess", "--config", str(cfg_path), *flags, "--out", str(out)]) == 1
+        assert f"generated with {was}, but this run has {now}" in capsys.readouterr().err
+        assert not (out / "epochs.npz").exists()
+
     def test_missing_subject_is_named(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(SMALL_CONFIG))

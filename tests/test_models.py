@@ -1,5 +1,7 @@
 """Model behaviour: determinism, training diagnostics, error paths, file I/O."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from eegsong.models import (
 )
 from eegsong.models.common import majority_label, one_hot
 from eegsong.models.neural import init_mlp, mlp_loss_and_grads
-from eegsong.models.trees import LEAF, grow_tree
+from eegsong.models.trees import LEAF, forest_leaves, grow_tree, join_forests
 
 
 def blobs(rng, centers, n_per, scale=0.5):
@@ -164,7 +166,8 @@ class TestTrees:
     def test_depth_one_tree_is_a_stump(self, rng):
         X, y = blobs(rng, TWO_CENTERS, 25)
         model = fit(ModelSpec(kind="tree", tree_max_depth=1), X, y)
-        assert model.params["tree_counts"][0] <= 3  # root plus two leaves
+        assert model.params["roots"].tolist() == [0]
+        assert model.params["feature"].shape[0] <= 3  # root plus two leaves
 
     @pytest.mark.parametrize("seed", range(8))
     def test_every_split_matches_brute_force_gini(self, seed):
@@ -204,11 +207,11 @@ class TestTrees:
     def test_pure_node_or_tied_columns_give_no_split(self):
         X = np.arange(12.0).reshape(6, 2)
         pure = grow_tree(X, one_hot(np.zeros(6, dtype=int), 3), 4, 1)
-        assert pure.feature.tolist() == [LEAF]
-        np.testing.assert_array_equal(pure.value, [[1.0, 0.0, 0.0]])
+        assert pure["feature"].tolist() == [LEAF]
+        np.testing.assert_array_equal(pure["value"], [[1.0, 0.0, 0.0]])
         tied = grow_tree(np.ones((6, 2)), one_hot(np.arange(6) % 3, 3), 4, 1)
-        assert tied.feature.tolist() == [LEAF]
-        np.testing.assert_array_equal(tied.value, np.full((1, 3), 1 / 3))
+        assert tied["feature"].tolist() == [LEAF]
+        np.testing.assert_array_equal(tied["value"], np.full((1, 3), 1 / 3))
 
     def test_gboost_training_loss_never_increases(self, rng):
         X, y = blobs(rng, THREE_CENTERS, 25, scale=2.0)
@@ -223,6 +226,34 @@ class TestTrees:
         # one learning-rate-damped round in: still close to log(3)
         assert model.params["train_loss"][0] < np.log(3.0)
         assert model.params["train_loss"][0] > 0.5 * np.log(3.0)
+
+    def test_forest_walk_matches_a_scalar_walk_of_each_tree(self, rng):
+        X = rng.normal(size=(40, 4))
+        y = rng.integers(0, 3, size=40)
+        grown = [grow_tree(X, one_hot(y, 3), depth, 1) for depth in (0, 1, 2, 5)]
+        grown.append(grow_tree(X[:, ::-1], one_hot(y, 3), 3, 2))
+        forest = join_forests(grown)
+        sizes = [t["feature"].shape[0] for t in grown]
+        assert forest["roots"].tolist() == np.cumsum([0] + sizes[:-1]).tolist()
+        rows = rng.normal(size=(25, 4))
+        leaves = forest_leaves(forest, rows)
+        assert leaves.shape == (25, len(grown))
+        for t, (tree, root) in enumerate(zip(grown, forest["roots"])):
+            for i, row in enumerate(rows):
+                node = 0
+                while tree["feature"][node] != LEAF:
+                    goes_left = row[tree["feature"][node]] <= tree["threshold"][node]
+                    node = tree["left" if goes_left else "right"][node]
+                assert leaves[i, t] == root + node
+                np.testing.assert_array_equal(forest["value"][leaves[i, t]], tree["value"][node])
+
+    def test_gboost_forest_of_partial_rounds_is_refused(self, rng):
+        X, y = blobs(rng, THREE_CENTERS, 10)
+        model = fit(ModelSpec(kind="gboost", gboost_rounds=3), X, y)
+        assert model.params["roots"].shape == (9,)
+        model.params["roots"] = model.params["roots"][:-1]
+        with pytest.raises(PredictError, match="8 trees is not whole rounds of 3 classes"):
+            predict_proba(model, X)
 
 
 class TestNeural:
@@ -345,15 +376,34 @@ class TestSerialization:
             assert np.array_equal(back.cluster_labels, model.cluster_labels)
             assert np.array_equal(predict_labels(back, X), predict_labels(model, X))
 
-    def test_unsupported_format_version(self, rng, tmp_path):
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_unsupported_format_version(self, version, rng, tmp_path):
+        """Version 1 held each tree with local child ids; it is refused, not misread."""
         X, y = blobs(rng, TWO_CENTERS, 10)
-        path = save_model(fit(ModelSpec(kind="gnb"), X, y), tmp_path / "m.npz")
+        path = save_model(fit(ModelSpec(kind="tree"), X, y), tmp_path / "m.npz")
         with np.load(path) as archive:
             payload = {k: archive[k] for k in archive.files}
-        payload["format_version"] = np.asarray(99)
+        payload["format_version"] = np.asarray(version)
         with open(path, "wb") as fh:
             np.savez(fh, **payload)
-        with pytest.raises(ValueError, match="format version 99"):
+        with pytest.raises(ValueError, match=f"format version {version}"):
+            load_model(path)
+
+    def test_truncated_archive_is_refused_by_path(self, rng, tmp_path):
+        X, y = blobs(rng, TWO_CENTERS, 10)
+        path = save_model(fit(ModelSpec(kind="tree"), X, y), tmp_path / "m.npz")
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not a readable model archive")):
+            load_model(path)
+
+    def test_missing_array_is_refused_by_path(self, rng, tmp_path):
+        X, y = blobs(rng, TWO_CENTERS, 10)
+        path = save_model(fit(ModelSpec(kind="tree"), X, y), tmp_path / "m.npz")
+        with np.load(path) as archive:
+            payload = {k: archive[k] for k in archive.files if k != "classes"}
+        with open(path, "wb") as fh:
+            np.savez(fh, **payload)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: model archive has no classes array")):
             load_model(path)
 
 

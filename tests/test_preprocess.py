@@ -1,6 +1,8 @@
 """Epoch capture, baseline correction, notch filter, re-referencing,
 bad-channel rejection, and the composed pipeline."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -410,4 +412,21 @@ class TestEpochsFile:
         del payload["baseline_mean"]
         np.savez(path, **payload)
         with pytest.raises(PipelineError, match="unsupported epochs format version 1"):
+            load_epochs(path)
+
+    def test_refuses_truncated_archive_by_path(self, tiny_pipeline, tiny_session, tmp_path):
+        path = tmp_path / "epochs.npz"
+        save_epochs(path, self.make_file(tiny_pipeline, tiny_session))
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        with pytest.raises(PipelineError, match=re.escape(f"{path}: not a readable epochs archive")):
+            load_epochs(path)
+
+    def test_refuses_archive_missing_an_array_by_path(self, tiny_pipeline, tiny_session, tmp_path):
+        path = tmp_path / "epochs.npz"
+        save_epochs(path, self.make_file(tiny_pipeline, tiny_session))
+        with np.load(path) as archive:
+            payload = dict(archive)
+        del payload["mask_good"]
+        np.savez(path, **payload)
+        with pytest.raises(PipelineError, match=re.escape(f"{path}: epochs archive has no mask_good array")):
             load_epochs(path)
