@@ -10,6 +10,7 @@ from .core import (
     BASELINE_SECONDS,
     ChannelMask,
     Epoch,
+    EpochBatch,
     EventMarker,
     PipelineError,
     SessionRecording,
@@ -42,6 +43,7 @@ __all__ = [
     "ChannelMask",
     "Dataset",
     "Epoch",
+    "EpochBatch",
     "EvalReport",
     "EventMarker",
     "GeneratorConfig",

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core import PipelineError, validate_session
+from .core import PipelineError, atomic_write, validate_session
 from .evaluation import (
     DEFAULT_TEST_FRACTION,
     EvalError,
@@ -32,11 +32,11 @@ from .evaluation import (
 from .features import FEATURE_FAMILIES, build_feature_matrix, read_dataset_csv, write_dataset_csv
 from .models import ModelSpec, fit_dataset, load_model, save_model
 from .preprocess import (
-    EpochsFile,
+    EpochsReader,
+    EpochsWriter,
     PreprocessConfig,
-    load_epochs,
     run_pipeline,
-    save_epochs,
+    write_epochs,
 )
 from .synth import (
     EVENTS_NAME,
@@ -188,8 +188,8 @@ def _write_sidecar(artifact: Path, config: RunConfig, stage: str) -> None:
         "seed": config.seed,
         "config": resolved_config_dict(config),
     }
-    sidecar = Path(str(artifact) + ".meta.json")
-    sidecar.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    with atomic_write(str(artifact) + ".meta.json") as tmp:
+        tmp.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def _log_config(stage: str, config: RunConfig) -> None:
@@ -254,55 +254,48 @@ def do_generate(config: RunConfig) -> Path:
     return sessions_dir
 
 
+def _preprocess_subject(config: RunConfig, subject_id: int, writer: EpochsWriter) -> None:
+    """Read, check and preprocess one subject's session into writer; nothing
+    of the subject is kept once this returns."""
+    manifest = config.out / SESSIONS_DIR / session_dir_name(subject_id) / MANIFEST_NAME
+    session = read_session(manifest)
+    violations = validate_session(session)
+    if violations:
+        raise PipelineError(f"{manifest.parent}: " + "; ".join(violations))
+    result = run_pipeline(session, config.preprocess)
+    writer.add(result.batch)
+    writer.masks[subject_id] = result.channel_mask
+    writer.n_dropped_epochs += result.n_dropped_epochs
+    for song_id, pair in session.ratings.items():
+        writer.ratings[(subject_id, song_id)] = pair
+
+
 def do_preprocess(config: RunConfig) -> Path:
+    """Preprocess every subject into epochs.npz, one subject in memory at a
+    time: each subject's batch is written as soon as it is ready."""
     _log_config("preprocess", config)
-    sessions_dir = config.out / SESSIONS_DIR
-    epochs = []
-    masks = {}
-    ratings = {}
-    n_dropped = 0
-    sample_rate = None
     mismatch = _sessions_mismatch(config)
     if mismatch:
         raise PipelineError(mismatch)
-    for subject_id in range(1, config.generator.n_subjects + 1):
-        manifest = sessions_dir / session_dir_name(subject_id) / MANIFEST_NAME
-        session = read_session(manifest)
-        violations = validate_session(session)
-        if violations:
-            raise PipelineError(f"{manifest.parent}: " + "; ".join(violations))
-        result = run_pipeline(session, config.preprocess)
-        epochs.extend(result.epochs)
-        masks[session.subject_id] = result.channel_mask
-        n_dropped += result.n_dropped_epochs
-        sample_rate = session.sample_rate_hz
-        for song_id, pair in session.ratings.items():
-            ratings[(session.subject_id, song_id)] = pair
     path = config.out / EPOCHS_FILE
-    save_epochs(
-        path,
-        EpochsFile(
-            epochs=tuple(epochs),
-            masks=masks,
-            ratings=ratings,
-            sample_rate_hz=int(sample_rate),
-            n_dropped_epochs=n_dropped,
-        ),
-    )
+    with write_epochs(path) as writer:
+        for subject_id in range(1, config.generator.n_subjects + 1):
+            _preprocess_subject(config, subject_id, writer)
     _write_sidecar(path, config, "preprocess")
     print(
-        f"[preprocess] {len(epochs)} epochs from {len(masks)} subjects"
-        f" ({n_dropped} dropped) -> {path}"
+        f"[preprocess] {writer.n_epochs} epochs from {len(writer.masks)} subjects"
+        f" ({writer.n_dropped_epochs} dropped) -> {path}"
     )
     return path
 
 
 def do_features(config: RunConfig) -> Path:
+    """Featurize epochs.npz one subject's batch at a time."""
     _log_config("features", config)
-    epochs_file = load_epochs(config.out / EPOCHS_FILE)
-    dataset = build_feature_matrix(
-        epochs_file.epochs, config.features, ratings=epochs_file.ratings
-    )
+    with EpochsReader(config.out / EPOCHS_FILE) as reader:
+        dataset = build_feature_matrix(
+            reader.epochs(), config.features, ratings=reader.ratings
+        )
     path = config.out / DATASET_FILE
     write_dataset_csv(dataset, path)
     _write_sidecar(path, config, "features")

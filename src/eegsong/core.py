@@ -1,4 +1,6 @@
-"""Core domain types: session recordings, event markers, epochs, channel masks.
+"""Core domain types: session recordings, event markers, epochs, epoch
+batches, channel masks; plus the checked .npz reader and the atomic artifact
+write that every stage uses.
 
 All types are immutable after construction (frozen dataclasses; numpy arrays
 are flagged read-only), so they can be shared freely across workers.
@@ -7,8 +9,12 @@ Signal values are microvolts, held as float64 in memory.
 
 from __future__ import annotations
 
+import os
 import zipfile
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -44,24 +50,81 @@ class PipelineError(Exception):
     """A pipeline stage could not produce a valid result."""
 
 
+class Archive:
+    """A checked .npz archive, open for reading one array at a time."""
+
+    def __init__(self, npz, path, what: str, error: type[Exception]):
+        self._npz = npz
+        self.path = path
+        self.what = what
+        self.error = error
+        self.files = tuple(npz.files)
+
+    def require(self, names) -> None:
+        """Raise error, naming the path, unless the archive holds every name."""
+        missing = [name for name in names if name not in self.files]
+        if missing:
+            raise self.error(
+                f"{self.path}: {self.what} archive has no {', '.join(missing)} array"
+            )
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        try:
+            return self._npz[name]
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise self.error(
+                f"{self.path}: not a readable {self.what} archive ({exc})"
+            ) from exc
+
+    def close(self) -> None:
+        self._npz.close()
+
+    def __enter__(self) -> Archive:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
 def read_archive(
     path, what: str, version: int, names: tuple[str, ...], error: type[Exception]
-) -> dict[str, np.ndarray]:
-    """Every array of the .npz archive at path, read in full.  Raises error,
-    naming path, when the file is not a readable archive, was written in
-    another format version, or lacks one of names."""
+) -> Archive:
+    """The .npz archive at path, opened for reading arrays on demand (use it as
+    a context manager).  Raises error, naming path, when the file is not a
+    readable archive, was written in another format version, or lacks one of
+    names; reading an array that turns out damaged raises it too."""
     try:
-        with np.load(path, allow_pickle=False) as archive:
-            arrays = {key: archive[key] for key in archive.files}
+        npz = np.load(path, allow_pickle=False)
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise error(f"{path}: not a readable {what} archive ({exc})") from exc
-    if "format_version" in arrays and int(arrays["format_version"]) != version:
-        found = int(arrays["format_version"])
-        raise error(f"{path}: unsupported {what} format version {found}")
-    missing = [name for name in ("format_version", *names) if name not in arrays]
-    if missing:
-        raise error(f"{path}: {what} archive has no {', '.join(missing)} array")
-    return arrays
+    if not isinstance(npz, np.lib.npyio.NpzFile):
+        raise error(f"{path}: not a readable {what} archive (a bare array)")
+    archive = Archive(npz, path, what, error)
+    try:
+        if "format_version" in archive.files:
+            found = int(archive["format_version"])
+            if found != version:
+                raise error(f"{path}: unsupported {what} format version {found}")
+        archive.require(("format_version", *names))
+    except error:
+        archive.close()
+        raise
+    return archive
+
+
+@contextmanager
+def atomic_write(path) -> Iterator[Path]:
+    """A temporary path beside path to write an artifact to.  It replaces path
+    when the block completes and is removed when the block raises, so path
+    only ever holds a complete artifact."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -176,6 +239,50 @@ class Epoch:
             data=new_data,
             baseline_mean=self.baseline_mean,
             sample_rate_hz=self.sample_rate_hz,
+        )
+
+
+@dataclass(frozen=True)
+class EpochBatch:
+    """One subject's epochs as one (n_epochs, n_channels, n_samples) array,
+    the layout of MNE-Python's Epochs.get_data(), with per-epoch song ids,
+    epoch indices and (n_epochs, n_channels) baseline offsets.  The arrays
+    are flagged read-only in place, not copied."""
+
+    subject_id: int
+    data: np.ndarray
+    baseline_mean: np.ndarray
+    song_id: np.ndarray
+    epoch_index: np.ndarray
+    sample_rate_hz: int
+
+    def __post_init__(self):
+        for name in ("data", "baseline_mean", "song_id", "epoch_index"):
+            getattr(self, name).flags.writeable = False
+        n = self.data.shape[0]
+        if self.data.ndim != 3:
+            raise ValueError("data must be 3-D epochs x channels x samples")
+        if self.baseline_mean.shape != self.data.shape[:2]:
+            raise ValueError(
+                f"baseline_mean must have shape {self.data.shape[:2]}, "
+                f"got {self.baseline_mean.shape}"
+            )
+        if self.song_id.shape != (n,) or self.epoch_index.shape != (n,):
+            raise ValueError("song_id and epoch_index must have one entry per epoch")
+
+    @property
+    def epochs(self) -> tuple[Epoch, ...]:
+        """Per-epoch views into the batch."""
+        return tuple(
+            Epoch(
+                subject_id=self.subject_id,
+                song_id=int(self.song_id[i]),
+                epoch_index=int(self.epoch_index[i]),
+                data=self.data[i],
+                baseline_mean=self.baseline_mean[i],
+                sample_rate_hz=self.sample_rate_hz,
+            )
+            for i in range(self.data.shape[0])
         )
 
 

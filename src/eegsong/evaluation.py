@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import atomic_write
 from .features.dataset import Dataset
 from .models import ModelSpec, TrainedModel, fit_dataset, predict_labels
 
@@ -223,7 +224,8 @@ def write_plan(plan: SplitPlan, path: str | Path) -> Path:
     for i in range(plan.n_rows):
         lines.append(f"{i},{'test' if i in test_set else 'train'}")
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    with atomic_write(path) as tmp:
+        tmp.write_text("\n".join(lines) + "\n")
     return path
 
 
@@ -313,7 +315,8 @@ def write_report(
     for row in report.confusion:
         lines.append(",".join(str(int(v)) for v in row))
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    with atomic_write(path) as tmp:
+        tmp.write_text("\n".join(lines) + "\n")
     return path
 
 
@@ -373,7 +376,8 @@ def render_confusion(report: EvalReport, out_dir: str | Path) -> tuple[Path, Pat
     rows = [header]
     for i, row in enumerate(report.confusion):
         rows.append(f"{i}," + ",".join(str(int(v)) for v in row))
-    csv_path.write_text("\n".join(rows) + "\n")
+    with atomic_write(csv_path) as tmp:
+        tmp.write_text("\n".join(rows) + "\n")
 
     counts = report.confusion.astype(float)
     row_sums = counts.sum(axis=1, keepdims=True)
@@ -382,7 +386,7 @@ def render_confusion(report: EvalReport, out_dir: str | Path) -> tuple[Path, Pat
     gray = np.rint(normalized * 255.0).astype(np.uint8)
     scale = PGM_CELL_PIXELS
     image = np.kron(gray, np.ones((scale, scale), dtype=np.uint8))
-    with open(pgm_path, "wb") as fh:
+    with atomic_write(pgm_path) as tmp, open(tmp, "wb") as fh:
         fh.write(f"P5\n{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii"))
         fh.write(image.tobytes())
     return csv_path, pgm_path

@@ -9,12 +9,13 @@ with enough digits to round-trip float64 exactly.
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from ..core import Epoch
+from ..core import Epoch, atomic_write
 from .dfa import dfa_batch
 from .entropy import entropy_features
 from .spectral import EEG_BANDS, BandDefinition, spectopo_bandpower
@@ -110,12 +111,15 @@ def _channel_features(
 
 
 def build_feature_matrix(
-    epochs: list[Epoch] | tuple[Epoch, ...],
+    epochs: Iterable[Epoch],
     selection: tuple[str, ...] | list[str] | set[str],
     bands: BandDefinition = EEG_BANDS,
     ratings: dict[tuple[int, int], tuple[int, int]] | None = None,
 ) -> Dataset:
-    """Compute the selected feature families for every epoch.
+    """Compute the selected feature families for every epoch, in one pass
+    over epochs, which may be a generator.  No epoch is held once its row is
+    made, so a generator that reads epochs batch by batch keeps one batch in
+    memory.
 
     ratings maps (subject_id, song_id) to (enjoyment, familiarity); epochs with
     no entry get zeros in those meta columns.
@@ -129,12 +133,13 @@ def build_feature_matrix(
             f"unknown feature families {sorted(unknown)}; "
             f"choose from {FEATURE_FAMILIES}"
         )
-    if not epochs:
-        raise ValueError("no epochs to featurize")
+    ratings = ratings or {}
 
     rows = []
+    meta = []  # (song_id, subject_id, epoch_index, enjoyment, familiarity)
     names: tuple[str, ...] | None = None
-    for pos, epoch in enumerate(epochs):
+    for epoch in epochs:
+        pos = len(rows)
         per_channel = _channel_features(epoch, selection, bands)
         feature_order = sorted(per_channel)
         epoch_names = tuple(
@@ -159,17 +164,18 @@ def build_feature_matrix(
                 f"column {names[bad[0]]}"
             )
         rows.append(row)
+        enjoy, familiar = ratings.get((epoch.subject_id, epoch.song_id), (0, 0))
+        meta.append((epoch.song_id, epoch.subject_id, epoch.epoch_index, enjoy, familiar))
+        # an epoch may be a view of a whole batch: drop it before the next
+        # epoch, which may come from a batch read only now
+        del epoch
+    if not rows:
+        raise ValueError("no epochs to featurize")
 
     X = np.vstack(rows)
-    song_id = np.array([ep.song_id for ep in epochs], dtype=np.int64)
-    subject_id = np.array([ep.subject_id for ep in epochs], dtype=np.int64)
-    epoch_index = np.array([ep.epoch_index for ep in epochs], dtype=np.int64)
-    enjoy = np.zeros(len(epochs), dtype=np.int64)
-    familiar = np.zeros(len(epochs), dtype=np.int64)
-    if ratings is not None:
-        for i, ep in enumerate(epochs):
-            if (ep.subject_id, ep.song_id) in ratings:
-                enjoy[i], familiar[i] = ratings[(ep.subject_id, ep.song_id)]
+    song_id, subject_id, epoch_index, enjoy, familiar = np.array(
+        meta, dtype=np.int64
+    ).T.copy()
     return Dataset(
         X=X,
         feature_names=names,
@@ -183,7 +189,7 @@ def build_feature_matrix(
 
 
 def write_dataset_csv(dataset: Dataset, path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_write(path) as tmp, open(tmp, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(list(dataset.feature_names) + list(META_COLUMNS))
         for i in range(dataset.n_rows):

@@ -37,6 +37,12 @@ def _node_rows_sorted(sorted_idx: np.ndarray, member: np.ndarray) -> np.ndarray:
     return sorted_idx.T[keep.T].reshape(d, m).T
 
 
+# Elements of each (m, w) array in one column block of _best_split: the
+# search holds about ten such arrays at once, so a node of m rows is
+# searched _SPLIT_BLOCK_ELEMENTS // m features at a time.
+_SPLIT_BLOCK_ELEMENTS = 1 << 18
+
+
 def _best_split(
     X: np.ndarray,
     T: np.ndarray,
@@ -48,45 +54,53 @@ def _best_split(
     A cut's score is sum_k (S_left_k**2 / n_left + S_right_k**2 / n_right)
     over the per-side target sums S; maximising it minimises the summed
     squared error.  On one-hot class targets that error is n times the
-    node's Gini impurity, so the same search grows Gini trees.
+    node's Gini impurity, so the same search grows Gini trees.  Features are
+    searched in column blocks whose width keeps each block's arrays near
+    _SPLIT_BLOCK_ELEMENTS elements; a later block wins only with a strictly
+    higher score, so the first maximum in feature-major order is kept.
     """
     m, d = rows_sorted.shape
     if m < 2 * min_leaf:
         return None
-    vals = X[rows_sorted, np.arange(d)[None, :]]
+    targets = [np.ascontiguousarray(T[:, k]) for k in range(T.shape[1])]
+    # each target column's node total, summed in the order of feature 0
+    totals = [float(t[rows_sorted[:, 0]].sum()) for t in targets]
+    base_score = sum(total * total for total in totals) / m
     positions = np.arange(min_leaf, m - min_leaf + 1)  # left-side sizes
     cuts = slice(min_leaf - 1, m - min_leaf)  # last left row of each cut
-    # (P, d) sums over the target columns of the squared per-side sums, one
-    # column at a time: an (m, d, K) block would cost K times the memory.
-    # Starting from the first column's squares rather than zeros gives the
-    # same bits (0.0 + x == x) with one pass less.
-    sq_left = sq_right = None
-    base_score = 0.0
-    for k in range(T.shape[1]):
-        G = np.ascontiguousarray(T[:, k])[rows_sorted]  # (m, d): node targets per feature
-        total = float(G[:, 0].sum())
-        base_score += total * total
-        s_left = np.cumsum(G, axis=0)[cuts]  # (P, d)
-        s_right = total - s_left
-        s_left *= s_left
-        s_right *= s_right
-        if sq_left is None:
-            sq_left, sq_right = s_left, s_right
-        else:
-            sq_left += s_left
-            sq_right += s_right
-    base_score /= m
     n_left = positions[:, None].astype(float)
-    score = sq_left / n_left + sq_right / (m - n_left)
-    # a split must separate distinct values
-    score[vals[cuts] >= vals[min_leaf : m - min_leaf + 1]] = -np.inf
-    flat = score.T.ravel()  # feature-major so argmax honors the tie order
-    at = int(np.argmax(flat))
-    if not np.isfinite(flat[at]) or flat[at] <= base_score + 1e-12:
+    width = max(1, _SPLIT_BLOCK_ELEMENTS // m)
+    best = None  # (score, feature, cut position, vals of that block)
+    for first in range(0, d, width):
+        block = rows_sorted[:, first : first + width]
+        vals = X[block, np.arange(first, first + block.shape[1])[None, :]]
+        # (P, w) sums over the target columns of the squared per-side sums,
+        # one column at a time: an (m, w, K) block would cost K times the
+        # memory.  Starting from the first column's squares rather than
+        # zeros gives the same bits (0.0 + x == x) with one pass less.
+        sq_left = sq_right = None
+        for t, total in zip(targets, totals):
+            s_left = np.cumsum(t[block], axis=0)[cuts]  # (P, w)
+            s_right = total - s_left
+            s_left *= s_left
+            s_right *= s_right
+            if sq_left is None:
+                sq_left, sq_right = s_left, s_right
+            else:
+                sq_left += s_left
+                sq_right += s_right
+        score = sq_left / n_left + sq_right / (m - n_left)
+        # a split must separate distinct values
+        score[vals[cuts] >= vals[min_leaf : m - min_leaf + 1]] = -np.inf
+        flat = score.T.ravel()  # feature-major so argmax honors the tie order
+        at = int(np.argmax(flat))
+        if best is None or flat[at] > best[0]:
+            j, pos_at = divmod(at, positions.shape[0])
+            best = (flat[at], first + j, positions[pos_at], vals[:, j])
+    score, j, cut, column = best
+    if not np.isfinite(score) or score <= base_score + 1e-12:
         return None
-    j, pos_at = divmod(at, positions.shape[0])
-    cut = positions[pos_at]
-    return j, 0.5 * (vals[cut - 1, j] + vals[cut, j])
+    return j, 0.5 * (column[cut - 1] + column[cut])
 
 
 def grow_tree(

@@ -2,6 +2,12 @@
 re-referencing, statistical bad-channel rejection, optional amplitude-based
 epoch rejection.
 
+run_pipeline holds one subject's epochs as one (n_epochs, n_channels,
+n_samples) float64 batch, the layout of MNE-Python's Epochs.get_data(): capture
+copies every song's epochs into it, and each later step rewrites it in place,
+so a subject costs one batch plus the temporaries of one block of epochs.
+The epochs archive is written and read one subject's batch at a time.
+
 The default step order mirrors the original acquisition pipeline, which
 re-references before rejecting bad channels (so a bad channel pollutes the
 common average). Pass a custom step_order to run rejection first.
@@ -20,7 +26,10 @@ which spreads the per-sample loop over many rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import zipfile
+from collections.abc import Iterator
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +41,10 @@ from .core import (
     REJECTION_MEASURES,
     ChannelMask,
     Epoch,
+    EpochBatch,
     PipelineError,
     SessionRecording,
+    atomic_write,
     extract_segment,
     read_archive,
 )
@@ -76,17 +87,23 @@ class PreprocessConfig:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    epochs: tuple[Epoch, ...]
+    batch: EpochBatch
     channel_mask: ChannelMask
     n_dropped_epochs: int
     log: tuple[str, ...] = ()
 
+    @property
+    def epochs(self) -> tuple[Epoch, ...]:
+        """Read-only per-epoch views into the batch."""
+        return self.batch.epochs
 
-def capture_music_epochs(
+
+def _capture(
     session: SessionRecording, epoch_seconds: int
-) -> list[Epoch]:
-    """Slice every song into non-overlapping epochs, each carrying the per-channel
-    mean of the BASELINE_SECONDS of silence before its song's onset."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every song's non-overlapping epochs copied into one (E, C, S) array,
+    with each epoch's (C,) baseline offset (the per-channel mean of the
+    BASELINE_SECONDS of silence before its song's onset), song id and index."""
     fs = session.sample_rate_hz
     epoch_len = epoch_seconds * fs
     baseline_len = BASELINE_SECONDS * fs
@@ -97,7 +114,7 @@ def capture_music_epochs(
     if missing:
         raise PipelineError(f"no song_end marker for songs {missing}")
 
-    epochs: list[Epoch] = []
+    songs = []
     for song_id in sorted(starts):
         s, e = starts[song_id], ends[song_id]
         seg_len = e - s
@@ -111,25 +128,48 @@ def capture_music_epochs(
                 f"song {song_id} starts at sample {s}, too early for a "
                 f"{BASELINE_SECONDS} s baseline"
             )
-        baseline_mean = extract_segment(session, s - baseline_len, s).mean(axis=1)
-        segment = extract_segment(session, s, e)
-        for i in range(seg_len // epoch_len):
-            epochs.append(
-                Epoch(
-                    subject_id=session.subject_id,
-                    song_id=song_id,
-                    epoch_index=i,
-                    data=segment[:, i * epoch_len : (i + 1) * epoch_len],
-                    baseline_mean=baseline_mean,
-                    sample_rate_hz=fs,
-                )
-            )
-    return epochs
+        songs.append((song_id, s, e))
+
+    n_channels = session.n_channels
+    n_epochs = sum((e - s) // epoch_len for _, s, e in songs)
+    data = np.empty((n_epochs, n_channels, epoch_len))
+    baseline_mean = np.empty((n_epochs, n_channels))
+    song_ids = np.empty(n_epochs, dtype=np.int64)
+    epoch_index = np.empty(n_epochs, dtype=np.int64)
+    at = 0
+    for song_id, s, e in songs:
+        n = (e - s) // epoch_len
+        segment = extract_segment(session, s, e).reshape(n_channels, n, epoch_len)
+        data[at : at + n] = segment.transpose(1, 0, 2)
+        baseline_mean[at : at + n] = extract_segment(session, s - baseline_len, s).mean(axis=1)
+        song_ids[at : at + n] = song_id
+        epoch_index[at : at + n] = np.arange(n)
+        at += n
+    return data, baseline_mean, song_ids, epoch_index
+
+
+def capture_music_epochs(
+    session: SessionRecording, epoch_seconds: int
+) -> list[Epoch]:
+    """Slice every song into non-overlapping epochs, each carrying the per-channel
+    mean of the BASELINE_SECONDS of silence before its song's onset."""
+    batch = EpochBatch(
+        session.subject_id, *_capture(session, epoch_seconds), session.sample_rate_hz
+    )
+    return list(batch.epochs)
+
+
+def _subtract_baseline(data: np.ndarray, baseline_mean: np.ndarray) -> None:
+    """In place: each channel's baseline offset off that channel's samples;
+    data is (..., C, S) and baseline_mean (..., C)."""
+    data -= baseline_mean[..., None]
 
 
 def baseline_correct(epoch: Epoch) -> Epoch:
     """Subtract each channel's baseline offset from that channel's data."""
-    return epoch.with_data(epoch.data - epoch.baseline_mean[:, None])
+    data = epoch.data.copy()
+    _subtract_baseline(data, epoch.baseline_mean)
+    return epoch.with_data(data)
 
 
 def notch_filter(
@@ -154,43 +194,57 @@ def notch_filter(
     return dsp.filtfilt(b, a, x)
 
 
-def average_rereference(segment: np.ndarray, mask: ChannelMask) -> np.ndarray:
-    """Subtract the per-sample mean over good channels from every good channel;
-    bad channels pass through untouched."""
+def _reference_channels(n_channels: int, mask: ChannelMask) -> np.ndarray:
+    """The good channels of mask, checked against the montage."""
     good = mask.good
-    if segment.shape[0] != good.shape[0]:
+    if n_channels != good.shape[0]:
         raise ValueError(
-            f"mask covers {good.shape[0]} channels, segment has {segment.shape[0]}"
+            f"mask covers {good.shape[0]} channels, segment has {n_channels}"
         )
     if good.sum() < 2:
         raise PipelineError("average re-referencing needs at least 2 good channels")
+    return good
+
+
+def _rereference(data: np.ndarray, good: np.ndarray) -> None:
+    """In place over (..., C, S): the per-sample mean over the good channels
+    off every good channel."""
+    data[..., good, :] -= data[..., good, :].mean(axis=-2, keepdims=True)
+
+
+def average_rereference(segment: np.ndarray, mask: ChannelMask) -> np.ndarray:
+    """Subtract the per-sample mean over good channels from every good channel;
+    bad channels pass through untouched.  segment is (..., C, S)."""
+    good = _reference_channels(segment.shape[-2], mask)
     out = np.array(segment, dtype=np.float64)
-    out[good] -= out[good].mean(axis=0, keepdims=True)
+    _rereference(out, good)
     return out
 
 
 def _excess_kurtosis(centered: np.ndarray) -> np.ndarray:
-    """Excess kurtosis per row of an already mean-centred array."""
+    """Excess kurtosis along the last axis of an already mean-centred array."""
     squared = centered * centered
-    m2 = squared.mean(axis=1)
-    m4 = (squared * squared).mean(axis=1)
+    m2 = squared.mean(axis=-1)
+    m4 = (squared * squared).mean(axis=-1)
     m2 = np.where(m2 == 0, 1.0, m2)
     return m4 / m2**2 - 3.0
 
 
 def _eeg_span_power(x: np.ndarray, sample_rate_hz: float) -> np.ndarray:
-    """Total power per channel over the span of EEG_BAND_EDGES, from the lowest
-    lower edge to the highest upper edge, via a mean-detrended Welch PSD run
-    one channel at a time (a whole-array Welch holds every segment at once)."""
-    nperseg = min(x.shape[1], int(sample_rate_hz))
-    spectra = [dsp.welch(row, sample_rate_hz, nperseg, detrend=True) for row in x]
+    """Total power along the last axis over the span of EEG_BAND_EDGES, from
+    the lowest lower edge to the highest upper edge, via a mean-detrended
+    Welch PSD run one row at a time (a whole-array Welch holds every segment
+    at once)."""
+    rows = x.reshape(-1, x.shape[-1])
+    nperseg = min(x.shape[-1], int(sample_rate_hz))
+    spectra = [dsp.welch(row, sample_rate_hz, nperseg, detrend=True) for row in rows]
     freqs = spectra[0][0]
     psd = np.stack([p for _, p in spectra])
     lo = min(edge for _, edge, _ in EEG_BAND_EDGES)
     hi = max(edge for _, _, edge in EEG_BAND_EDGES)
     band = (freqs >= lo) & (freqs < hi)
     df = freqs[1] - freqs[0] if len(freqs) > 1 else 1.0
-    return psd[:, band].sum(axis=1) * df
+    return (psd[:, band].sum(axis=1) * df).reshape(x.shape[:-1])
 
 
 def _zscore_across_channels(values: np.ndarray) -> np.ndarray:
@@ -206,21 +260,25 @@ def reject_bad_channels(
     sample_rate_hz: float = 250.0,
 ) -> ChannelMask:
     """Flag channels whose amplitude distribution, kurtosis, or EEG-span power
-    is a cross-channel outlier (|z| above the threshold on any measure)."""
+    is a cross-channel outlier (|z| above the threshold on any measure).
+
+    segment is channels x samples, or an (E, C, S) epoch batch, whose channel
+    c is then its epochs' rows c end to end.  The measures are taken one
+    channel at a time."""
     segment = np.asarray(segment, dtype=np.float64)
-    n_channels = segment.shape[0]
+    n_channels = segment.shape[-2]
     if n_channels < 4:
         raise PipelineError(
             f"bad-channel rejection needs >= 4 channels, got {n_channels}"
         )
 
-    centered = segment - segment.mean(axis=1, keepdims=True)
-    measures = {
-        "probability": np.abs(centered).mean(axis=1),
-        "kurtosis": _excess_kurtosis(centered),
-        "spectrum": _eeg_span_power(segment, sample_rate_hz),
-    }
-    assert tuple(measures) == REJECTION_MEASURES
+    measures = {name: np.empty(n_channels) for name in REJECTION_MEASURES}
+    for ch in range(n_channels):
+        row = segment[..., ch, :].reshape(-1)
+        centered = row - row.mean()
+        measures["probability"][ch] = np.abs(centered).mean()
+        measures["kurtosis"][ch] = _excess_kurtosis(centered)
+        measures["spectrum"][ch] = _eeg_span_power(row, sample_rate_hz)
 
     good = np.ones(n_channels, dtype=bool)
     reasons: dict[int, set[str]] = {}
@@ -238,15 +296,18 @@ def reject_bad_channels(
     return ChannelMask(good=good, reasons={ch: frozenset(w) for ch, w in reasons.items()})
 
 
-# Epochs per notch_filter call in run_pipeline: its per-sample loop costs the
-# same for any number of rows, so blocks amortise it while staying small.
+# Epochs per block of the notch and re-reference steps of run_pipeline.  The
+# notch's per-sample loop costs the same for any number of rows, so blocks
+# amortise it; they also bound both steps' temporaries to one block.
 _NOTCH_BLOCK_EPOCHS = 24
 
 
 def run_pipeline(session: SessionRecording, config: PreprocessConfig) -> PipelineResult:
-    """Apply config.step_order to a session. Deterministic; epochs and channels
-    could be processed in parallel without changing the result."""
-    epochs: list[Epoch] = []
+    """Apply config.step_order to a session.  Capture copies every epoch into
+    one (n_epochs, n_channels, n_samples) float64 batch; each later step
+    works on that batch in place, the notch and re-reference steps one block
+    of epochs at a time.  Deterministic."""
+    fs = session.sample_rate_hz
     mask = ChannelMask.all_good(session.n_channels)
     n_dropped = 0
     log: list[str] = []
@@ -254,34 +315,27 @@ def run_pipeline(session: SessionRecording, config: PreprocessConfig) -> Pipelin
     for step in config.step_order:
         try:
             if step == "capture":
-                epochs = capture_music_epochs(session, config.epoch_seconds)
-                log.append(f"capture: {len(epochs)} epochs of {config.epoch_seconds} s")
+                data, baseline_mean, song_id, epoch_index = _capture(
+                    session, config.epoch_seconds
+                )
+                log.append(f"capture: {len(data)} epochs of {config.epoch_seconds} s")
             elif step == "baseline":
-                epochs = [baseline_correct(ep) for ep in epochs]
+                _subtract_baseline(data, baseline_mean)
                 log.append("baseline: corrected against 10 s pre-song silence")
             elif step == "notch":
-                filtered = []
-                for i in range(0, len(epochs), _NOTCH_BLOCK_EPOCHS):
-                    block = epochs[i : i + _NOTCH_BLOCK_EPOCHS]
-                    data = notch_filter(
-                        np.stack([ep.data for ep in block]),
-                        session.sample_rate_hz,
-                        config.notch_hz,
-                        config.notch_bandwidth_hz,
+                for i in range(0, len(data), _NOTCH_BLOCK_EPOCHS):
+                    block = data[i : i + _NOTCH_BLOCK_EPOCHS]
+                    block[:] = notch_filter(
+                        block, fs, config.notch_hz, config.notch_bandwidth_hz
                     )
-                    filtered.extend(ep.with_data(d) for ep, d in zip(block, data))
-                epochs = filtered
                 log.append(f"notch: {config.notch_hz} Hz zero-phase IIR")
             elif step == "rereference":
-                epochs = [
-                    ep.with_data(average_rereference(ep.data, mask)) for ep in epochs
-                ]
+                good = _reference_channels(data.shape[1], mask)
+                for i in range(0, len(data), _NOTCH_BLOCK_EPOCHS):
+                    _rereference(data[i : i + _NOTCH_BLOCK_EPOCHS], good)
                 log.append(f"rereference: common average over {mask.n_good} channels")
             elif step == "bad_channels":
-                concat = np.concatenate([ep.data for ep in epochs], axis=1)
-                mask = reject_bad_channels(
-                    concat, config.rejection_zscore, session.sample_rate_hz
-                )
+                mask = reject_bad_channels(data, config.rejection_zscore, fs)
                 for ch in sorted(mask.reasons):
                     log.append(
                         f"bad_channels: rejected channel {ch} "
@@ -291,31 +345,38 @@ def run_pipeline(session: SessionRecording, config: PreprocessConfig) -> Pipelin
                     log.append("bad_channels: none rejected")
             elif step == "amplitude_reject":
                 if config.amplitude_reject_uv is not None:
-                    kept = []
-                    for ep in epochs:
-                        if np.abs(ep.data).max() > config.amplitude_reject_uv:
-                            n_dropped += 1
-                            log.append(
-                                f"amplitude_reject: dropped song {ep.song_id} "
-                                f"epoch {ep.epoch_index}"
-                            )
-                        else:
-                            kept.append(ep)
-                    epochs = kept
+                    peaks = np.array([np.abs(epoch).max() for epoch in data])
+                    keep = ~(peaks > config.amplitude_reject_uv)
+                    for i in np.flatnonzero(~keep):
+                        n_dropped += 1
+                        log.append(
+                            f"amplitude_reject: dropped song {song_id[i]} "
+                            f"epoch {epoch_index[i]}"
+                        )
+                    # compact the kept epochs to the front, in place
+                    arrays = (data, baseline_mean, song_id, epoch_index)
+                    for to, at in enumerate(np.flatnonzero(keep)):
+                        for array in arrays:
+                            array[to] = array[at]
+                    data, baseline_mean, song_id, epoch_index = (
+                        array[: int(keep.sum())] for array in arrays
+                    )
         except PipelineError as e:
             raise PipelineError(f"step {step!r} failed: {e}") from e
 
     return PipelineResult(
-        epochs=tuple(epochs),
+        batch=EpochBatch(session.subject_id, data, baseline_mean, song_id, epoch_index, fs),
         channel_mask=mask,
         n_dropped_epochs=n_dropped,
         log=tuple(log),
     )
 
 
-EPOCHS_FORMAT_VERSION = 2
+# Version 3 writes each subject's (E, C, S) batch as its own data_<subject>
+# member, as soon as that subject is preprocessed.
+EPOCHS_FORMAT_VERSION = 3
 _EPOCHS_ARRAYS = (
-    "sample_rate_hz", "n_dropped_epochs", "data", "baseline_mean", "subject_id",
+    "sample_rate_hz", "n_dropped_epochs", "baseline_mean", "subject_id",
     "song_id", "epoch_index", "mask_subjects", "mask_good", "mask_reasons",
     "rating_keys", "rating_values",
 )
@@ -333,95 +394,206 @@ class EpochsFile:
     n_dropped_epochs: int = 0
 
 
+def _write_member(archive: zipfile.ZipFile, name: str, array) -> None:
+    """One array as the archive member name.npy, as np.savez writes it."""
+    with archive.open(name + ".npy", "w", force_zip64=True) as fh:
+        np.lib.format.write_array(fh, np.asanyarray(array), allow_pickle=False)
+
+
+class EpochsWriter:
+    """An epochs archive being written one subject at a time (see
+    write_epochs).  add writes a subject's batch at once; the caller fills in
+    masks, ratings and n_dropped_epochs, which are written with the small
+    per-epoch arrays when the archive is finished."""
+
+    def __init__(self, archive: zipfile.ZipFile):
+        self._archive = archive
+        self._layout: tuple[int, ...] | None = None
+        self._per_epoch: dict[str, list[np.ndarray]] = {
+            name: [] for name in ("baseline_mean", "subject_id", "song_id", "epoch_index")
+        }
+        self.masks: dict[int, ChannelMask] = {}
+        self.ratings: dict[tuple[int, int], tuple[int, int]] = {}
+        self.n_dropped_epochs = 0
+        self.n_epochs = 0
+
+    def add(self, batch: EpochBatch) -> None:
+        """Write one subject's epochs; add each subject once."""
+        layout = (batch.sample_rate_hz, *batch.data.shape[1:])
+        if self._layout is None:
+            self._layout = layout
+        elif layout != self._layout:
+            raise PipelineError(
+                f"epochs have mixed shapes: subject {batch.subject_id} has "
+                f"{layout[1:]} at {layout[0]} Hz, earlier subjects "
+                f"{self._layout[1:]} at {self._layout[0]} Hz"
+            )
+        if not len(batch.data):
+            return
+        _write_member(self._archive, f"data_{batch.subject_id}", batch.data)
+        n = batch.data.shape[0]
+        self.n_epochs += n
+        self._per_epoch["baseline_mean"].append(batch.baseline_mean)
+        self._per_epoch["subject_id"].append(np.full(n, batch.subject_id, dtype=np.int64))
+        self._per_epoch["song_id"].append(batch.song_id)
+        self._per_epoch["epoch_index"].append(batch.epoch_index)
+
+    def _finish(self) -> None:
+        if not self.n_epochs:
+            raise PipelineError("refusing to save an empty epoch collection")
+        sample_rate_hz, n_channels, _ = self._layout
+        subjects = sorted(self.masks)
+        reason_flags = np.zeros(
+            (len(subjects), n_channels, len(REJECTION_MEASURES)), dtype=bool
+        )
+        for i, sid in enumerate(subjects):
+            for ch, why in self.masks[sid].reasons.items():
+                for j, measure in enumerate(REJECTION_MEASURES):
+                    reason_flags[i, ch, j] = measure in why
+        rating_keys = sorted(self.ratings)
+        payload = {
+            "format_version": np.asarray(EPOCHS_FORMAT_VERSION),
+            "sample_rate_hz": np.asarray(sample_rate_hz),
+            "n_dropped_epochs": np.asarray(self.n_dropped_epochs),
+            **{name: np.concatenate(parts) for name, parts in self._per_epoch.items()},
+            "mask_subjects": np.asarray(subjects, dtype=np.int64),
+            "mask_good": np.stack([np.asarray(self.masks[s].good) for s in subjects])
+            if subjects
+            else np.zeros((0, n_channels), dtype=bool),
+            "mask_reasons": reason_flags,
+            "rating_keys": np.asarray(rating_keys, dtype=np.int64).reshape(-1, 2),
+            "rating_values": np.asarray(
+                [self.ratings[k] for k in rating_keys], dtype=np.int64
+            ).reshape(-1, 2),
+        }
+        for name, array in payload.items():
+            _write_member(self._archive, name, array)
+
+
+@contextmanager
+def write_epochs(path) -> Iterator[EpochsWriter]:
+    """An EpochsWriter onto the epochs archive at path (format 3).  The
+    archive goes to a temporary file that replaces path when the block
+    completes; if the block or the final write raises, path is untouched."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with atomic_write(path) as tmp, zipfile.ZipFile(tmp, "w", allowZip64=True) as archive:
+        writer = EpochsWriter(archive)
+        yield writer
+        writer._finish()
+
+
 def save_epochs(path, epochs_file: EpochsFile):
-    """Write pooled epochs as a flat .npz archive.  Every epoch must share one
-    channel count and epoch length."""
+    """Write pooled epochs as an epochs archive, one batch per subject in the
+    order the subjects first appear.  Every epoch must share one channel
+    count and epoch length."""
     epochs = epochs_file.epochs
-    if not epochs:
-        raise PipelineError("refusing to save an empty epoch collection")
     shapes = {ep.data.shape for ep in epochs}
     if len(shapes) > 1:
         raise PipelineError(f"epochs have mixed shapes {sorted(shapes)}")
+    with write_epochs(path) as writer:
+        for sid in dict.fromkeys(ep.subject_id for ep in epochs):
+            group = [ep for ep in epochs if ep.subject_id == sid]
+            writer.add(
+                EpochBatch(
+                    sid,
+                    np.stack([ep.data for ep in group]),
+                    np.stack([ep.baseline_mean for ep in group]),
+                    np.asarray([ep.song_id for ep in group], dtype=np.int64),
+                    np.asarray([ep.epoch_index for ep in group], dtype=np.int64),
+                    epochs_file.sample_rate_hz,
+                )
+            )
+        writer.masks.update(epochs_file.masks)
+        writer.ratings.update(epochs_file.ratings)
+        writer.n_dropped_epochs = epochs_file.n_dropped_epochs
+    return Path(path)
 
-    subjects = sorted(epochs_file.masks)
-    n_channels = epochs[0].data.shape[0]
-    reason_flags = np.zeros(
-        (len(subjects), n_channels, len(REJECTION_MEASURES)), dtype=bool
-    )
-    for i, sid in enumerate(subjects):
-        for ch, why in epochs_file.masks[sid].reasons.items():
-            for j, measure in enumerate(REJECTION_MEASURES):
-                reason_flags[i, ch, j] = measure in why
 
-    rating_keys = sorted(epochs_file.ratings)
-    payload = {
-        "format_version": np.asarray(EPOCHS_FORMAT_VERSION),
-        "sample_rate_hz": np.asarray(epochs_file.sample_rate_hz),
-        "n_dropped_epochs": np.asarray(epochs_file.n_dropped_epochs),
-        "data": np.stack([ep.data for ep in epochs]),
-        "baseline_mean": np.stack([ep.baseline_mean for ep in epochs]),
-        "subject_id": np.asarray([ep.subject_id for ep in epochs]),
-        "song_id": np.asarray([ep.song_id for ep in epochs]),
-        "epoch_index": np.asarray([ep.epoch_index for ep in epochs]),
-        "mask_subjects": np.asarray(subjects, dtype=np.int64),
-        "mask_good": np.stack(
-            [np.asarray(epochs_file.masks[s].good) for s in subjects]
+class EpochsReader:
+    """An epochs archive open for reading one subject's batch at a time; the
+    masks, ratings and per-epoch arrays are read on opening.  Close it, or
+    use it as a context manager."""
+
+    def __init__(self, path):
+        self._archive = read_archive(
+            path, "epochs", EPOCHS_FORMAT_VERSION, _EPOCHS_ARRAYS, PipelineError
         )
-        if subjects
-        else np.zeros((0, n_channels), dtype=bool),
-        "mask_reasons": reason_flags,
-        "rating_keys": np.asarray(rating_keys, dtype=np.int64).reshape(-1, 2),
-        "rating_values": np.asarray(
-            [epochs_file.ratings[k] for k in rating_keys], dtype=np.int64
-        ).reshape(-1, 2),
-    }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        np.savez(fh, **payload)
-    return path
+        try:
+            self._read_header()
+        except PipelineError:
+            self.close()
+            raise
+
+    def _read_header(self) -> None:
+        archive = self._archive
+        self.sample_rate_hz = int(archive["sample_rate_hz"])
+        self.n_dropped_epochs = int(archive["n_dropped_epochs"])
+        self._per_epoch = {
+            name: archive[name]
+            for name in ("baseline_mean", "subject_id", "song_id", "epoch_index")
+        }
+        self._subjects = tuple(dict.fromkeys(self._per_epoch["subject_id"].tolist()))
+        archive.require(f"data_{sid}" for sid in self._subjects)
+        mask_good, mask_reasons = archive["mask_good"], archive["mask_reasons"]
+        self.masks = {}
+        for sid, good, flags in zip(archive["mask_subjects"], mask_good, mask_reasons):
+            reasons = {}
+            for ch in range(flags.shape[0]):
+                tripped = frozenset(
+                    REJECTION_MEASURES[j]
+                    for j in range(len(REJECTION_MEASURES))
+                    if flags[ch, j]
+                )
+                if tripped:
+                    reasons[ch] = tripped
+            self.masks[int(sid)] = ChannelMask(good=good, reasons=reasons)
+        self.ratings = {
+            (int(k[0]), int(k[1])): (int(v[0]), int(v[1]))
+            for k, v in zip(archive["rating_keys"], archive["rating_values"])
+        }
+
+    def _batch(self, subject_id: int) -> EpochBatch:
+        """One subject's epochs, read from the archive."""
+        rows = np.flatnonzero(self._per_epoch["subject_id"] == subject_id)
+        data = self._archive[f"data_{subject_id}"]
+        if data.ndim != 3 or data.shape[0] != rows.size:
+            raise PipelineError(
+                f"{self._archive.path}: data_{subject_id} holds {data.shape[0]} "
+                f"epochs, the per-epoch arrays {rows.size}"
+            )
+        return EpochBatch(
+            subject_id,
+            data,
+            self._per_epoch["baseline_mean"][rows],
+            self._per_epoch["song_id"][rows],
+            self._per_epoch["epoch_index"][rows],
+            self.sample_rate_hz,
+        )
+
+    def epochs(self) -> Iterator[Epoch]:
+        """Every epoch, subject by subject, with one subject's batch in memory
+        at a time as long as the caller keeps no epoch of the last one."""
+        for subject_id in self._subjects:
+            yield from self._batch(subject_id).epochs
+
+    def close(self) -> None:
+        self._archive.close()
+
+    def __enter__(self) -> EpochsReader:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 def load_epochs(path) -> EpochsFile:
-    archive = read_archive(path, "epochs", EPOCHS_FORMAT_VERSION, _EPOCHS_ARRAYS, PipelineError)
-    fs = int(archive["sample_rate_hz"])
-    data = archive["data"]
-    baseline_mean = archive["baseline_mean"]
-    subject_id = archive["subject_id"]
-    song_id = archive["song_id"]
-    epoch_index = archive["epoch_index"]
-    epochs = tuple(
-        Epoch(
-            subject_id=int(subject_id[i]),
-            song_id=int(song_id[i]),
-            epoch_index=int(epoch_index[i]),
-            data=data[i],
-            baseline_mean=baseline_mean[i],
-            sample_rate_hz=fs,
+    """Every epoch of an epochs archive, with its masks and ratings."""
+    with EpochsReader(path) as reader:
+        return EpochsFile(
+            epochs=tuple(reader.epochs()),
+            masks=reader.masks,
+            ratings=reader.ratings,
+            sample_rate_hz=reader.sample_rate_hz,
+            n_dropped_epochs=reader.n_dropped_epochs,
         )
-        for i in range(data.shape[0])
-    )
-    masks = {}
-    for i, sid in enumerate(archive["mask_subjects"]):
-        reasons = {}
-        flags = archive["mask_reasons"][i]
-        for ch in range(flags.shape[0]):
-            tripped = frozenset(
-                REJECTION_MEASURES[j]
-                for j in range(len(REJECTION_MEASURES))
-                if flags[ch, j]
-            )
-            if tripped:
-                reasons[ch] = tripped
-        masks[int(sid)] = ChannelMask(good=archive["mask_good"][i], reasons=reasons)
-    ratings = {
-        (int(k[0]), int(k[1])): (int(v[0]), int(v[1]))
-        for k, v in zip(archive["rating_keys"], archive["rating_values"])
-    }
-    return EpochsFile(
-        epochs=epochs,
-        masks=masks,
-        ratings=ratings,
-        sample_rate_hz=fs,
-        n_dropped_epochs=int(archive["n_dropped_epochs"]),
-    )

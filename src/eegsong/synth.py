@@ -153,8 +153,11 @@ def _pink_noise(
     spec /= np.sqrt(k)
     freqs = np.fft.rfftfreq(n_samples, d=1.0 / sample_rate_hz)
     spec[:, freqs < BACKGROUND_HIGHPASS_HZ] = 0.0
+    del white
     x = np.fft.irfft(spec, n=n_samples, axis=1)
-    return x / x.std(axis=1, keepdims=True)
+    del spec
+    x /= x.std(axis=1, keepdims=True)
+    return x
 
 
 def _band_envelope(freqs: np.ndarray, profile: np.ndarray) -> np.ndarray:
@@ -199,13 +202,16 @@ def generate_session(config: GeneratorConfig, subject_id: int) -> SessionRecordi
     song_gains = rng.uniform(0.5, 1.5, config.n_songs)
     familiarity = rng.integers(1, 6, config.n_songs)
 
-    samples = BACKGROUND_RMS_UV * _pink_noise(rng, config.n_channels, n_total, fs)
+    # Scaled in place, and the mains line added one channel at a time, so
+    # no second channels x samples array is made here.
+    samples = _pink_noise(rng, config.n_channels, n_total, fs)
+    samples *= BACKGROUND_RMS_UV
 
     t = np.arange(n_total) / fs
     line_phases = rng.uniform(0.0, 2.0 * np.pi, config.n_channels)
-    samples += config.line_noise_amplitude_uv * np.sin(
-        2.0 * np.pi * 50.0 * t[None, :] + line_phases[:, None]
-    )
+    mains = 2.0 * np.pi * 50.0 * t
+    for row, phase in zip(samples, line_phases):
+        row += config.line_noise_amplitude_uv * np.sin(mains + phase)
 
     markers: list[EventMarker] = [
         EventMarker("beep_single", 0),
@@ -287,9 +293,7 @@ def write_session(session: SessionRecording, directory: str | Path) -> Path:
     manifest = root / MANIFEST_NAME
     manifest.write_text("\n".join(lines) + "\n")
 
-    (root / SAMPLES_NAME).write_bytes(
-        session.samples.astype("<f4").tobytes(order="C")
-    )
+    session.samples.astype("<f4").tofile(root / SAMPLES_NAME)
 
     with open(root / EVENTS_NAME, "w", newline="") as f:
         writer = csv.writer(f)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +177,19 @@ class TestSessionIngest:
         assert "marker out of range: rating_screen at sample 99999999" in err
         assert not (out / "epochs.npz").exists()
 
+    def test_failure_on_a_later_subject_leaves_no_epochs_file(self, tmp_path, capsys):
+        """Subject 1 is already written to the epochs archive when subject 2
+        fails; neither epochs.npz nor its temporary file is left behind."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_CONFIG))
+        out = tmp_path / "run"
+        assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        with open(out / "sessions" / "subject_2" / "events.csv", "a") as fh:
+            fh.write("99999999,rating_screen,\n")
+        assert main(["preprocess", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert "subject_2: marker out of range" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["sessions", "sessions.meta.json"]
+
     def test_epoch_longer_than_song_refused_before_any_stage(self, tmp_path, capsys):
         cfg = dict(SMALL_CONFIG, generator=dict(SMALL_CONFIG["generator"], song_seconds=60))
         cfg_path = tmp_path / "cfg.json"
@@ -278,6 +292,23 @@ class TestErrorHandling:
         assert main(["preprocess", "--out", str(tmp_path / "nothing")]) == 1
         assert "run `generate` first" in capsys.readouterr().err
 
+    def test_model_missing_a_parameter_array_is_refused(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_CONFIG))
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(cfg_path), "--model", "tree", "--out", str(out)]) == 0
+        capsys.readouterr()
+        model_path = out / "model.npz"
+        with np.load(model_path) as archive:
+            payload = {k: archive[k] for k in archive.files if k != "param_value"}
+        with open(model_path, "wb") as fh:
+            np.savez(fh, **payload)
+        code = main(["evaluate", "--config", str(cfg_path), "--model", "tree", "--out", str(out), "--force"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{model_path}: model archive has no param_value array" in err
+
     def test_bad_flag_value_exits_two(self, capsys):
         assert main(["pipeline", "--epoch-seconds", "ten"]) == 2
         capsys.readouterr()
@@ -289,6 +320,46 @@ class TestErrorHandling:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "pipeline" in capsys.readouterr().out
+
+
+# 16 channels, two 60 s songs: 12 ten-second epochs, 3.84 MB of float64
+# epoch data per subject.
+MEMORY_GENERATOR = {
+    "n_songs": 2,
+    "song_seconds": 60,
+    "inter_song_silence_seconds": 10,
+    "lead_silence_seconds": 20,
+    "trail_silence_seconds": 10,
+    "n_channels": 16,
+    "n_bad_channels": 1,
+}
+SUBJECT_EPOCH_BYTES = 12 * 16 * 2500 * 8
+
+
+def _traced_peak(argv: list[str]) -> int:
+    """Peak bytes that tracemalloc sees while main(argv) runs."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_signal_stages_hold_one_subject_at_a_time(tmp_path, capsys):
+    """preprocess and features stream subjects: going from 1 to 3 subjects
+    raises their peak traced memory by less than one subject's epochs."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(SMALL_CONFIG, generator=dict(SMALL_CONFIG["generator"], **MEMORY_GENERATOR))))
+    peaks = {}
+    for n_subjects in (1, 3):
+        argv = ["--config", str(cfg_path), "--subjects", str(n_subjects), "--out", str(tmp_path / f"run_{n_subjects}")]
+        assert main(["generate", *argv]) == 0
+        peaks[n_subjects] = {stage: _traced_peak([stage, *argv]) for stage in ("preprocess", "features")}
+    capsys.readouterr()
+    for stage in ("preprocess", "features"):
+        growth = peaks[3][stage] - peaks[1][stage]
+        assert growth < SUBJECT_EPOCH_BYTES, (stage, peaks[1][stage], peaks[3][stage])
 
 
 def test_cli_import_loads_no_scipy():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eegsong import EventMarker, PipelineError, SessionRecording, extract_segment, validate_session
-from eegsong.core import BASELINE_SECONDS, ChannelMask, Epoch, MARKER_KINDS
+from eegsong.core import BASELINE_SECONDS, ChannelMask, Epoch, MARKER_KINDS, atomic_write
 
 
 def make_session(n_channels=4, n_samples=1000, markers=(), ratings=None, fs=250):
@@ -184,3 +184,24 @@ class TestExtractSegment:
         win = 10 * fs
         parts = [extract_segment(tiny_session, s0, s0 + win) for s0 in range(start, end, win)]
         assert np.array_equal(np.concatenate(parts, axis=1), whole)
+
+
+class TestAtomicWrite:
+    def test_completed_block_replaces_the_artifact(self, tmp_path):
+        path = tmp_path / "report.txt"
+        path.write_text("old\n")
+        with atomic_write(path) as tmp:
+            tmp.write_text("new\n")
+            assert path.read_text() == "old\n"
+        assert path.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+
+    def test_failed_block_keeps_the_old_artifact_and_no_temp_file(self, tmp_path):
+        path = tmp_path / "report.txt"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError, match="disk on fire"):
+            with atomic_write(path) as tmp:
+                tmp.write_text("half")
+                raise RuntimeError("disk on fire")
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]

@@ -407,5 +407,30 @@ class TestSerialization:
             load_model(path)
 
 
+    @pytest.mark.parametrize(
+        "kind, name",
+        [
+            ("knn", "param_train_x"),
+            ("tree", "param_value"),
+            ("gboost", "param_value"),
+            ("gnb", "param_means"),
+            ("mlp", "param_w2"),
+            ("kmeans", "param_centroids"),
+            ("gmm", "cluster_labels"),
+        ],
+    )
+    def test_missing_parameter_array_is_refused_by_path(self, kind, name, rng, tmp_path):
+        """A parameter array its kind stores, missing, is named at load time
+        rather than failing later inside prediction."""
+        X, y = blobs(rng, THREE_CENTERS, 20)
+        path = save_model(fit(ModelSpec(kind=kind, seed=0), X, y), tmp_path / "m.npz")
+        with np.load(path) as archive:
+            payload = {k: archive[k] for k in archive.files if k != name}
+        with open(path, "wb") as fh:
+            np.savez(fh, **payload)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: model archive has no {name} array")):
+            load_model(path)
+
+
 def test_majority_tie_breaks_toward_smaller_label():
     assert majority_label(np.array([9, 2, 9, 2])) == 2

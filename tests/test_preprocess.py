@@ -408,10 +408,24 @@ class TestEpochsFile:
         with np.load(path) as archive:
             payload = dict(archive)
         payload["format_version"] = np.asarray(1)
+        payload["data"] = payload.pop(f"data_{tiny_session.subject_id}")
         payload["baseline"] = np.zeros(payload["data"].shape[:2] + (10 * FS,))
         del payload["baseline_mean"]
         np.savez(path, **payload)
         with pytest.raises(PipelineError, match="unsupported epochs format version 1"):
+            load_epochs(path)
+
+    def test_refuses_version_2(self, tiny_pipeline, tiny_session, tmp_path):
+        """A version-2 file (every subject's epochs in one pooled data array)
+        is not read."""
+        path = tmp_path / "epochs.npz"
+        save_epochs(path, self.make_file(tiny_pipeline, tiny_session))
+        with np.load(path) as archive:
+            payload = dict(archive)
+        payload["format_version"] = np.asarray(2)
+        payload["data"] = payload.pop(f"data_{tiny_session.subject_id}")
+        np.savez(path, **payload)
+        with pytest.raises(PipelineError, match="unsupported epochs format version 2"):
             load_epochs(path)
 
     def test_refuses_truncated_archive_by_path(self, tiny_pipeline, tiny_session, tmp_path):
