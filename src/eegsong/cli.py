@@ -30,8 +30,10 @@ from .evaluation import (
     write_report,
 )
 from .features import FEATURE_FAMILIES, build_feature_matrix, read_dataset_csv, write_dataset_csv
+from .features.spectral import SPECTOPO_MIN_SECONDS
 from .models import ModelSpec, fit_dataset, load_model, save_model
 from .preprocess import (
+    MIN_REJECTION_CHANNELS,
     EpochsReader,
     EpochsWriter,
     PreprocessConfig,
@@ -171,6 +173,26 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(
             f"epoch_seconds {epoch_seconds} does not divide the "
             f"{song_seconds} s songs"
+        )
+    nyquist_hz = config.generator.sample_rate_hz / 2
+    pre = config.preprocess
+    # a notch bandwidth at or above Nyquist puts a pole outside the unit circle
+    for name, hz in (("notch_hz", pre.notch_hz), ("notch_bandwidth_hz", pre.notch_bandwidth_hz)):
+        if hz >= nyquist_hz:
+            raise ConfigError(
+                f"{name} {hz} is not below the Nyquist frequency ({nyquist_hz} Hz) "
+                "of the sessions"
+            )
+    if "spectopo" in config.features and epoch_seconds < SPECTOPO_MIN_SECONDS:
+        raise ConfigError(
+            f"spectopo needs epochs of at least {SPECTOPO_MIN_SECONDS} s "
+            f"(its Welch windows are 1 s), got epoch_seconds {epoch_seconds}"
+        )
+    n_channels = config.generator.n_channels
+    if "bad_channels" in pre.step_order and n_channels < MIN_REJECTION_CHANNELS:
+        raise ConfigError(
+            f"the bad_channels step needs at least {MIN_REJECTION_CHANNELS} "
+            f"channels, got n_channels {n_channels}"
         )
     return config
 

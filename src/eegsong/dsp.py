@@ -57,8 +57,11 @@ def welch(
 def iirnotch(
     notch_hz: float, quality: float, sample_rate_hz: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Second-order notch coefficients (b, a), as scipy.signal.iirnotch."""
+    """Second-order notch coefficients (b, a), as scipy.signal.iirnotch,
+    which refuses a notch below 0 Hz or above Nyquist."""
     w0 = 2 * float(notch_hz) / sample_rate_hz
+    if w0 > 1.0 or w0 < 0.0:
+        raise ValueError("w0 should be such that 0 < w0 < 1")
     bw = w0 / float(quality) * math.pi
     w0 = w0 * math.pi
     gain = 1.0 / (1.0 + math.tan(bw / 2.0))

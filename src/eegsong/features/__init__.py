@@ -1,5 +1,6 @@
-"""Feature extraction: spectral band power, wavelet energies, DFA, entropy
-and dataset assembly."""
+"""Feature extraction: one function per family (spectopo band power, wavedec
+wavelet energies, DFA, entropy), each mapping a (..., samples) array to its
+named columns, and the assembly of those columns into a dataset."""
 
 from .dataset import (
     FEATURE_FAMILIES,
@@ -8,25 +9,6 @@ from .dataset import (
     read_dataset_csv,
     write_dataset_csv,
 )
-from .dfa import DegenerateFluctuationsError, DfaResult, default_box_sizes, dfa
-from .entropy import ENTROPY_EPS, EntropyPair, entropy_features
-from .spectral import (
-    EEG_BANDS,
-    BandDefinition,
-    BandPowerSet,
-    spectopo_bandpower,
-    welch_psd,
-)
-from .wavelet import (
-    DB8_HIGHPASS,
-    DB8_LOWPASS,
-    WaveletCoefficients,
-    WaveletEnergy,
-    dwt_multilevel,
-    idwt_multilevel,
-    wavedec_bandpower,
-    wavedec_levels,
-)
 
 __all__ = [
     "FEATURE_FAMILIES",
@@ -34,24 +16,4 @@ __all__ = [
     "build_feature_matrix",
     "read_dataset_csv",
     "write_dataset_csv",
-    "DegenerateFluctuationsError",
-    "DfaResult",
-    "default_box_sizes",
-    "dfa",
-    "ENTROPY_EPS",
-    "EntropyPair",
-    "entropy_features",
-    "EEG_BANDS",
-    "BandDefinition",
-    "BandPowerSet",
-    "spectopo_bandpower",
-    "welch_psd",
-    "DB8_HIGHPASS",
-    "DB8_LOWPASS",
-    "WaveletCoefficients",
-    "WaveletEnergy",
-    "dwt_multilevel",
-    "idwt_multilevel",
-    "wavedec_bandpower",
-    "wavedec_levels",
 ]

@@ -1,9 +1,11 @@
 """Flatten epochs into a labeled feature matrix and serialize it as CSV.
 
-Column order is frozen: channel-major, feature names alphabetical within each
-channel, names "ch<i>_<feature>". The CSV header is the feature names followed
-by song_id,subject_id,epoch_index,enjoyment,familiarity; floats are written
-with enough digits to round-trip float64 exactly.
+Each feature family is one function from a (..., samples) array and its
+sample rate to {column name: (...) array}; FAMILIES maps family names to
+them.  Column order is frozen: channel-major, column names alphabetical
+within each channel, names "ch<i>_<column>". The CSV header is the feature
+names followed by song_id,subject_id,epoch_index,enjoyment,familiarity;
+floats are written with enough digits to round-trip float64 exactly.
 """
 
 from __future__ import annotations
@@ -16,12 +18,18 @@ from pathlib import Path
 import numpy as np
 
 from ..core import Epoch, atomic_write
-from .dfa import dfa_batch
+from .dfa import dfa_features
 from .entropy import entropy_features
-from .spectral import EEG_BANDS, BandDefinition, spectopo_bandpower
+from .spectral import spectopo_bandpower
 from .wavelet import wavedec_bandpower
 
-FEATURE_FAMILIES = ("spectopo", "wavedec", "dfa", "entropy")
+FAMILIES = {
+    "spectopo": spectopo_bandpower,
+    "wavedec": wavedec_bandpower,
+    "dfa": dfa_features,
+    "entropy": entropy_features,
+}
+FEATURE_FAMILIES = tuple(FAMILIES)
 
 META_COLUMNS = ("song_id", "subject_id", "epoch_index", "enjoyment", "familiarity")
 
@@ -83,37 +91,9 @@ class Dataset:
         return replace(self, labels=labels)
 
 
-def _channel_features(
-    epoch: Epoch, selection: tuple[str, ...], bands: BandDefinition
-) -> dict[str, np.ndarray]:
-    """Feature name -> per-channel values for one epoch, one call per family."""
-    out: dict[str, np.ndarray] = {}
-    if "spectopo" in selection:
-        bp = spectopo_bandpower(epoch.data, epoch.sample_rate_hz, bands)
-        for j, band in enumerate(bp.band_names):
-            out[f"spectopo_{band}"] = bp.power_db[:, j]
-    if "wavedec" in selection:
-        we = wavedec_bandpower(epoch.data, epoch.sample_rate_hz)
-        for j, level in enumerate(we.level_names):
-            out[f"wavedec_{level}"] = we.relative_energy[:, j]
-    if "dfa" in selection:
-        fit = dfa_batch(epoch.data)
-        out["dfa_alpha"] = fit.alpha
-        out["dfa_dim"] = fit.dim
-        out["dfa_intercept"] = fit.intercept
-        for i in range(fit.fluctuations.shape[-1]):
-            out[f"dfa_f{i:02d}"] = fit.fluctuations[:, i]
-    if "entropy" in selection:
-        pair = entropy_features(epoch.data)
-        out["entropy_log_energy"] = pair.log_energy
-        out["entropy_shannon"] = pair.shannon
-    return out
-
-
 def build_feature_matrix(
     epochs: Iterable[Epoch],
     selection: tuple[str, ...] | list[str] | set[str],
-    bands: BandDefinition = EEG_BANDS,
     ratings: dict[tuple[int, int], tuple[int, int]] | None = None,
 ) -> Dataset:
     """Compute the selected feature families for every epoch, in one pass
@@ -140,7 +120,9 @@ def build_feature_matrix(
     names: tuple[str, ...] | None = None
     for epoch in epochs:
         pos = len(rows)
-        per_channel = _channel_features(epoch, selection, bands)
+        per_channel: dict[str, np.ndarray] = {}
+        for family in selection:
+            per_channel.update(FAMILIES[family](epoch.data, epoch.sample_rate_hz))
         feature_order = sorted(per_channel)
         epoch_names = tuple(
             f"ch{c}_{fname}"

@@ -19,13 +19,12 @@ sum(y)^2 / n would both be huge and nearly equal, and their difference would
 lose most of its digits. Anchored at its first sample, each box only holds
 its own excursion, so the subtraction stays well conditioned.
 
-dfa_batch works on (..., samples) arrays, looping only over the box sizes;
-dfa is its single-channel form.
+dfa fits every row of a (..., samples) array at once, looping only over the
+box sizes; dfa_features names its results as dataset columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -42,18 +41,7 @@ class DegenerateFluctuationsError(ValueError):
     """Raised when some F(n) is effectively zero ("degenerate fluctuations")."""
 
 
-@dataclass(frozen=True)
-class DfaResult:
-    alpha: float
-    intercept: float
-    fluctuations: tuple[tuple[int, float], ...]  # (box size n, F(n))
-
-    @property
-    def dim(self) -> float:
-        return 3.0 - self.alpha
-
-
-class DfaBatch(NamedTuple):
+class DfaFit(NamedTuple):
     """DFA of every row of a (..., samples) array."""
 
     box_sizes: np.ndarray  # (n_sizes,)
@@ -79,6 +67,11 @@ def default_box_sizes(n_samples: int) -> np.ndarray:
             np.exp(np.linspace(np.log(MIN_BOX_SIZE), np.log(largest), DEFAULT_N_BOX_SIZES))
         ).astype(int)
     )
+    if len(sizes) < 3:
+        raise ValueError(
+            f"need at least 3 box sizes in [{MIN_BOX_SIZE}, {largest}], "
+            f"got {len(sizes)} from {n_samples} samples"
+        )
     return sizes
 
 
@@ -106,21 +99,10 @@ def _fluctuations(x: np.ndarray, box_sizes: np.ndarray) -> np.ndarray:
     return out
 
 
-def dfa_batch(data: np.ndarray, box_sizes: np.ndarray | None = None) -> DfaBatch:
+def dfa(data: np.ndarray) -> DfaFit:
     """DFA of every row of a (..., samples) array; see module docstring."""
     x = np.asarray(data, dtype=np.float64)
-    n = x.shape[-1]
-    if box_sizes is None:
-        box_sizes = default_box_sizes(n)
-    else:
-        box_sizes = np.unique(np.asarray(box_sizes, dtype=int))
-        box_sizes = box_sizes[(box_sizes >= MIN_BOX_SIZE) & (box_sizes <= n // 4)]
-    if len(box_sizes) < 3:
-        raise ValueError(
-            f"need at least 3 usable box sizes in [4, {n // 4}], "
-            f"got {len(box_sizes)}"
-        )
-
+    box_sizes = default_box_sizes(x.shape[-1])
     f_values = _fluctuations(x, box_sizes)
     if np.any(f_values <= DEGENERATE_FLUCTUATION):
         raise DegenerateFluctuationsError(
@@ -131,7 +113,7 @@ def dfa_batch(data: np.ndarray, box_sizes: np.ndarray | None = None) -> DfaBatch
     log_n = np.log2(box_sizes.astype(np.float64))
     log_f = np.log2(f_values).reshape(-1, len(box_sizes))
     slope, intercept = np.polyfit(log_n, log_f.T, 1)
-    return DfaBatch(
+    return DfaFit(
         box_sizes=box_sizes,
         fluctuations=f_values,
         alpha=slope.reshape(x.shape[:-1]),
@@ -139,17 +121,12 @@ def dfa_batch(data: np.ndarray, box_sizes: np.ndarray | None = None) -> DfaBatch
     )
 
 
-def dfa(signal: np.ndarray, box_sizes: np.ndarray | None = None) -> DfaResult:
-    """DFA of a single channel; see module docstring for the recipe."""
-    x = np.asarray(signal, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("dfa takes a single channel (1-D signal)")
-    batch = dfa_batch(x, box_sizes)
-    return DfaResult(
-        alpha=float(batch.alpha),
-        intercept=float(batch.intercept),
-        fluctuations=tuple(
-            (int(size), float(f_n))
-            for size, f_n in zip(batch.box_sizes, batch.fluctuations)
-        ),
-    )
+def dfa_features(data: np.ndarray, sample_rate_hz: float) -> dict[str, np.ndarray]:
+    """{"dfa_alpha", "dfa_dim", "dfa_intercept", "dfa_f<i>"} along the last
+    axis of a (..., samples) array, dfa_f<i> being F(n) at the i-th box size;
+    the sample rate does not enter."""
+    fit = dfa(data)
+    out = {"dfa_alpha": fit.alpha, "dfa_dim": fit.dim, "dfa_intercept": fit.intercept}
+    for i in range(len(fit.box_sizes)):
+        out[f"dfa_f{i:02d}"] = fit.fluctuations[..., i]
+    return out

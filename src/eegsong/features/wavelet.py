@@ -60,21 +60,6 @@ class WaveletCoefficients:
     details: tuple[np.ndarray, ...]
     level_lengths: tuple[int, ...]  # input length at each analysis level
 
-    @property
-    def levels(self) -> int:
-        return len(self.details)
-
-
-@dataclass(frozen=True)
-class WaveletEnergy:
-    """Relative energy per level, per channel; rows sum to 1.
-
-    Columns are ordered d1..dL then aL, matching level_names.
-    """
-
-    level_names: tuple[str, ...]
-    relative_energy: np.ndarray
-
 
 def _analysis_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One analysis level along the last axis: (approximation, detail)."""
@@ -93,16 +78,20 @@ def _synthesis_step(
     approx: np.ndarray, detail: np.ndarray, out_len: int
 ) -> np.ndarray:
     # Transpose of the analysis operator: exact inverse for even out_len.
-    n = approx.shape[0] * 2
-    x = np.zeros(n)
+    n = approx.shape[-1] * 2
+    x = np.zeros(approx.shape[:-1] + (n,))
     idx = (2 * np.arange(n // 2)[:, None] + np.arange(16)[None, :]) % n
-    np.add.at(x, idx, approx[:, None] * DB8_LOWPASS[None, :])
-    np.add.at(x, idx, detail[:, None] * DB8_HIGHPASS[None, :])
-    return x[:out_len]
+    np.add.at(x, (..., idx), approx[..., :, None] * DB8_LOWPASS)
+    np.add.at(x, (..., idx), detail[..., :, None] * DB8_HIGHPASS)
+    return x[..., :out_len]
 
 
-def _decompose(x: np.ndarray, levels: int) -> WaveletCoefficients:
-    """Multilevel analysis along the last axis of x."""
+def dwt_multilevel(signal: np.ndarray, levels: int) -> WaveletCoefficients:
+    """Decompose the last axis of a (..., samples) array into `levels` detail
+    bands plus an approximation."""
+    if levels < 1:
+        raise ValueError(f"levels must be >= 1, got {levels}")
+    x = np.asarray(signal, dtype=np.float64)
     details = []
     lengths = []
     for level in range(1, levels + 1):
@@ -117,16 +106,6 @@ def _decompose(x: np.ndarray, levels: int) -> WaveletCoefficients:
     return WaveletCoefficients(
         approx=x, details=tuple(details), level_lengths=tuple(lengths)
     )
-
-
-def dwt_multilevel(signal: np.ndarray, levels: int) -> WaveletCoefficients:
-    """Decompose a 1-D signal into `levels` detail bands plus an approximation."""
-    if levels < 1:
-        raise ValueError(f"levels must be >= 1, got {levels}")
-    x = np.asarray(signal, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("dwt_multilevel takes a single channel (1-D signal)")
-    return _decompose(x, levels)
 
 
 def idwt_multilevel(coefficients: WaveletCoefficients) -> np.ndarray:
@@ -147,14 +126,11 @@ def wavedec_levels(sample_rate_hz: float) -> int:
     return level
 
 
-def wavedec_bandpower(
-    data: np.ndarray, sample_rate_hz: float
-) -> WaveletEnergy:
-    """Relative wavelet energy per level for a channels x samples array."""
-    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
+def wavedec_bandpower(data: np.ndarray, sample_rate_hz: float) -> dict[str, np.ndarray]:
+    """{"wavedec_d1", ..., "wavedec_dL", "wavedec_aL"}: relative wavelet
+    energy per level along the last axis of a (..., samples) array."""
     levels = wavedec_levels(sample_rate_hz)
-    names = tuple(f"d{k}" for k in range(1, levels + 1)) + (f"a{levels}",)
-    coeffs = _decompose(data, levels)
+    coeffs = dwt_multilevel(data, levels)
     per_level = np.stack(
         [(d**2).sum(axis=-1) for d in coeffs.details]
         + [(coeffs.approx**2).sum(axis=-1)],
@@ -168,4 +144,5 @@ def wavedec_bandpower(
         out=np.full_like(per_level, 1.0 / (levels + 1)),
         where=total != 0.0,
     )
-    return WaveletEnergy(level_names=names, relative_energy=energy)
+    names = [f"d{k}" for k in range(1, levels + 1)] + [f"a{levels}"]
+    return {f"wavedec_{name}": energy[..., j] for j, name in enumerate(names)}

@@ -58,6 +58,10 @@ PIPELINE_STEPS = (
     "amplitude_reject",
 )
 
+# Fewest channels whose cross-channel z-scores bad-channel rejection takes;
+# the run config refuses fewer when the bad_channels step is in step_order.
+MIN_REJECTION_CHANNELS = 4
+
 
 @dataclass(frozen=True)
 class PreprocessConfig:
@@ -74,8 +78,15 @@ class PreprocessConfig:
             raise ValueError(
                 f"epoch_seconds must be positive, got {self.epoch_seconds}"
             )
+        # notch_hz against Nyquist is checked where the sample rate is known
+        if self.notch_hz <= 0:
+            raise ValueError(f"notch_hz must be positive, got {self.notch_hz}")
         if self.notch_bandwidth_hz <= 0:
             raise ValueError("notch_bandwidth_hz must be positive")
+        if self.amplitude_reject_uv is not None and self.amplitude_reject_uv <= 0:
+            raise ValueError(
+                f"amplitude_reject_uv must be positive, got {self.amplitude_reject_uv}"
+            )
         if self.rejection_zscore <= 0:
             raise ValueError("rejection_zscore must be positive")
         unknown = set(self.step_order) - set(PIPELINE_STEPS)
@@ -183,9 +194,9 @@ def notch_filter(
     Output length equals input length. bandwidth_hz is the -3 dB width of the
     single forward pass.
     """
-    if notch_hz >= sample_rate_hz / 2:
+    if not 0 < notch_hz < sample_rate_hz / 2:
         raise ValueError(
-            f"notch at {notch_hz} Hz is not below Nyquist ({sample_rate_hz / 2} Hz)"
+            f"notch at {notch_hz} Hz is not between 0 and Nyquist ({sample_rate_hz / 2} Hz)"
         )
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
@@ -267,9 +278,10 @@ def reject_bad_channels(
     channel at a time."""
     segment = np.asarray(segment, dtype=np.float64)
     n_channels = segment.shape[-2]
-    if n_channels < 4:
+    if n_channels < MIN_REJECTION_CHANNELS:
         raise PipelineError(
-            f"bad-channel rejection needs >= 4 channels, got {n_channels}"
+            f"bad-channel rejection needs >= {MIN_REJECTION_CHANNELS} channels, "
+            f"got {n_channels}"
         )
 
     measures = {name: np.empty(n_channels) for name in REJECTION_MEASURES}

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eegsong.cli import main
+from eegsong.cli import _build_parser, load_run_config, main
 
 SMALL_CONFIG = {
     "seed": 3,
@@ -221,6 +221,49 @@ class TestSessionIngest:
         assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert "sample_rate_hz must be one of (250, 1000)" in capsys.readouterr().err
         assert not (out / "sessions").exists()
+
+    @pytest.mark.parametrize(
+        "preprocess, flags, message",
+        [
+            ({"notch_hz": 0}, [], "notch_hz must be positive, got 0"),
+            ({"notch_hz": -5}, [], "notch_hz must be positive, got -5"),
+            ({"notch_hz": 200}, [], "notch_hz 200 is not below the Nyquist frequency (125.0 Hz)"),
+            ({"notch_bandwidth_hz": 130}, [], "notch_bandwidth_hz 130 is not below the Nyquist"),
+            ({"amplitude_reject_uv": -1}, [], "amplitude_reject_uv must be positive, got -1"),
+            ({}, ["--epoch-seconds", "1"], "spectopo needs epochs of at least 2 s"),
+            ({}, ["--channels", "3"], "bad_channels step needs at least 4 channels"),
+        ],
+        ids=[
+            "notch_zero",
+            "notch_negative",
+            "notch_above_nyquist",
+            "notch_band_above_nyquist",
+            "amplitude_negative",
+            "epoch_below_spectopo_minimum",
+            "channels_below_rejection_minimum",
+        ],
+    )
+    def test_config_a_stage_cannot_run_is_refused_before_generate(
+        self, preprocess, flags, message, tmp_path, capsys
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(SMALL_CONFIG, preprocess=preprocess)))
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(cfg_path), *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+        assert not (out / "sessions").exists()
+
+    def test_stage_minimums_bind_only_selected_stages(self, tmp_path):
+        def load(*argv):
+            return load_run_config(_build_parser().parse_args(["generate", *argv]))
+
+        assert load("--epoch-seconds", "1", "--features", "dfa,entropy").preprocess.epoch_seconds == 1
+        steps = ["capture", "baseline", "notch", "rereference"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"preprocess": {"step_order": steps}}))
+        assert load("--channels", "3", "--config", str(cfg_path)).generator.n_channels == 3
 
 
 class TestDeterminism:

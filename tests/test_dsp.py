@@ -8,7 +8,7 @@ from scipy import signal
 
 from eegsong import PreprocessConfig, dsp, preprocess, run_pipeline
 from eegsong.core import EEG_BAND_EDGES
-from eegsong.features import welch_psd
+from eegsong.features.spectral import PSD_DB_FLOOR, spectopo_bandpower
 from eegsong.preprocess import (
     _eeg_span_power,
     baseline_correct,
@@ -35,13 +35,23 @@ def test_periodic_hamming_matches_get_window(n_samples):
 
 
 @pytest.mark.parametrize(
-    "notch_hz,quality,fs", [(50.0, 25.0, 250), (60.0, 30.0, 1000), (50.0, 7.5, 250.0)]
+    "notch_hz,quality,fs",
+    # the last two are the ends of scipy's range, 0 Hz and Nyquist, which it accepts
+    [(50.0, 25.0, 250), (60.0, 30.0, 1000), (50.0, 7.5, 250.0), (0.0, 25.0, 250), (125.0, 25.0, 250)],
 )
 def test_iirnotch_matches_scipy(notch_hz, quality, fs):
     b, a = dsp.iirnotch(notch_hz, quality, fs)
     b_ref, a_ref = signal.iirnotch(notch_hz, quality, fs=fs)
     assert np.array_equal(b, b_ref)
     assert np.array_equal(a, a_ref)
+
+
+@pytest.mark.parametrize("notch_hz", [-5.0, -1e-9, 125.5, 200.0])
+def test_iirnotch_refuses_what_scipy_refuses(notch_hz):
+    with pytest.raises(ValueError, match="0 < w0 < 1"):
+        signal.iirnotch(notch_hz, 25.0, fs=FS)
+    with pytest.raises(ValueError, match="0 < w0 < 1"):
+        dsp.iirnotch(notch_hz, 25.0, FS)
 
 
 class TestWelch:
@@ -69,13 +79,17 @@ class TestWelch:
     @pytest.mark.parametrize("lead", SHAPES)
     @pytest.mark.parametrize("n_samples", [500, 2500, 3001])
     def test_welch_psd_matches_scipy(self, lead, n_samples):
+        """spectopo's band power is the dB of scipy's Welch PSD averaged over
+        each band, bit for bit."""
         x = noise(lead, n_samples, seed=1)
-        freqs, psd = welch_psd(x, FS)
-        freqs_ref, psd_ref = signal.welch(
+        freqs, psd = signal.welch(
             x, fs=FS, window="hamming", nperseg=FS, noverlap=FS // 2, detrend=False
         )
-        assert np.array_equal(freqs, freqs_ref)
-        assert np.array_equal(psd, psd_ref)
+        power_db = spectopo_bandpower(x, FS)
+        for name, lo, hi in EEG_BAND_EDGES:
+            mean_psd = psd[..., (freqs >= lo) & (freqs < hi)].mean(axis=-1)
+            expected = 10.0 * np.log10(np.maximum(mean_psd, PSD_DB_FLOOR))
+            assert np.array_equal(power_db[f"spectopo_{name}"], expected)
 
     @pytest.mark.parametrize("n_samples", [200, 2500, 12_001])
     def test_span_power_matches_scipy_welch(self, n_samples):

@@ -5,14 +5,11 @@ import pytest
 
 from eegsong import build_feature_matrix, read_dataset_csv, write_dataset_csv
 from eegsong.core import Epoch
-from eegsong.features import (
-    FEATURE_FAMILIES,
-    dfa,
-    dwt_multilevel,
-    entropy_features,
-    spectopo_bandpower,
-    wavedec_levels,
-)
+from eegsong.features import FEATURE_FAMILIES
+from eegsong.features.dfa import dfa
+from eegsong.features.entropy import entropy_features
+from eegsong.features.spectral import spectopo_bandpower
+from eegsong.features.wavelet import dwt_multilevel, wavedec_levels
 
 FS = 250
 
@@ -97,9 +94,8 @@ def per_channel_reference(epoch):
     fs = epoch.sample_rate_hz
     levels = wavedec_levels(fs)
     for c, x in enumerate(epoch.data):
-        bp = spectopo_bandpower(x, fs)
-        for j, band in enumerate(bp.band_names):
-            out[f"ch{c}_spectopo_{band}"] = bp.power_db[0, j]
+        for name, value in spectopo_bandpower(x, fs).items():
+            out[f"ch{c}_{name}"] = value
         coeffs = dwt_multilevel(x, levels)
         energy = [(d**2).sum() for d in coeffs.details] + [(coeffs.approx**2).sum()]
         names = [f"d{k}" for k in range(1, levels + 1)] + [f"a{levels}"]
@@ -109,11 +105,10 @@ def per_channel_reference(epoch):
         out[f"ch{c}_dfa_alpha"] = result.alpha
         out[f"ch{c}_dfa_dim"] = result.dim
         out[f"ch{c}_dfa_intercept"] = result.intercept
-        for i, (_, f_n) in enumerate(result.fluctuations):
+        for i, f_n in enumerate(result.fluctuations):
             out[f"ch{c}_dfa_f{i:02d}"] = f_n
-        pair = entropy_features(x)
-        out[f"ch{c}_entropy_log_energy"] = pair.log_energy
-        out[f"ch{c}_entropy_shannon"] = pair.shannon
+        for name, value in entropy_features(x, fs).items():
+            out[f"ch{c}_{name}"] = value
     return out
 
 

@@ -6,8 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eegsong.features import DegenerateFluctuationsError, dfa
-from eegsong.features.dfa import default_box_sizes, dfa_batch
+from eegsong.features.dfa import (
+    DegenerateFluctuationsError,
+    default_box_sizes,
+    dfa,
+    dfa_features,
+)
 
 
 def pink_noise(rng, n):
@@ -38,7 +42,7 @@ def naive_fluctuation(x, size):
 def test_fluctuations_match_bruteforce_oracle(rng):
     x = rng.normal(size=3000)
     result = dfa(x)
-    for size, f_n in result.fluctuations:
+    for size, f_n in zip(result.box_sizes, result.fluctuations):
         assert f_n == pytest.approx(naive_fluctuation(x, size), rel=1e-9)
 
 
@@ -47,8 +51,8 @@ def test_alpha_matches_handrolled_fit(rng):
     (log2 n, log2 F) -- recomputed here from the returned fluctuations."""
     x = rng.normal(size=5000)
     result = dfa(x)
-    log_n = np.log2([n for n, _ in result.fluctuations])
-    log_f = np.log2([f for _, f in result.fluctuations])
+    log_n = np.log2(result.box_sizes)
+    log_f = np.log2(result.fluctuations)
     a = np.vstack([log_n, np.ones_like(log_n)]).T
     slope, intercept = np.linalg.lstsq(a, log_f, rcond=None)[0]
     assert result.alpha == pytest.approx(slope, abs=1e-12)
@@ -78,8 +82,7 @@ def test_brown_noise_alpha_three_halves():
 
 def test_fluctuations_nondecreasing_for_noise(rng):
     result = dfa(rng.normal(size=8000))
-    f_values = [f for _, f in result.fluctuations]
-    assert all(b >= a for a, b in zip(f_values, f_values[1:]))
+    assert np.all(np.diff(result.fluctuations) >= 0)
 
 
 def test_dim_is_three_minus_alpha(rng):
@@ -104,9 +107,8 @@ def test_straight_line_gives_quadratic_scaling():
     t = np.arange(4000, dtype=float)
     result = dfa(2.5 * t)
     assert result.alpha == pytest.approx(2.0, abs=0.05)
-    f_by_n = {n: f for n, f in result.fluctuations}
-    sizes = sorted(f_by_n)
-    assert f_by_n[sizes[-1]] / f_by_n[sizes[-2]] == pytest.approx(
+    sizes, f_values = result.box_sizes, result.fluctuations
+    assert f_values[-1] / f_values[-2] == pytest.approx(
         (sizes[-1] / sizes[-2]) ** 2, rel=0.05
     )
 
@@ -132,23 +134,13 @@ def test_too_short_signal():
 
 
 def test_too_few_usable_box_sizes(rng):
-    with pytest.raises(ValueError, match="at least 3 usable box sizes"):
-        dfa(rng.normal(size=1000), box_sizes=[4, 8])
-
-
-def test_custom_box_sizes_filtered_and_used(rng):
-    x = rng.normal(size=1000)
-    result = dfa(x, box_sizes=[2, 4, 8, 16, 32, 64, 9999])  # 2 and 9999 dropped
-    assert [n for n, _ in result.fluctuations] == [4, 8, 16, 32, 64]
-
-
-def test_rejects_2d(rng):
-    with pytest.raises(ValueError, match="1-D"):
-        dfa(rng.normal(size=(2, 500)))
+    # 20 samples allow box sizes 4 and 5 only
+    with pytest.raises(ValueError, match="at least 3 box sizes"):
+        dfa(rng.normal(size=20))
 
 
 class TestBatch:
-    """dfa_batch on a (rows, n) block against the loop oracle and row-by-row dfa."""
+    """dfa on a (rows, n) block against the loop oracle and row by row."""
 
     N = 2500
 
@@ -163,28 +155,27 @@ class TestBatch:
     def test_matches_bruteforce_oracle(self, rng):
         sizes = default_box_sizes(self.N)
         for name, block in self.signals(rng).items():
-            batch = dfa_batch(block)
+            batch = dfa(block)
             assert np.array_equal(batch.box_sizes, sizes)
             oracle = np.array([[naive_fluctuation(row, s) for s in sizes] for row in block])
             np.testing.assert_allclose(batch.fluctuations, oracle, rtol=1e-9, err_msg=name)
 
     def test_matches_row_by_row_dfa(self, rng):
+        """The dfa family's columns of a block equal those of each row alone."""
         for name, block in self.signals(rng).items():
-            batch = dfa_batch(block)
+            columns = dfa_features(block, 250)
+            assert list(columns)[:3] == ["dfa_alpha", "dfa_dim", "dfa_intercept"]
+            assert list(columns)[3:] == [f"dfa_f{i:02d}" for i in range(len(columns) - 3)]
             for r, row in enumerate(block):
-                single = dfa(row)
-                np.testing.assert_allclose(
-                    batch.fluctuations[r],
-                    [f for _, f in single.fluctuations],
-                    rtol=1e-12,
-                    err_msg=name,
-                )
-                assert batch.alpha[r] == pytest.approx(single.alpha, rel=1e-12)
-                assert batch.intercept[r] == pytest.approx(single.intercept, rel=1e-12)
-                assert batch.dim[r] == pytest.approx(single.dim, rel=1e-12)
+                single = dfa_features(row, 250)
+                assert single.keys() == columns.keys()
+                for column, values in columns.items():
+                    np.testing.assert_allclose(
+                        values[r], single[column], rtol=1e-12, err_msg=f"{name} {column}"
+                    )
 
     def test_one_flat_row_is_degenerate(self, rng):
         block = rng.standard_normal((4, self.N))
         block[2] = 1.2
         with pytest.raises(DegenerateFluctuationsError):
-            dfa_batch(block)
+            dfa(block)

@@ -1,13 +1,15 @@
-"""Welch PSD and band power, checked against a hand-rolled DFT oracle."""
+"""Welch PSD and spectopo band power, checked against a hand-rolled DFT oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eegsong.features import BandDefinition, spectopo_bandpower, welch_psd
+from eegsong import dsp
+from eegsong.features.spectral import spectopo_bandpower
 
 FS = 250
+BANDS = ("delta", "theta", "alpha", "beta", "gamma")
 
 
 def naive_welch(x, fs):
@@ -37,23 +39,23 @@ def tone(freq_hz, seconds=10, fs=FS, amplitude=1.0):
 def test_welch_matches_naive_oracle():
     rng = np.random.default_rng(0)
     x = rng.normal(size=2500)
-    freqs, psd = welch_psd(x, FS)
+    freqs, psd = dsp.welch(x, FS, FS, detrend=False)
     freqs_o, psd_o = naive_welch(x, FS)
     assert np.allclose(freqs, freqs_o)
     assert np.allclose(psd, psd_o, rtol=1e-10, atol=1e-14)
 
 
 def test_welch_needs_two_windows():
-    with pytest.raises(ValueError, match="two 1 s windows"):
-        welch_psd(np.zeros(499), FS)
+    with pytest.raises(ValueError, match="need at least 500 samples"):
+        spectopo_bandpower(np.zeros(499), FS)
 
 
 def test_alpha_concentration_for_10hz_tone():
     """>=95% of 1-45 Hz power lands in alpha, per both module and oracle."""
     x = tone(10.0)
-    bp = spectopo_bandpower(x, FS)
-    linear = bp.power_linear[0]
-    names = list(bp.band_names)
+    power_db = spectopo_bandpower(x, FS)
+    assert tuple(power_db) == tuple(f"spectopo_{b}" for b in BANDS)
+    linear = {b: 10.0 ** (power_db[f"spectopo_{b}"] / 10.0) for b in BANDS}
 
     # oracle computes band sums straight from the naive PSD
     freqs_o, psd_o = naive_welch(x, FS)
@@ -63,66 +65,48 @@ def test_alpha_concentration_for_10hz_tone():
 
     # module agrees: alpha mean PSD dwarfs every other band
     weights = {"delta": 3, "theta": 4, "alpha": 5, "beta": 17, "gamma": 15}
-    total = sum(linear[names.index(b)] * weights[b] for b in names)
-    assert linear[names.index("alpha")] * weights["alpha"] / total >= 0.95
+    total = sum(linear[b] * weights[b] for b in BANDS)
+    assert linear["alpha"] * weights["alpha"] / total >= 0.95
 
 
 def test_two_tones_light_up_their_bands():
     x = tone(6.0) + tone(20.0)  # theta + beta
-    bp = spectopo_bandpower(x, FS)
-    db = dict(zip(bp.band_names, bp.power_db[0]))
+    db = spectopo_bandpower(x, FS)
     for hot in ("theta", "beta"):
         for cold in ("delta", "alpha", "gamma"):
-            assert db[hot] - db[cold] >= 10.0
+            assert db[f"spectopo_{hot}"] - db[f"spectopo_{cold}"] >= 10.0
 
 
 @given(st.floats(min_value=0.01, max_value=100.0), st.integers(0, 2**31 - 1))
 def test_amplitude_scaling_adds_exact_db(c, seed):
     x = np.random.default_rng(seed).normal(size=2500)
-    base = spectopo_bandpower(x, FS).power_db
-    scaled = spectopo_bandpower(c * x, FS).power_db
-    assert np.allclose(scaled - base, 20.0 * np.log10(c), atol=1e-6)
+    base = spectopo_bandpower(x, FS)
+    scaled = spectopo_bandpower(c * x, FS)
+    for name in base:
+        assert np.allclose(scaled[name] - base[name], 20.0 * np.log10(c), atol=1e-6)
 
 
 def test_zero_channel_gets_finite_sentinel():
-    bp = spectopo_bandpower(np.zeros((1, 2500)), FS)
-    assert np.all(np.isfinite(bp.power_db))
-    assert np.all(bp.power_db <= -250.0)  # the documented floor, in dB
+    power_db = np.stack(list(spectopo_bandpower(np.zeros((1, 2500)), FS).values()))
+    assert np.all(np.isfinite(power_db))
+    assert np.all(power_db <= -250.0)  # the documented floor, in dB
 
 
 def test_multichannel_rows_independent(rng):
     x = rng.normal(size=(3, 2500))
-    together = spectopo_bandpower(x, FS).power_db
+    together = spectopo_bandpower(x, FS)
     for ch in range(3):
-        alone = spectopo_bandpower(x[ch], FS).power_db[0]
-        assert np.allclose(together[ch], alone)
+        alone = spectopo_bandpower(x[ch], FS)
+        assert alone.keys() == together.keys()
+        for name in together:
+            np.testing.assert_allclose(together[name][ch], alone[name], rtol=1e-12)
 
 
 def test_psd_integral_near_variance():
     """Parseval sanity: integral of the one-sided density ~ signal variance."""
     rng = np.random.default_rng(42)
     x = rng.normal(size=25000)
-    freqs, psd = welch_psd(x, FS)
+    freqs, psd = dsp.welch(x, FS, FS, detrend=False)
     df = freqs[1] - freqs[0]
     total = psd.sum() * df
     assert abs(total - x.var()) / x.var() < 0.05
-
-
-def test_band_definition_validation():
-    with pytest.raises(ValueError, match="must be <"):
-        BandDefinition(bands=(("bad", 10.0, 10.0),))
-    with pytest.raises(ValueError, match="overlaps or descends"):
-        BandDefinition(bands=(("a", 1.0, 8.0), ("b", 4.0, 13.0)))
-
-
-def test_band_without_bins_rejected():
-    # 1 Hz resolution puts bins on integers only; (1.3, 1.7) is empty
-    bands = BandDefinition(bands=(("sliver", 1.3, 1.7),))
-    with pytest.raises(ValueError, match="no PSD bins"):
-        spectopo_bandpower(tone(10.0), FS, bands)
-
-
-def test_band_above_nyquist_rejected():
-    bands = BandDefinition(bands=(("hf", 100.0, 140.0),))
-    with pytest.raises(ValueError, match="Nyquist"):
-        spectopo_bandpower(tone(10.0), FS, bands)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eegsong.features import (
+from eegsong.features.wavelet import (
     DB8_HIGHPASS,
     DB8_LOWPASS,
     dwt_multilevel,
@@ -20,6 +20,11 @@ FS = 250
 
 def rel_l2(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def relative_energy(x):
+    """The wavedec columns of x stacked on a last axis, d1..d5 then a5."""
+    return np.stack(list(wavedec_bandpower(x, FS).values()), axis=-1)
 
 
 class TestFilterBank:
@@ -100,9 +105,16 @@ class TestTransform:
         with pytest.raises(ValueError, match="level 3"):
             dwt_multilevel(np.zeros(60), levels=3)  # 60 -> 30 -> 15 < 16 taps
 
-    def test_rejects_2d(self):
-        with pytest.raises(ValueError, match="1-D"):
-            dwt_multilevel(np.zeros((4, 256)), levels=1)
+    def test_block_equals_row_by_row(self, rng):
+        block = rng.normal(size=(3, 2500))
+        coeffs = dwt_multilevel(block, levels=5)
+        rebuilt = idwt_multilevel(coeffs)
+        for r, row in enumerate(block):
+            single = dwt_multilevel(row, levels=5)
+            np.testing.assert_allclose(coeffs.approx[r], single.approx, rtol=1e-12)
+            for d_block, d_row in zip(coeffs.details, single.details):
+                np.testing.assert_allclose(d_block[r], d_row, rtol=1e-12)
+            np.testing.assert_allclose(rebuilt[r], idwt_multilevel(single), rtol=1e-12)
 
     def test_rejects_zero_levels(self):
         with pytest.raises(ValueError, match=">= 1"):
@@ -115,19 +127,19 @@ class TestBandpower:
         assert wavedec_levels(1000) == 7
 
     def test_level_names(self):
-        we = wavedec_bandpower(np.zeros((1, 2500)), FS)
-        assert we.level_names == ("d1", "d2", "d3", "d4", "d5", "a5")
+        columns = wavedec_bandpower(np.zeros((1, 2500)), FS)
+        assert list(columns) == [f"wavedec_{n}" for n in ("d1", "d2", "d3", "d4", "d5", "a5")]
 
     def test_simplex_property(self, rng):
-        we = wavedec_bandpower(rng.normal(size=(4, 2500)), FS)
-        assert np.all(we.relative_energy >= 0)
-        assert np.allclose(we.relative_energy.sum(axis=1), 1.0, atol=1e-9)
+        energy = relative_energy(rng.normal(size=(4, 2500)))
+        assert np.all(energy >= 0)
+        assert np.allclose(energy.sum(axis=1), 1.0, atol=1e-9)
 
     def test_10hz_tone_peaks_in_d4(self):
         # d4 covers fs/2^5 .. fs/2^4 = 7.8-15.6 Hz at 250 Hz
         t = np.arange(2500) / FS
-        we = wavedec_bandpower(np.sin(2 * np.pi * 10.0 * t), FS)
-        assert we.level_names[int(np.argmax(we.relative_energy[0]))] == "d4"
+        columns = wavedec_bandpower(np.sin(2 * np.pi * 10.0 * t), FS)
+        assert max(columns, key=columns.get) == "wavedec_d4"
 
     def test_white_noise_energy_tracks_bandwidth(self):
         """Each detail level holds ~its bandwidth fraction of white noise."""
@@ -135,35 +147,41 @@ class TestBandpower:
         n_seeds = 20
         for seed in range(n_seeds):
             x = np.random.default_rng(seed).normal(size=4096)
-            accum += wavedec_bandpower(x, FS).relative_energy[0]
+            accum += relative_energy(x)
         mean_energy = accum / n_seeds
         # d1 spans the top half of the spectrum, d2 a quarter, ...
         expected = np.array([0.5, 0.25, 0.125, 0.0625, 0.03125, 0.03125])
         assert np.abs(mean_energy - expected).max() <= 0.05
 
     def test_zero_signal_flat_distribution(self):
-        we = wavedec_bandpower(np.zeros(2500), FS)
-        assert np.allclose(we.relative_energy, 1.0 / 6.0)
+        assert np.allclose(relative_energy(np.zeros(2500)), 1.0 / 6.0)
 
     def test_block_matches_per_row_transform(self, rng):
         # 2500 samples give odd lengths at the deeper levels (625 -> 313 -> 157)
         block = rng.normal(size=(6, 2500))
-        we = wavedec_bandpower(block, FS)
+        energy_block = relative_energy(block)
         for r, row in enumerate(block):
             coeffs = dwt_multilevel(row, wavedec_levels(FS))
             energy = np.array(
                 [(d**2).sum() for d in coeffs.details] + [(coeffs.approx**2).sum()]
             )
             np.testing.assert_allclose(
-                we.relative_energy[r], energy / energy.sum(), rtol=0, atol=1e-14
+                energy_block[r], energy / energy.sum(), rtol=0, atol=1e-14
             )
+
+    def test_block_equals_row_by_row(self, rng):
+        block = rng.normal(size=(4, 2500))
+        columns = wavedec_bandpower(block, FS)
+        for r, row in enumerate(block):
+            single = wavedec_bandpower(row, FS)
+            assert single.keys() == columns.keys()
+            for name, values in columns.items():
+                np.testing.assert_allclose(values[r], single[name], rtol=1e-12, err_msg=name)
 
     def test_zero_row_in_block_is_flat_and_isolated(self, rng):
         block = rng.normal(size=(4, 2500))
-        with_zero = np.insert(block, 1, 0.0, axis=0)
-        we = wavedec_bandpower(with_zero, FS)
-        assert np.allclose(we.relative_energy[1], 1.0 / 6.0)
-        alone = wavedec_bandpower(block, FS).relative_energy
+        with_zero = relative_energy(np.insert(block, 1, 0.0, axis=0))
+        assert np.allclose(with_zero[1], 1.0 / 6.0)
         np.testing.assert_allclose(
-            np.delete(we.relative_energy, 1, axis=0), alone, rtol=0, atol=1e-15
+            np.delete(with_zero, 1, axis=0), relative_energy(block), rtol=0, atol=1e-15
         )

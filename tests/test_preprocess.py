@@ -40,6 +40,14 @@ class TestConfig:
             with pytest.raises(ValueError, match="epoch_seconds must be positive"):
                 PreprocessConfig(epoch_seconds=bad)
 
+    def test_notch_and_amplitude_thresholds_must_be_positive(self):
+        PreprocessConfig(amplitude_reject_uv=None)
+        for bad in (0, -5):
+            with pytest.raises(ValueError, match="notch_hz must be positive"):
+                PreprocessConfig(notch_hz=bad)
+            with pytest.raises(ValueError, match="amplitude_reject_uv must be positive"):
+                PreprocessConfig(amplitude_reject_uv=bad)
+
     def test_unknown_step_rejected(self):
         with pytest.raises(ValueError, match="unknown pipeline steps"):
             PreprocessConfig(step_order=("capture", "despeckle"))
@@ -198,6 +206,11 @@ class TestNotch:
     def test_rejects_notch_at_nyquist(self):
         with pytest.raises(ValueError, match="Nyquist"):
             notch_filter(np.zeros(100), 80.0, notch_hz=50.0)
+
+    def test_rejects_notch_at_or_below_zero(self):
+        for notch_hz in (0.0, -5.0):
+            with pytest.raises(ValueError, match="not between 0 and Nyquist"):
+                notch_filter(np.zeros(100), FS, notch_hz=notch_hz)
 
 
 class TestRereference:
