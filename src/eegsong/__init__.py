@@ -32,7 +32,7 @@ from .features import (
     read_dataset_csv,
     write_dataset_csv,
 )
-from .models import ModelSpec, TrainedModel, fit, fit_dataset, load_model, predict, predict_labels, predict_proba, save_model
+from .models import ModelSpec, TrainedModel, fit, fit_dataset, load_model, predict_labels, predict_proba, save_model
 from .preprocess import PreprocessConfig, run_pipeline
 from .synth import GeneratorConfig, generate_session, read_session, write_session
 
@@ -62,7 +62,6 @@ __all__ = [
     "fit_dataset",
     "generate_session",
     "load_model",
-    "predict",
     "predict_labels",
     "predict_proba",
     "read_dataset_csv",

@@ -31,7 +31,7 @@ from .evaluation import (
 )
 from .features import FEATURE_FAMILIES, build_feature_matrix, read_dataset_csv, write_dataset_csv
 from .features.spectral import SPECTOPO_MIN_SECONDS
-from .models import ModelSpec, fit_dataset, load_model, save_model
+from .models import MODEL_KINDS, ModelSpec, fit_dataset, load_model, save_model
 from .preprocess import (
     MIN_REJECTION_CHANNELS,
     EpochsReader,
@@ -412,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--features", metavar="LIST", help=f"comma-separated subset of {','.join(FEATURE_FAMILIES)}"
     )
-    common.add_argument("--model", metavar="KIND", help="model kind (knn, tree, gboost, gnb, mlp, kmeans, gmm)")
+    common.add_argument("--model", metavar="KIND", help=f"model kind ({', '.join(MODEL_KINDS)})")
     common.add_argument("--test-fraction", type=float, dest="test_fraction", help="held-out fraction")
     common.add_argument("--subjects", type=int, help="number of synthetic subjects")
     common.add_argument("--channels", type=int, help="channels per synthetic session")

@@ -186,14 +186,6 @@ class SessionRecording:
     def n_samples(self) -> int:
         return self.samples.shape[1]
 
-    @property
-    def duration_seconds(self) -> float:
-        return self.n_samples / self.sample_rate_hz
-
-    def song_ids(self) -> list[int]:
-        """Song ids with a song_start marker, in temporal order."""
-        return [m.song_id for m in self.markers if m.kind == "song_start"]
-
 
 @dataclass(frozen=True)
 class Epoch:
@@ -225,10 +217,6 @@ class Epoch:
     @property
     def n_samples(self) -> int:
         return self.data.shape[1]
-
-    @property
-    def duration_seconds(self) -> float:
-        return self.n_samples / self.sample_rate_hz
 
     def with_data(self, new_data: np.ndarray) -> Epoch:
         """New epoch with replaced data, same identity and baseline offset."""

@@ -158,10 +158,7 @@ def evaluate(model: TrainedModel, test: Dataset) -> EvalReport:
     if test.n_rows == 0:
         raise EvalError("cannot evaluate an empty test set")
     predicted = predict_labels(model, test.X)
-    known = (
-        model.cluster_labels if model.is_clustering else model.classes
-    )
-    class_labels = np.unique(np.concatenate([test.labels, np.asarray(known)]))
+    class_labels = np.unique(np.concatenate([test.labels, model.classes]))
     return report_from_predictions(test.labels, predicted, test.subject_id, class_labels)
 
 

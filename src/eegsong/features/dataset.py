@@ -213,6 +213,12 @@ def read_dataset_csv(path: str | Path) -> Dataset:
     if not X_rows:
         raise ValueError(f"{path}: dataset has no rows")
     X = np.array(X_rows, dtype=np.float64)
+    finite = np.isfinite(X)
+    if not finite.all():
+        row, column = np.argwhere(~finite)[0]
+        raise ValueError(
+            f"{path}: row {row + 2}: non-finite value in column {feature_names[column]}"
+        )
     meta = np.array(meta_rows, dtype=np.int64)
     return Dataset(
         X=X,

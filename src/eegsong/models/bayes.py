@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import diag_gaussian_log_pdf, normalize_log_scores
+from .common import ModelSpec, diag_gaussian_log_pdf, normalize_log_scores
 
 GNB_VAR_FLOOR = 1e-9
 
 
 def fit_gnb(
-    X: np.ndarray, y_idx: np.ndarray, n_classes: int
+    X: np.ndarray, y_idx: np.ndarray, n_classes: int, spec: ModelSpec
 ) -> dict[str, np.ndarray]:
     n, d = X.shape
     means = np.empty((n_classes, d))
@@ -24,7 +24,9 @@ def fit_gnb(
     return {"means": means, "variances": variances, "log_priors": log_priors}
 
 
-def gnb_proba(params: dict[str, np.ndarray], rows: np.ndarray) -> np.ndarray:
+def gnb_scores(
+    params: dict[str, np.ndarray], rows: np.ndarray, n_classes: int
+) -> np.ndarray:
     return normalize_log_scores(
         diag_gaussian_log_pdf(rows, params["means"], params["variances"])
         + params["log_priors"][None, :]

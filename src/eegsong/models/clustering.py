@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import FitError, diag_gaussian_log_pdf, normalize_log_scores
+from .common import FitError, ModelSpec, diag_gaussian_log_pdf, normalize_log_scores, one_hot
 
 KMEANS_MAX_ITER = 300
 GMM_MAX_ITER = 200
@@ -35,7 +35,7 @@ def _plus_plus_init(
     return centroids
 
 
-def fit_kmeans(
+def _lloyd(
     X: np.ndarray, k: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (centroids, assignments, per-iteration objective)."""
@@ -67,10 +67,22 @@ def fit_kmeans(
     return centroids, assignments, np.asarray(history)
 
 
-def kmeans_assign(centroids: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def fit_kmeans(
+    X: np.ndarray, y_idx: np.ndarray, k: int, spec: ModelSpec
+) -> dict[str, np.ndarray]:
+    """The centroids plus objective, the summed squared distance of each
+    iteration."""
+    centroids, _, objective = _lloyd(X, k, spec.seed)
+    return {"centroids": centroids, "objective": objective}
+
+
+def kmeans_scores(
+    params: dict[str, np.ndarray], rows: np.ndarray, k: int
+) -> np.ndarray:
+    """Hard assignment to the nearest centroid as a one-hot score table."""
     from scipy.spatial.distance import cdist
 
-    return np.argmin(cdist(rows, centroids, metric="sqeuclidean"), axis=1)
+    return one_hot(np.argmin(cdist(rows, params["centroids"], metric="sqeuclidean"), axis=1), k)
 
 
 def _gmm_log_components(
@@ -83,17 +95,17 @@ def _gmm_log_components(
 
 
 def fit_gmm(
-    X: np.ndarray, k: int, var_floor: float, seed: int
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    X: np.ndarray, y_idx: np.ndarray, k: int, spec: ModelSpec
+) -> dict[str, np.ndarray]:
     """EM for a diagonal Gaussian mixture, seeded from k-means.
 
-    Returns the parameter dict and the per-iteration total log-likelihood,
-    which is non-decreasing up to the stopping tolerance.
+    Returns the mixture plus loglik, the total log-likelihood of each
+    iteration, which is non-decreasing up to the stopping tolerance.
     """
     from scipy.special import logsumexp
 
     n, d = X.shape
-    centroids, assignments, _ = fit_kmeans(X, k, seed)
+    centroids, assignments, _ = _lloyd(X, k, spec.seed)
     weights = np.bincount(assignments, minlength=k) / n
     weights = np.clip(weights, 1e-12, None)
     weights /= weights.sum()
@@ -102,7 +114,7 @@ def fit_gmm(
     for c in range(k):
         member = assignments == c
         variances[c] = X[member].var(axis=0) if member.any() else X.var(axis=0)
-    variances = np.maximum(variances, var_floor)
+    variances = np.maximum(variances, spec.gmm_var_floor)
 
     history = []
     for _ in range(GMM_MAX_ITER):
@@ -119,12 +131,12 @@ def fit_gmm(
         for c in range(k):
             diff = X - means[c]
             variances[c] = (resp[:, c] @ diff**2) / mass[c]
-        variances = np.maximum(variances, var_floor)
-    params = {"weights": weights, "means": means, "variances": variances}
-    return params, np.asarray(history)
+        variances = np.maximum(variances, spec.gmm_var_floor)
+    return {"weights": weights, "means": means, "variances": variances, "loglik": np.asarray(history)}
 
 
-def gmm_responsibilities(params: dict[str, np.ndarray], rows: np.ndarray) -> np.ndarray:
+def gmm_scores(params: dict[str, np.ndarray], rows: np.ndarray, k: int) -> np.ndarray:
+    """Each row's posterior responsibility under each component."""
     return normalize_log_scores(
         _gmm_log_components(rows, params["weights"], params["means"], params["variances"])
     )

@@ -61,11 +61,12 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class TrainedModel:
-    """A fitted model: kind tag, learned arrays, class list, and the feature
+    """A fitted model: kind tag, learned arrays, and the feature
     standardization captured at fit time.
 
-    For clustering kinds, classes are cluster ids 0..k-1 and cluster_labels
-    maps each cluster to its majority training song label.
+    classes[c] is the training label that score column c stands for: the
+    class itself for supervised kinds, cluster c's majority training label
+    for clustering kinds.
     """
 
     kind: str
@@ -73,15 +74,10 @@ class TrainedModel:
     feature_mean: np.ndarray
     feature_std: np.ndarray
     params: dict[str, np.ndarray]
-    cluster_labels: np.ndarray | None = None
 
     @property
     def width(self) -> int:
         return self.feature_mean.shape[0]
-
-    @property
-    def is_clustering(self) -> bool:
-        return self.kind in CLUSTERING_KINDS
 
 
 def fit_standardization(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,6 +99,10 @@ def check_rows(model: TrainedModel, rows: np.ndarray) -> np.ndarray:
         raise PredictError(
             f"row width {rows.shape[1]} does not match model width {model.width}"
         )
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
+        raise PredictError(f"non-finite feature values in row {bad}")
     return apply_standardization(rows, model.feature_mean, model.feature_std)
 
 

@@ -9,24 +9,25 @@ import numpy as np
 from ..core import atomic_write, read_archive
 from .common import TrainedModel
 
-# Version 2 stores tree and gboost models as one flat forest with per-tree roots.
-FORMAT_VERSION = 2
+# Version 3 names every score column in classes, clustering kinds included;
+# version 2 held cluster ids there and the cluster-to-label map beside them.
+FORMAT_VERSION = 3
 _PARAM_PREFIX = "param_"
 _MODEL_ARRAYS = ("kind", "classes", "feature_mean", "feature_std")
 _FOREST = (
     "param_roots", "param_feature", "param_threshold", "param_left", "param_right",
     "param_value",
 )
-# The arrays each kind's fit stores beyond _MODEL_ARRAYS: its parameters,
-# its training curve, and for clustering kinds the cluster-to-label map.
+# The arrays each kind's fit stores beyond _MODEL_ARRAYS: its parameters
+# and its training curve.
 _KIND_ARRAYS = {
     "knn": ("param_train_x", "param_train_y_idx", "param_k"),
     "tree": _FOREST,
     "gboost": (*_FOREST, "param_learning_rate", "param_train_loss"),
     "gnb": ("param_means", "param_variances", "param_log_priors"),
     "mlp": ("param_w1", "param_b1", "param_w2", "param_b2", "param_epoch_loss"),
-    "kmeans": ("param_centroids", "param_objective", "cluster_labels"),
-    "gmm": ("param_weights", "param_means", "param_variances", "param_loglik", "cluster_labels"),
+    "kmeans": ("param_centroids", "param_objective"),
+    "gmm": ("param_weights", "param_means", "param_variances", "param_loglik"),
 }
 
 
@@ -39,8 +40,6 @@ def save_model(model: TrainedModel, path: str | Path) -> Path:
         "feature_mean": model.feature_mean,
         "feature_std": model.feature_std,
     }
-    if model.cluster_labels is not None:
-        payload["cluster_labels"] = model.cluster_labels
     for name, value in model.params.items():
         payload[_PARAM_PREFIX + name] = np.asarray(value)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -70,5 +69,4 @@ def load_model(path: str | Path) -> TrainedModel:
         feature_mean=arrays["feature_mean"],
         feature_std=arrays["feature_std"],
         params=params,
-        cluster_labels=arrays.get("cluster_labels"),
     )

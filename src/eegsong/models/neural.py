@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import mean_cross_entropy, one_hot, softmax
-
-PARAM_NAMES = ("w1", "b1", "w2", "b2")
+from .common import ModelSpec, mean_cross_entropy, one_hot, softmax
 
 
 def init_mlp(
@@ -24,9 +22,11 @@ def init_mlp(
     }
 
 
-def mlp_logits(params: dict[str, np.ndarray], X: np.ndarray) -> np.ndarray:
-    hidden = np.maximum(X @ params["w1"] + params["b1"], 0.0)
-    return hidden @ params["w2"] + params["b2"]
+def mlp_scores(
+    params: dict[str, np.ndarray], rows: np.ndarray, n_classes: int
+) -> np.ndarray:
+    hidden = np.maximum(rows @ params["w1"] + params["b1"], 0.0)
+    return softmax(hidden @ params["w2"] + params["b2"])
 
 
 def mlp_loss_and_grads(
@@ -52,28 +52,24 @@ def mlp_loss_and_grads(
     return loss, grads
 
 
-def train_mlp(
-    X: np.ndarray,
-    y_idx: np.ndarray,
-    n_classes: int,
-    hidden: int,
-    epochs: int,
-    learning_rate: float,
-    batch: int,
-    seed: int,
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    rng = np.random.default_rng(seed)
-    params = init_mlp(rng, X.shape[1], hidden, n_classes)
+def fit_mlp(
+    X: np.ndarray, y_idx: np.ndarray, n_classes: int, spec: ModelSpec
+) -> dict[str, np.ndarray]:
+    """The trained weights plus epoch_loss, the mean minibatch loss of each
+    epoch."""
+    rng = np.random.default_rng(spec.seed)
+    params = init_mlp(rng, X.shape[1], spec.mlp_hidden, n_classes)
     n = X.shape[0]
-    epoch_losses = np.empty(epochs)
-    for e in range(epochs):
+    epoch_loss = np.empty(spec.mlp_epochs)
+    for e in range(spec.mlp_epochs):
         perm = rng.permutation(n)
         losses = []
-        for start in range(0, n, batch):
-            take = perm[start : start + batch]
+        for start in range(0, n, spec.mlp_batch):
+            take = perm[start : start + spec.mlp_batch]
             loss, grads = mlp_loss_and_grads(params, X[take], y_idx[take], n_classes)
-            for name in PARAM_NAMES:
-                params[name] -= learning_rate * grads[name]
+            for name, grad in grads.items():
+                params[name] -= spec.mlp_learning_rate * grad
             losses.append(loss)
-        epoch_losses[e] = float(np.mean(losses))
-    return params, epoch_losses
+        epoch_loss[e] = float(np.mean(losses))
+    params["epoch_loss"] = epoch_loss
+    return params

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import FitError, PredictError, mean_cross_entropy, one_hot, softmax
+from .common import FitError, ModelSpec, PredictError, mean_cross_entropy, one_hot, softmax
 
 LEAF = -1
 Forest = dict[str, np.ndarray]
@@ -204,54 +204,64 @@ def _newton_leaf_values(
         tree["value"][leaf] = 0.0 if denom < 1e-150 else scale * float(r.sum()) / denom
 
 
-def fit_gradient_boosting(
-    X: np.ndarray,
-    y_idx: np.ndarray,
-    n_classes: int,
-    rounds: int,
-    depth: int,
-    learning_rate: float,
-) -> tuple[Forest, np.ndarray]:
+def fit_tree(
+    X: np.ndarray, y_idx: np.ndarray, n_classes: int, spec: ModelSpec
+) -> Forest:
+    return grow_tree(X, one_hot(y_idx, n_classes), spec.tree_max_depth, spec.tree_min_leaf)
+
+
+def tree_scores(forest: Forest, rows: np.ndarray, n_classes: int) -> np.ndarray:
+    """The class fractions of each row's leaf."""
+    return forest["value"][forest_leaves(forest, rows)[:, 0]]
+
+
+def fit_gboost(
+    X: np.ndarray, y_idx: np.ndarray, n_classes: int, spec: ModelSpec
+) -> dict[str, np.ndarray]:
     """Additive model on the softmax cross-entropy objective.
 
     Each round fits one shallow regression tree per class to the negative
     gradient (one-hot minus predicted probability), then sets each leaf by a
     single Newton step on that objective.  Returns one round-major forest
-    (tree r * n_classes + c is class c of round r) and the training loss
-    after each round.
+    (tree r * n_classes + c is class c of round r) with the learning rate and
+    train_loss, the training loss after each round.
     """
     n = X.shape[0]
     targets = one_hot(y_idx, n_classes)
     logits = np.zeros((n, n_classes))
     trees: list[Forest] = []
-    losses = np.empty(rounds)
+    losses = np.empty(spec.gboost_rounds)
     sorted_idx = np.argsort(X, axis=0, kind="stable")
     proba = softmax(logits)
-    for r in range(rounds):
+    for r in range(spec.gboost_rounds):
         residual = targets - proba
         for c in range(n_classes):
-            t = grow_tree(X, residual[:, c : c + 1], depth, 1, sorted_idx=sorted_idx)
+            t = grow_tree(X, residual[:, c : c + 1], spec.gboost_depth, 1, sorted_idx=sorted_idx)
             leaf_ids = forest_leaves(t, X)[:, 0]
             _newton_leaf_values(t, leaf_ids, residual[:, c], n_classes)
-            logits[:, c] += learning_rate * t["value"][leaf_ids, 0]
+            logits[:, c] += spec.gboost_learning_rate * t["value"][leaf_ids, 0]
             trees.append(t)
         proba = softmax(logits)
         losses[r] = mean_cross_entropy(proba, y_idx)
-    return join_forests(trees), losses
+    params = join_forests(trees)
+    params["learning_rate"] = np.asarray(spec.gboost_learning_rate)
+    params["train_loss"] = losses
+    return params
 
 
-def gboost_logits(
-    forest: Forest, learning_rate: float, X: np.ndarray, n_classes: int
+def gboost_scores(
+    params: dict[str, np.ndarray], rows: np.ndarray, n_classes: int
 ) -> np.ndarray:
-    """Summed leaf values of a round-major forest, one logit column per class,
-    added one round at a time."""
-    n_trees = forest["roots"].shape[0]
+    """Softmax of the summed leaf values of a round-major forest, one logit
+    column per class, added one round at a time."""
+    n_trees = params["roots"].shape[0]
     if n_trees % n_classes:
         raise PredictError(
             f"boosted forest of {n_trees} trees is not whole rounds of {n_classes} classes"
         )
-    leaf_values = forest["value"][forest_leaves(forest, X), 0]
-    logits = np.zeros((X.shape[0], n_classes))
+    learning_rate = float(params["learning_rate"])
+    leaf_values = params["value"][forest_leaves(params, rows), 0]
+    logits = np.zeros((rows.shape[0], n_classes))
     for r in range(0, n_trees, n_classes):
         logits += learning_rate * leaf_values[:, r : r + n_classes]
-    return logits
+    return softmax(logits)

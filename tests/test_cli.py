@@ -352,6 +352,21 @@ class TestErrorHandling:
         assert err.startswith("error: ")
         assert f"{model_path}: model archive has no param_value array" in err
 
+    def test_nonfinite_dataset_value_is_refused_by_split(self, workspace, tmp_path, capsys):
+        _, cfg_path, run = workspace
+        lines = (run / "dataset.csv").read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[1] = "nan"
+        lines[2] = ",".join(fields)
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "dataset.csv").write_text("\n".join(lines) + "\n")
+        column = lines[0].split(",")[1]
+        assert main(["split", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"row 3: non-finite value in column {column}" in err
+
     def test_bad_flag_value_exits_two(self, capsys):
         assert main(["pipeline", "--epoch-seconds", "ten"]) == 2
         capsys.readouterr()

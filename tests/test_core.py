@@ -51,21 +51,10 @@ class TestSessionRecording:
         s = make_session(n_channels=6, n_samples=500)
         assert s.n_channels == 6
         assert s.n_samples == 500
-        assert s.duration_seconds == 2.0
 
     def test_rejects_1d_samples(self):
         with pytest.raises(ValueError, match="2-D"):
             SessionRecording(1, 250, np.zeros(100), (), {})
-
-    def test_song_ids_in_temporal_order(self):
-        markers = [
-            EventMarker("song_start", 10, song_id=2),
-            EventMarker("song_end", 20, song_id=2),
-            EventMarker("song_start", 30, song_id=1),
-            EventMarker("song_end", 40, song_id=1),
-        ]
-        s = make_session(markers=markers, ratings={1: (3, 3), 2: (4, 4)})
-        assert s.song_ids() == [2, 1]
 
 
 class TestEpoch:

@@ -197,6 +197,21 @@ class TestCsv:
         with pytest.raises(ValueError, match="row 3"):
             read_dataset_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_value_cites_row_and_column(self, rng, tmp_path, value):
+        ds = build_feature_matrix([make_epoch(rng, index=i) for i in range(2)], ["entropy"])
+        path = tmp_path / "ds.csv"
+        write_dataset_csv(ds, path)
+        lines = path.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[1] = value
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(
+            ValueError, match=f"row 3: non-finite value in column {ds.feature_names[1]}"
+        ):
+            read_dataset_csv(path)
+
     def test_header_only_no_rows(self, rng, tmp_path):
         ds = build_feature_matrix([make_epoch(rng)], ["entropy"])
         path = tmp_path / "ds.csv"

@@ -12,12 +12,12 @@ from eegsong.models import (
     PredictError,
     fit,
     load_model,
-    predict,
     predict_labels,
     predict_proba,
     save_model,
 )
 from eegsong.models.common import majority_label, one_hot
+from eegsong.models.io import _KIND_ARRAYS, _MODEL_ARRAYS
 from eegsong.models.neural import init_mlp, mlp_loss_and_grads
 from eegsong.models.trees import LEAF, forest_leaves, grow_tree, join_forests
 
@@ -88,7 +88,7 @@ class TestBasicsAcrossKinds:
         model = fit(ModelSpec(kind=kind, seed=0), X, y)
         rows = X[::5]
         expected = model.classes[np.argmax(predict_proba(model, rows), axis=1)]
-        assert np.array_equal(predict(model, rows), expected)
+        assert np.array_equal(predict_labels(model, rows), expected)
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_refit_is_deterministic(self, kind, rng):
@@ -105,8 +105,8 @@ class TestBasicsAcrossKinds:
         scale = np.array([100.0, 0.001])
         shift = np.array([-40.0, 7.0])
         spec = ModelSpec(kind=kind, seed=0)
-        plain = predict(fit(spec, X, y), probe)
-        rescaled = predict(fit(spec, X * scale + shift, y), probe * scale + shift)
+        plain = predict_labels(fit(spec, X, y), probe)
+        rescaled = predict_labels(fit(spec, X * scale + shift, y), probe * scale + shift)
         assert np.array_equal(plain, rescaled)
 
 
@@ -114,7 +114,7 @@ class TestNeighbors:
     def test_k1_memorizes_training_set(self, rng):
         X, y = blobs(rng, THREE_CENTERS, 20)
         model = fit(ModelSpec(kind="knn", knn_k=1), X, y)
-        assert np.array_equal(predict(model, X), y)
+        assert np.array_equal(predict_labels(model, X), y)
 
     def test_unanimous_neighborhood_gives_certainty(self, rng):
         X, y = blobs(rng, TWO_CENTERS, 20, scale=0.1)
@@ -128,7 +128,7 @@ class TestNeighbors:
         model = fit(ModelSpec(kind="knn", knn_k=2), X, np.array([5, 9]))
         proba = predict_proba(model, np.array([[1.0]]))
         np.testing.assert_allclose(proba, [[0.5, 0.5]])
-        assert predict(model, np.array([[1.0]]))[0] == 5  # tie -> smaller label
+        assert predict_labels(model, np.array([[1.0]]))[0] == 5  # tie -> smaller label
 
     def test_k_larger_than_training_set(self, rng):
         X, y = blobs(rng, TWO_CENTERS, 5)
@@ -144,7 +144,7 @@ class TestBayes:
             X, y = blobs(r, [(-5.0, -5.0), (5.0, 5.0)], 30, scale=1.0)
             Xt, yt = blobs(r, [(-5.0, -5.0), (5.0, 5.0)], 20, scale=1.0)
             model = fit(ModelSpec(kind="gnb"), X, y)
-            accs.append(np.mean(predict(model, Xt) == yt))
+            accs.append(np.mean(predict_labels(model, Xt) == yt))
         assert np.mean(accs) >= 0.99
 
     def test_priors_follow_class_frequencies(self, rng):
@@ -161,7 +161,7 @@ class TestTrees:
     def test_deep_tree_fits_training_data(self, rng):
         X, y = blobs(rng, THREE_CENTERS, 25)
         model = fit(ModelSpec(kind="tree", tree_max_depth=12, tree_min_leaf=1), X, y)
-        assert np.mean(predict(model, X) == y) == 1.0
+        assert np.mean(predict_labels(model, X) == y) == 1.0
 
     def test_depth_one_tree_is_a_stump(self, rng):
         X, y = blobs(rng, TWO_CENTERS, 25)
@@ -285,7 +285,7 @@ class TestNeural:
     def test_mlp_learns_separable_blobs(self, rng):
         X, y = blobs(rng, THREE_CENTERS, 30)
         model = fit(ModelSpec(kind="mlp", mlp_epochs=100, seed=0), X, y)
-        assert np.mean(predict(model, X) == y) >= 0.95
+        assert np.mean(predict_labels(model, X) == y) >= 0.95
         loss = model.params["epoch_loss"]
         assert loss[-1] < loss[0]
 
@@ -315,11 +315,8 @@ class TestClustering:
         X, y01 = blobs(rng, TWO_CENTERS, 30, scale=0.3)
         labels = np.where(y01 == 0, 3, 8)
         model = fit(ModelSpec(kind="kmeans", seed=0), X, labels)
-        ids = predict(model, X)
-        assert set(np.unique(ids)) <= {0, 1}
-        mapped = predict_labels(model, X)
-        assert set(np.unique(mapped)) <= {3, 8}
-        assert np.mean(mapped == labels) == 1.0
+        assert sorted(model.classes.tolist()) == [3, 8]
+        assert np.array_equal(predict_labels(model, X), labels)
 
     def test_gmm_recovers_separated_blobs(self, rng):
         X, y01 = blobs(rng, TWO_CENTERS, 30, scale=0.3)
@@ -359,7 +356,17 @@ class TestErrorPaths:
         X, y = blobs(rng, TWO_CENTERS, 10)
         model = fit(ModelSpec(kind="knn"), X, y)
         with pytest.raises(PredictError, match="row width 2 does not match model width 3"):
-            predict(model, np.zeros((4, 2)))
+            predict_labels(model, np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_prediction_row_is_named(self, kind, value, rng):
+        X, y = blobs(rng, THREE_CENTERS, 10)
+        model = fit(ModelSpec(kind=kind, seed=0), X, y)
+        rows = X[:5].copy()
+        rows[3, 1] = value
+        with pytest.raises(PredictError, match="non-finite feature values in row 3"):
+            predict_proba(model, rows)
 
 
 class TestSerialization:
@@ -372,13 +379,22 @@ class TestSerialization:
         assert back.kind == kind
         assert np.array_equal(back.classes, model.classes)
         assert np.array_equal(predict_proba(back, X), predict_proba(model, X))
-        if model.is_clustering:
-            assert np.array_equal(back.cluster_labels, model.cluster_labels)
-            assert np.array_equal(predict_labels(back, X), predict_labels(model, X))
+        assert np.array_equal(predict_labels(back, X), predict_labels(model, X))
 
-    @pytest.mark.parametrize("version", [1, 99])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_saved_arrays_are_exactly_the_checked_ones(self, kind, rng, tmp_path):
+        """Every array a fit saves, parameters and training curves included,
+        is one that load_model requires."""
+        X, y = blobs(rng, THREE_CENTERS, 20)
+        path = save_model(fit(ModelSpec(kind=kind, seed=0), X, y), tmp_path / "m.npz")
+        with np.load(path) as archive:
+            saved = sorted(archive.files)
+        assert saved == sorted(("format_version", *_MODEL_ARRAYS, *_KIND_ARRAYS[kind]))
+
+    @pytest.mark.parametrize("version", [1, 2, 99])
     def test_unsupported_format_version(self, version, rng, tmp_path):
-        """Version 1 held each tree with local child ids; it is refused, not misread."""
+        """Version 1 held each tree with local child ids and version 2 held
+        cluster ids in classes; both are refused, not misread."""
         X, y = blobs(rng, TWO_CENTERS, 10)
         path = save_model(fit(ModelSpec(kind="tree"), X, y), tmp_path / "m.npz")
         with np.load(path) as archive:
@@ -416,7 +432,7 @@ class TestSerialization:
             ("gnb", "param_means"),
             ("mlp", "param_w2"),
             ("kmeans", "param_centroids"),
-            ("gmm", "cluster_labels"),
+            ("gmm", "param_loglik"),
         ],
     )
     def test_missing_parameter_array_is_refused_by_path(self, kind, name, rng, tmp_path):
