@@ -3,13 +3,27 @@
 Both are deterministic for a fixed seed: centroid seeding uses squared-distance
 sampling from a seeded generator, assignment ties go to the smallest cluster
 index, and the mixture is initialized from the converged k-means run.
+
+Assignment distances are scipy.spatial.distance.cdist(..., "sqeuclidean") bit
+for bit (common.sq_distances), and the mixture's normalizer is
+scipy.special.logsumexp bit for bit (common.logsumexp).  The k-means++ seeding
+keeps its own pairwise-summed squared distance, whose bits the seeding draws
+depend on.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .common import FitError, ModelSpec, diag_gaussian_log_pdf, normalize_log_scores, one_hot
+from .common import (
+    FitError,
+    ModelSpec,
+    diag_gaussian_log_pdf,
+    logsumexp,
+    normalize_log_scores,
+    one_hot,
+    sq_distances,
+)
 
 KMEANS_MAX_ITER = 300
 GMM_MAX_ITER = 200
@@ -39,8 +53,6 @@ def _lloyd(
     X: np.ndarray, k: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (centroids, assignments, per-iteration objective)."""
-    from scipy.spatial.distance import cdist
-
     n = X.shape[0]
     if k > n:
         raise FitError(f"n_clusters={k} exceeds the {n} training rows available")
@@ -49,7 +61,7 @@ def _lloyd(
     assignments = np.full(n, -1, dtype=np.int64)
     history = []
     for _ in range(KMEANS_MAX_ITER):
-        dist_sq = cdist(X, centroids, metric="sqeuclidean")
+        dist_sq = sq_distances(X, centroids)
         new_assign = np.argmin(dist_sq, axis=1)
         history.append(float(dist_sq[np.arange(n), new_assign].sum()))
         if np.array_equal(new_assign, assignments):
@@ -80,9 +92,7 @@ def kmeans_scores(
     params: dict[str, np.ndarray], rows: np.ndarray, k: int
 ) -> np.ndarray:
     """Hard assignment to the nearest centroid as a one-hot score table."""
-    from scipy.spatial.distance import cdist
-
-    return one_hot(np.argmin(cdist(rows, params["centroids"], metric="sqeuclidean"), axis=1), k)
+    return one_hot(np.argmin(sq_distances(rows, params["centroids"]), axis=1), k)
 
 
 def _gmm_log_components(
@@ -102,8 +112,6 @@ def fit_gmm(
     Returns the mixture plus loglik, the total log-likelihood of each
     iteration, which is non-decreasing up to the stopping tolerance.
     """
-    from scipy.special import logsumexp
-
     n, d = X.shape
     centroids, assignments, _ = _lloyd(X, k, spec.seed)
     weights = np.bincount(assignments, minlength=k) / n

@@ -1,12 +1,14 @@
-"""k-nearest-neighbour classification with deterministic tie handling."""
+"""k-nearest-neighbour classification with deterministic tie handling.
+
+Distances are scipy.spatial.distance.cdist(rows, train_x) ("euclidean") bit
+for bit: np.sqrt of common.sq_distances.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .common import FitError, ModelSpec
-
-PREDICT_CHUNK = 512
+from .common import FitError, ModelSpec, distance_tiles, sq_distances
 
 
 def fit_knn(
@@ -24,18 +26,16 @@ def knn_scores(
 
     Neighbours are ordered by (distance, class index) so rows at identical
     distance resolve toward the smaller class, and equal vote counts resolve
-    the same way downstream via argmax.
+    the same way downstream via argmax.  Rows are scored one distance tile at
+    a time.
     """
-    from scipy.spatial.distance import cdist
-
-    train_y_idx = params["train_y_idx"]
+    train_x, train_y_idx = params["train_x"], params["train_y_idx"]
     k = int(params["k"])
     votes = np.empty((rows.shape[0], n_classes))
-    for start in range(0, rows.shape[0], PREDICT_CHUNK):
-        chunk = rows[start : start + PREDICT_CHUNK]
-        dist = cdist(chunk, params["train_x"])
-        for i in range(chunk.shape[0]):
-            order = np.lexsort((train_y_idx, dist[i]))
-            top = train_y_idx[order[:k]]
-            votes[start + i] = np.bincount(top, minlength=n_classes) / k
+    tiles = distance_tiles(rows.shape[0], train_x.shape[0])
+    for start in tiles:
+        dist = np.sqrt(sq_distances(rows[start : start + tiles.step], train_x))
+        order = np.lexsort((np.broadcast_to(train_y_idx, dist.shape), dist), axis=-1)
+        top = train_y_idx[order[:, :k]]
+        votes[start : start + tiles.step] = (top[:, :, None] == np.arange(n_classes)).sum(axis=1) / k
     return votes

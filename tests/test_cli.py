@@ -421,8 +421,8 @@ def test_signal_stages_hold_one_subject_at_a_time(tmp_path, capsys):
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy.signal alone costs every stage process over a second of start-up;
-    # it is imported inside the functions that call it.
+    # scipy.signal alone costs every stage process over a second of start-up,
+    # and scipy.spatial a third of one; the package imports no scipy at all.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -438,17 +438,22 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_signal_stages_load_no_scipy(tmp_path):
-    # generate, preprocess and features run on numpy alone; scipy is left to
-    # evaluate and to the kmeans/gmm fits
+    # every stage runs on numpy alone: generate, preprocess and features, then
+    # split, train, evaluate and report for each model kind
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(SMALL_CONFIG))
+    common = f"'--config', {str(cfg_path)!r}, '--out', {str(tmp_path / 'run')!r}"
     code = (
         "import sys; from eegsong.cli import main\n"
+        "from eegsong.models import MODEL_KINDS\n"
         "for stage in ('generate', 'preprocess', 'features'):\n"
-        f"    assert main([stage, '--config', {str(cfg_path)!r}, '--out', {str(tmp_path / 'run')!r}]) == 0\n"
+        f"    assert main([stage, {common}]) == 0\n"
+        "for kind in MODEL_KINDS:\n"
+        "    for stage in ('split', 'train', 'evaluate', 'report'):\n"
+        f"        assert main([stage, {common}, '--model', kind]) == 0, (stage, kind)\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     proc = subprocess.run(
@@ -459,6 +464,7 @@ def test_signal_stages_load_no_scipy(tmp_path):
 
 
 def test_no_module_imports_scipy_signal():
+    # nor any other part of scipy: the package runs on numpy alone
     package = Path(__file__).resolve().parents[1] / "src" / "eegsong"
     offenders = []
     for path in sorted(package.rglob("*.py")):
@@ -470,7 +476,7 @@ def test_no_module_imports_scipy_signal():
                 names = [module] + [f"{module}.{alias.name}" for alias in node.names]
             else:
                 continue
-            if any(n == "scipy.signal" or n.startswith("scipy.signal.") for n in names):
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
                 offenders.append(f"{path.relative_to(package)}:{node.lineno}")
     assert offenders == []
 
