@@ -21,6 +21,7 @@ from .evaluation import (
     EvalError,
     apply_plan,
     evaluate,
+    held_out_rows,
     mark_plan_consumed,
     read_plan,
     read_report,
@@ -57,6 +58,7 @@ DATASET_FILE = "dataset.csv"
 PLAN_FILE = "plan.csv"
 MODEL_FILE = "model.npz"
 REPORT_FILE = "report.txt"
+CONFUSION_FILE = "confusion.csv"
 
 
 class ConfigError(ValueError):
@@ -79,13 +81,26 @@ class RunConfig:
 
 
 _TOP_KEYS = ("seed", "out_dir", "features", "test_fraction", "generator", "preprocess", "model")
+_SECTIONS = {"generator": GeneratorConfig, "preprocess": PreprocessConfig, "model": ModelSpec}
+
+# flags that set one field of a config section: flag -> (section, field, type,
+# metavar, help)
+_SECTION_FLAGS = {
+    "--subjects": ("generator", "n_subjects", int, None, "number of synthetic subjects"),
+    "--channels": ("generator", "n_channels", int, None, "channels per synthetic session"),
+    "--epoch-seconds": (
+        "preprocess", "epoch_seconds", int, None,
+        "epoch length within each song; must divide the song length",
+    ),
+    "--model": ("model", "kind", str, "KIND", f"model kind ({', '.join(MODEL_KINDS)})"),
+}
 
 
-def _section_kwargs(raw: dict, section: str, cls) -> dict:
+def _section_kwargs(raw: dict, section: str) -> dict:
     data = raw.get(section, {})
     if not isinstance(data, dict):
         raise ConfigError(f"config section {section!r} must be an object")
-    known = {f.name for f in dataclasses.fields(cls)}
+    known = {f.name for f in dataclasses.fields(_SECTIONS[section])}
     for key in data:
         if key not in known:
             raise ConfigError(f"unknown {section} config key {key!r}")
@@ -97,7 +112,7 @@ def _section_kwargs(raw: dict, section: str, cls) -> dict:
 
 def load_run_config(args: argparse.Namespace) -> RunConfig:
     raw: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             raw = json.loads(Path(args.config).read_text())
         except json.JSONDecodeError as exc:
@@ -108,36 +123,26 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         if key not in _TOP_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
 
-    seed = raw.get("seed", 0)
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
+    seed = raw.get("seed", 0) if args.seed is None else args.seed
     if not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
-    gen_kwargs = _section_kwargs(raw, "generator", GeneratorConfig)
-    pre_kwargs = _section_kwargs(raw, "preprocess", PreprocessConfig)
-    model_kwargs = _section_kwargs(raw, "model", ModelSpec)
+    sections = {section: _section_kwargs(raw, section) for section in _SECTIONS}
     # flag --seed overrides every section seed; otherwise the top-level seed
     # fills in sections that did not set their own
-    if getattr(args, "seed", None) is not None:
-        gen_kwargs["seed"] = seed
-        model_kwargs["seed"] = seed
-    else:
-        gen_kwargs.setdefault("seed", seed)
-        model_kwargs.setdefault("seed", seed)
-
-    if getattr(args, "subjects", None) is not None:
-        gen_kwargs["n_subjects"] = args.subjects
-    if getattr(args, "channels", None) is not None:
-        gen_kwargs["n_channels"] = args.channels
-    if getattr(args, "epoch_seconds", None) is not None:
-        pre_kwargs["epoch_seconds"] = args.epoch_seconds
-    if getattr(args, "model", None) is not None:
-        model_kwargs["kind"] = args.model
-    model_kwargs.setdefault("kind", "knn")
+    for section in ("generator", "model"):
+        if args.seed is not None:
+            sections[section]["seed"] = seed
+        else:
+            sections[section].setdefault("seed", seed)
+    for flag, (section, key, *_) in _SECTION_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            sections[section][key] = value
+    sections["model"].setdefault("kind", "knn")
 
     features = raw.get("features", list(FEATURE_FAMILIES))
-    if getattr(args, "features", None) is not None:
+    if args.features is not None:
         features = [name.strip() for name in args.features.split(",") if name.strip()]
     if not isinstance(features, (list, tuple)) or not features:
         raise ConfigError("features must be a non-empty list")
@@ -148,12 +153,9 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         )
 
     test_fraction = raw.get("test_fraction", DEFAULT_TEST_FRACTION)
-    if getattr(args, "test_fraction", None) is not None:
+    if args.test_fraction is not None:
         test_fraction = args.test_fraction
-
-    out_dir = raw.get("out_dir", "run")
-    if getattr(args, "out", None) is not None:
-        out_dir = args.out
+    out_dir = raw.get("out_dir", "run") if args.out is None else args.out
 
     try:
         config = RunConfig(
@@ -161,9 +163,7 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
             out_dir=str(out_dir),
             features=tuple(features),
             test_fraction=float(test_fraction),
-            generator=GeneratorConfig(**gen_kwargs),
-            preprocess=PreprocessConfig(**pre_kwargs),
-            model=ModelSpec(**model_kwargs),
+            **{section: cls(**sections[section]) for section, cls in _SECTIONS.items()},
         )
     except TypeError as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
@@ -173,6 +173,16 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(
             f"epoch_seconds {epoch_seconds} does not divide the "
             f"{song_seconds} s songs"
+        )
+    fraction = config.test_fraction
+    if not 0.0 < fraction < 1.0:
+        raise ConfigError(f"test_fraction must be in (0, 1), got {fraction}")
+    per_song = song_seconds // epoch_seconds
+    n_test = held_out_rows(fraction, per_song)
+    if n_test in (0, per_song):
+        raise ConfigError(
+            f"test_fraction {fraction} holds out {n_test} of the {per_song} "
+            "epochs of each song, leaving an empty fold"
         )
     nyquist_hz = config.generator.sample_rate_hz / 2
     pre = config.preprocess
@@ -195,27 +205,6 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
             f"channels, got n_channels {n_channels}"
         )
     return config
-
-
-def resolved_config_dict(config: RunConfig) -> dict:
-    out = dataclasses.asdict(config)
-    out["features"] = list(config.features)
-    out["preprocess"]["step_order"] = list(config.preprocess.step_order)
-    return out
-
-
-def _write_sidecar(artifact: Path, config: RunConfig, stage: str) -> None:
-    meta = {
-        "stage": stage,
-        "seed": config.seed,
-        "config": resolved_config_dict(config),
-    }
-    with atomic_write(str(artifact) + ".meta.json") as tmp:
-        tmp.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-
-
-def _log_config(stage: str, config: RunConfig) -> None:
-    print(f"[{stage}] config: {json.dumps(resolved_config_dict(config), sort_keys=True)}")
 
 
 def _sessions_mismatch(config: RunConfig) -> str | None:
@@ -263,17 +252,15 @@ def _sessions_mismatch(config: RunConfig) -> str | None:
     return None
 
 
-def do_generate(config: RunConfig) -> Path:
-    _log_config("generate", config)
+# A stage's run function takes the config and the --force flag, which only
+# evaluate reads, writes the stage's artifact and returns its summary line.
+
+
+def _generate(config: RunConfig, force: bool) -> str:
     sessions_dir = config.out / SESSIONS_DIR
     for subject_id in range(1, config.generator.n_subjects + 1):
-        session = generate_session(config.generator, subject_id)
-        write_session(session, sessions_dir)
-    _write_sidecar(sessions_dir, config, "generate")
-    print(
-        f"[generate] wrote {config.generator.n_subjects} sessions under {sessions_dir}"
-    )
-    return sessions_dir
+        write_session(generate_session(config.generator, subject_id), sessions_dir)
+    return f"wrote {config.generator.n_subjects} sessions under {sessions_dir}"
 
 
 def _preprocess_subject(config: RunConfig, subject_id: int, writer: EpochsWriter) -> None:
@@ -292,10 +279,9 @@ def _preprocess_subject(config: RunConfig, subject_id: int, writer: EpochsWriter
         writer.ratings[(subject_id, song_id)] = pair
 
 
-def do_preprocess(config: RunConfig) -> Path:
+def _preprocess(config: RunConfig, force: bool) -> str:
     """Preprocess every subject into epochs.npz, one subject in memory at a
     time: each subject's batch is written as soon as it is ready."""
-    _log_config("preprocess", config)
     mismatch = _sessions_mismatch(config)
     if mismatch:
         raise PipelineError(mismatch)
@@ -303,56 +289,40 @@ def do_preprocess(config: RunConfig) -> Path:
     with write_epochs(path) as writer:
         for subject_id in range(1, config.generator.n_subjects + 1):
             _preprocess_subject(config, subject_id, writer)
-    _write_sidecar(path, config, "preprocess")
-    print(
-        f"[preprocess] {writer.n_epochs} epochs from {len(writer.masks)} subjects"
+    return (
+        f"{writer.n_epochs} epochs from {len(writer.masks)} subjects"
         f" ({writer.n_dropped_epochs} dropped) -> {path}"
     )
-    return path
 
 
-def do_features(config: RunConfig) -> Path:
+def _features(config: RunConfig, force: bool) -> str:
     """Featurize epochs.npz one subject's batch at a time."""
-    _log_config("features", config)
     with EpochsReader(config.out / EPOCHS_FILE) as reader:
         dataset = build_feature_matrix(
             reader.epochs(), config.features, ratings=reader.ratings
         )
     path = config.out / DATASET_FILE
     write_dataset_csv(dataset, path)
-    _write_sidecar(path, config, "features")
-    print(
-        f"[features] {dataset.n_rows} rows x {dataset.width} features -> {path}"
-    )
-    return path
+    return f"{dataset.n_rows} rows x {dataset.width} features -> {path}"
 
 
-def do_split(config: RunConfig) -> Path:
-    _log_config("split", config)
+def _split(config: RunConfig, force: bool) -> str:
     dataset = read_dataset_csv(config.out / DATASET_FILE)
     _, test, plan = split_dataset(dataset, config.test_fraction, config.seed)
     path = config.out / PLAN_FILE
     write_plan(plan, path)
-    _write_sidecar(path, config, "split")
-    print(f"[split] {test.n_rows} of {dataset.n_rows} rows held out -> {path}")
-    return path
+    return f"{test.n_rows} of {dataset.n_rows} rows held out -> {path}"
 
 
-def do_train(config: RunConfig) -> Path:
-    _log_config("train", config)
+def _train(config: RunConfig, force: bool) -> str:
     dataset = read_dataset_csv(config.out / DATASET_FILE)
-    plan = read_plan(config.out / PLAN_FILE)
-    train, _ = apply_plan(dataset, plan)
-    model = fit_dataset(config.model, train)
+    train, _ = apply_plan(dataset, read_plan(config.out / PLAN_FILE))
     path = config.out / MODEL_FILE
-    save_model(model, path)
-    _write_sidecar(path, config, "train")
-    print(f"[train] {config.model.kind} fitted on {train.n_rows} rows -> {path}")
-    return path
+    save_model(fit_dataset(config.model, train), path)
+    return f"{config.model.kind} fitted on {train.n_rows} rows -> {path}"
 
 
-def do_evaluate(config: RunConfig, force: bool = False) -> Path:
-    _log_config("evaluate", config)
+def _evaluate(config: RunConfig, force: bool) -> str:
     plan_path = config.out / PLAN_FILE
     plan = read_plan(plan_path)
     if plan.consumed and not force:
@@ -360,42 +330,46 @@ def do_evaluate(config: RunConfig, force: bool = False) -> Path:
             f"{plan_path}: split plan already consumed; the held-out set is "
             "meant to be used once. Pass --force to re-evaluate."
         )
-    dataset = read_dataset_csv(config.out / DATASET_FILE)
-    _, test = apply_plan(dataset, plan)
-    model = load_model(config.out / MODEL_FILE)
-    report = evaluate(model, test)
-    path = config.out / REPORT_FILE
-    write_report(report, path)
-    _write_sidecar(path, config, "evaluate")
+    _, test = apply_plan(read_dataset_csv(config.out / DATASET_FILE), plan)
+    report = evaluate(load_model(config.out / MODEL_FILE), test)
+    write_report(report, config.out / REPORT_FILE)
     mark_plan_consumed(plan_path)
-    print(
-        f"[evaluate] accuracy {report.overall_accuracy_pct:.2f}% on "
+    return (
+        f"accuracy {report.overall_accuracy_pct:.2f}% on "
         f"{report.n_test} held-out rows (chance {report.chance_pct:.2f}%)"
     )
-    return path
 
 
-def do_report(config: RunConfig) -> tuple[Path, Path]:
-    _log_config("report", config)
+def _report(config: RunConfig, force: bool) -> str:
     report, _ = read_report(config.out / REPORT_FILE)
     csv_path, pgm_path = render_confusion(report, config.out)
-    _write_sidecar(csv_path, config, "report")
-    print(f"[report] wrote {csv_path} and {pgm_path}")
-    return csv_path, pgm_path
+    return f"wrote {csv_path} and {pgm_path}"
 
 
-def do_pipeline(config: RunConfig, force: bool = False) -> Path:
-    if _sessions_mismatch(config) is None:
-        print(f"[pipeline] reusing sessions under {config.out / SESSIONS_DIR}")
-    else:
-        do_generate(config)
-    do_preprocess(config)
-    do_features(config)
-    do_split(config)
-    do_train(config)
-    report_path = do_evaluate(config, force=force)
-    do_report(config)
-    return report_path
+# stage -> (help, the artifact under --out its sidecar describes, run), in
+# pipeline order
+STAGES = {
+    "generate": ("write synthetic listening sessions", SESSIONS_DIR, _generate),
+    "preprocess": ("turn sessions into cleaned epochs", EPOCHS_FILE, _preprocess),
+    "features": ("turn epochs into a feature dataset CSV", DATASET_FILE, _features),
+    "split": ("write a held-out split plan", PLAN_FILE, _split),
+    "train": ("fit a model on the training fold", MODEL_FILE, _train),
+    "evaluate": ("score the held-out fold and write the report", REPORT_FILE, _evaluate),
+    "report": ("render confusion CSV + graymap from a report", CONFUSION_FILE, _report),
+}
+
+
+def run_stage(name: str, config: RunConfig, force: bool) -> None:
+    """Log the config, run the stage, write the sidecar beside its artifact
+    and print its summary."""
+    resolved = dataclasses.asdict(config)
+    print(f"[{name}] config: {json.dumps(resolved, sort_keys=True)}")
+    _, artifact, run = STAGES[name]
+    summary = run(config, force)
+    meta = {"stage": name, "seed": config.seed, "config": resolved}
+    with atomic_write(f"{config.out / artifact}.meta.json") as tmp:
+        tmp.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    print(f"[{name}] {summary}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -404,21 +378,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="seed for every stochastic stage")
     common.add_argument("--out", metavar="DIR", help="artifact directory (default: run)")
     common.add_argument(
-        "--epoch-seconds",
-        type=int,
-        dest="epoch_seconds",
-        help="epoch length within each song; must divide the song length",
-    )
-    common.add_argument(
         "--features", metavar="LIST", help=f"comma-separated subset of {','.join(FEATURE_FAMILIES)}"
     )
-    common.add_argument("--model", metavar="KIND", help=f"model kind ({', '.join(MODEL_KINDS)})")
     common.add_argument("--test-fraction", type=float, dest="test_fraction", help="held-out fraction")
-    common.add_argument("--subjects", type=int, help="number of synthetic subjects")
-    common.add_argument("--channels", type=int, help="channels per synthetic session")
-    common.add_argument(
-        "--force", action="store_true", help="re-evaluate an already-consumed split plan"
-    )
+    for flag, (_, _, kind, metavar, help_text) in _SECTION_FLAGS.items():
+        common.add_argument(flag, type=kind, metavar=metavar, help=help_text)
 
     parser = argparse.ArgumentParser(
         prog="eegsong",
@@ -426,32 +390,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "extract features, train, and evaluate with one seeded config.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    steps = {
-        "generate": "write synthetic listening sessions",
-        "preprocess": "turn sessions into cleaned epochs",
-        "features": "turn epochs into a feature dataset CSV",
-        "split": "write a held-out split plan",
-        "train": "fit a model on the training fold",
-        "evaluate": "score the held-out fold and write the report",
-        "report": "render confusion CSV + graymap from a report",
-        "pipeline": "run every stage in order with one seed",
-    }
-    for name, help_text in steps.items():
+    helps = {name: help_text for name, (help_text, _, _) in STAGES.items()}
+    helps["pipeline"] = "run every stage in order with one seed"
+    for name, help_text in helps.items():
         sp = sub.add_parser(name, parents=[common], help=help_text)
-        sp.set_defaults(command=name)
+        if name in ("evaluate", "pipeline"):
+            sp.add_argument(
+                "--force", action="store_true", help="re-evaluate an already-consumed split plan"
+            )
     return parser
-
-
-_COMMANDS = {
-    "generate": lambda cfg, args: do_generate(cfg),
-    "preprocess": lambda cfg, args: do_preprocess(cfg),
-    "features": lambda cfg, args: do_features(cfg),
-    "split": lambda cfg, args: do_split(cfg),
-    "train": lambda cfg, args: do_train(cfg),
-    "evaluate": lambda cfg, args: do_evaluate(cfg, force=args.force),
-    "report": lambda cfg, args: do_report(cfg),
-    "pipeline": lambda cfg, args: do_pipeline(cfg, force=args.force),
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -463,7 +410,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_run_config(args)
         config.out.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.command](config, args)
+        force = getattr(args, "force", False)
+        if args.command != "pipeline":
+            run_stage(args.command, config, force)
+            return 0
+        for name in STAGES:
+            if name == "generate" and _sessions_mismatch(config) is None:
+                print(f"[pipeline] reusing sessions under {config.out / SESSIONS_DIR}")
+            else:
+                run_stage(name, config, force)
     except (ValueError, PipelineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -69,13 +69,19 @@ class RatingEvalResult:
     excluded_classes: tuple[int, ...]  # ratings never seen during training
 
 
+def held_out_rows(test_fraction: float, n_rows: int) -> int:
+    """Test rows that split_dataset takes from a stratum of n_rows rows:
+    test_fraction * n_rows, rounded half up."""
+    return int(np.floor(test_fraction * n_rows + 0.5))
+
+
 def split_dataset(
     dataset: Dataset, test_fraction: float = DEFAULT_TEST_FRACTION, seed: int = 0
 ) -> tuple[Dataset, Dataset, SplitPlan]:
     """Stratified held-out split over (subject, song) groups.
 
-    Each stratum contributes round(test_fraction * stratum size) rows to the
-    test fold; a stratum that would lose all or none of its rows is an error.
+    Each stratum contributes held_out_rows(test_fraction, stratum size) rows
+    to the test fold; a stratum that would lose all or none of its rows is an error.
     """
     if not 0.0 < test_fraction < 1.0:
         raise SplitError(f"test_fraction must be in (0, 1), got {test_fraction}")
@@ -86,7 +92,7 @@ def split_dataset(
     strata = []
     for subject, song in unique_pairs:
         rows = np.nonzero((pairs[:, 0] == subject) & (pairs[:, 1] == song))[0]
-        n_test = int(np.floor(test_fraction * rows.shape[0] + 0.5))
+        n_test = held_out_rows(test_fraction, rows.shape[0])
         if n_test == 0 or n_test == rows.shape[0]:
             raise SplitError(
                 f"stratum subject={subject} song={song} has {rows.shape[0]} rows; "

@@ -35,6 +35,7 @@ from .core import (
     EXPECTED_SAMPLE_RATES,
     EventMarker,
     SessionRecording,
+    atomic_write,
 )
 
 # Baseline amplitude of the 1/f background, microvolts RMS per channel.
@@ -277,7 +278,8 @@ def session_dir_name(subject_id: int) -> str:
 
 
 def write_session(session: SessionRecording, directory: str | Path) -> Path:
-    """Write manifest + raw float32 samples + events CSV; returns manifest path."""
+    """Write manifest + raw float32 samples + events CSV, each through
+    core.atomic_write; returns manifest path."""
     root = Path(directory) / session_dir_name(session.subject_id)
     root.mkdir(parents=True, exist_ok=True)
 
@@ -291,11 +293,13 @@ def write_session(session: SessionRecording, directory: str | Path) -> Path:
         enjoy, familiar = session.ratings[song]
         lines.append(f"rating,{song},{enjoy},{familiar}")
     manifest = root / MANIFEST_NAME
-    manifest.write_text("\n".join(lines) + "\n")
+    with atomic_write(manifest) as tmp:
+        tmp.write_text("\n".join(lines) + "\n")
 
-    session.samples.astype("<f4").tofile(root / SAMPLES_NAME)
+    with atomic_write(root / SAMPLES_NAME) as tmp:
+        session.samples.astype("<f4").tofile(tmp)
 
-    with open(root / EVENTS_NAME, "w", newline="") as f:
+    with atomic_write(root / EVENTS_NAME) as tmp, open(tmp, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["sample_index", "kind", "song_id"])
         for m in session.markers:

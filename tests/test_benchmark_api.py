@@ -12,6 +12,8 @@ import importlib
 import inspect
 from pathlib import Path
 
+from eegsong.cli import _build_parser
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -88,3 +90,20 @@ def test_calls_bind_to_the_signatures():
         except TypeError as exc:
             unbound.append(f"{where}: {name}: {exc}")
     assert unbound == []
+
+
+def test_the_benchmark_cli_flags_parse():
+    """perfbench/workloads.py runs `python -m eegsong.cli <stage> --config C
+    --seed N --out D` for each stage of harness.CLI_STAGES, and `pipeline`."""
+    tree = ast.parse((PERFBENCH / "harness.py").read_text())
+    stages = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "CLI_STAGES" for t in node.targets)
+    )
+    assert stages
+    parser = _build_parser()
+    for stage in (*stages, "pipeline"):
+        args = parser.parse_args([stage, "--config", "c.json", "--seed", "1", "--out", "run"])
+        assert (args.command, args.config, args.seed, args.out) == (stage, "c.json", 1, "run")

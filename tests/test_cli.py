@@ -232,6 +232,9 @@ class TestSessionIngest:
             ({"amplitude_reject_uv": -1}, [], "amplitude_reject_uv must be positive, got -1"),
             ({}, ["--epoch-seconds", "1"], "spectopo needs epochs of at least 2 s"),
             ({}, ["--channels", "3"], "bad_channels step needs at least 4 channels"),
+            ({}, ["--test-fraction", "1.5"], "test_fraction must be in (0, 1), got 1.5"),
+            # 20 s songs of 10 s epochs: 0.2 of 2 rounds to no test epoch
+            ({}, ["--test-fraction", "0.2"], "test_fraction 0.2 holds out 0 of the 2 epochs of each song"),
         ],
         ids=[
             "notch_zero",
@@ -241,6 +244,8 @@ class TestSessionIngest:
             "amplitude_negative",
             "epoch_below_spectopo_minimum",
             "channels_below_rejection_minimum",
+            "test_fraction_above_one",
+            "test_fraction_empties_the_test_fold",
         ],
     )
     def test_config_a_stage_cannot_run_is_refused_before_generate(
@@ -370,6 +375,11 @@ class TestErrorHandling:
     def test_bad_flag_value_exits_two(self, capsys):
         assert main(["pipeline", "--epoch-seconds", "ten"]) == 2
         capsys.readouterr()
+
+    def test_force_on_a_stage_that_ignores_it_exits_two(self, tmp_path, capsys):
+        assert main(["generate", "--force", "--out", str(tmp_path)]) == 2
+        assert "unrecognized arguments: --force" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_subcommand_exits_two(self, capsys):
         assert main([]) == 2

@@ -1,11 +1,14 @@
 """Synthetic session generator and the on-disk session format."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from eegsong import GeneratorConfig, generate_session
 from eegsong.core import BASELINE_SECONDS
+from eegsong import synth
 from eegsong.synth import (
     BACKGROUND_RMS_UV,
     BAD_CHANNEL_SCALE_BASE,
@@ -281,3 +284,33 @@ class TestOnDiskFormat:
         events.write_text("\n".join(lines) + "\n")
         with pytest.raises(SessionFormatError, match="header"):
             read_session(manifest)
+
+    def test_write_failing_part_way_leaves_no_partial_file(self, tiny_session, tmp_path, monkeypatch):
+        """An events write that raises after its first rows leaves events.csv
+        as it was before (absent, or the complete older copy) and no
+        temporary file."""
+        clean = write_session(tiny_session, tmp_path / "clean").parent
+        rewritten = write_session(tiny_session, tmp_path / "rewritten").parent
+        real_writer = synth.csv.writer
+
+        def failing_writer(fh):
+            rows = real_writer(fh)
+
+            def writerow(row):
+                rows.writerow(row)
+                if row[1] == "song_start":
+                    raise OSError("disk full")
+
+            return SimpleNamespace(writerow=writerow)
+
+        monkeypatch.setattr(synth.csv, "writer", failing_writer)
+        for directory in (tmp_path / "fresh", tmp_path / "rewritten"):
+            with pytest.raises(OSError, match="disk full"):
+                write_session(tiny_session, directory)
+        fresh = tmp_path / "fresh" / session_dir_name(1)
+        assert sorted(p.name for p in fresh.iterdir()) == ["manifest.txt", "samples.f32"]
+        assert sorted(p.name for p in rewritten.iterdir()) == sorted(p.name for p in clean.iterdir())
+        for name in ("manifest.txt", "samples.f32", "events.csv"):
+            assert (rewritten / name).read_bytes() == (clean / name).read_bytes(), name
+            if name != "events.csv":
+                assert (fresh / name).read_bytes() == (clean / name).read_bytes(), name
