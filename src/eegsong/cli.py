@@ -155,6 +155,12 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     test_fraction = raw.get("test_fraction", DEFAULT_TEST_FRACTION)
     if args.test_fraction is not None:
         test_fraction = args.test_fraction
+    try:
+        test_fraction = float(test_fraction)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"test_fraction must be a number, got {test_fraction!r}"
+        ) from None
     out_dir = raw.get("out_dir", "run") if args.out is None else args.out
 
     try:
@@ -162,7 +168,7 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
             seed=seed,
             out_dir=str(out_dir),
             features=tuple(features),
-            test_fraction=float(test_fraction),
+            test_fraction=test_fraction,
             **{section: cls(**sections[section]) for section, cls in _SECTIONS.items()},
         )
     except TypeError as exc:

@@ -4,7 +4,8 @@ write that every stage uses.
 
 All types are immutable after construction (frozen dataclasses; numpy arrays
 are flagged read-only), so they can be shared freely across workers.
-Signal values are microvolts, held as float64 in memory.
+Signal values are microvolts, held as float64 in memory, except that a session
+read from disk keeps its float32 samples (see SessionRecording).
 """
 
 from __future__ import annotations
@@ -160,7 +161,12 @@ class EventMarker:
 class SessionRecording:
     """One subject's full multichannel recording with markers and ratings.
 
-    samples: channels x time, microvolts.
+    samples: channels x time, microvolts, read-only.  float32 samples are kept
+    as float32, flagged read-only in place rather than copied: a session read
+    from disk is stored as float32, and a float64 copy beside it would double
+    the largest array of a subject.  Samples of any other dtype are copied to
+    float64, as generate_session makes them.  extract_segment copies out
+    float64 either way; the float32 to float64 cast is exact.
     ratings: song_id -> (enjoyment 1-5, familiarity 1-5).
     """
 
@@ -171,7 +177,13 @@ class SessionRecording:
     ratings: dict[int, tuple[int, int]] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", _freeze(self.samples))
+        samples = np.asarray(self.samples)
+        if samples.dtype == np.float32:
+            samples = np.ascontiguousarray(samples)
+            samples.flags.writeable = False
+        else:
+            samples = _freeze(samples)
+        object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "markers", tuple(self.markers))
         if self.samples.ndim != 2:
             raise ValueError(
@@ -350,11 +362,12 @@ def validate_session(session: SessionRecording) -> list[str]:
 def extract_segment(
     session: SessionRecording, start_sample: int, end_sample: int
 ) -> np.ndarray:
-    """Copy out samples[:, start:end]. The copy never aliases the session."""
+    """Copy out samples[:, start:end] as float64. The copy never aliases the
+    session."""
     n = session.n_samples
     if not (0 <= start_sample < end_sample <= n):
         raise IndexError(
             f"segment [{start_sample}, {end_sample}) out of range "
             f"for recording of {n} samples"
         )
-    return session.samples[:, start_sample:end_sample].copy()
+    return session.samples[:, start_sample:end_sample].astype(np.float64)

@@ -12,7 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eegsong.cli import _build_parser, load_run_config, main
+from eegsong.cli import ConfigError, _build_parser, load_run_config, main
+from eegsong.dsp import BIQUAD_PADLEN
+from eegsong.preprocess import _NOTCH_BLOCK_EPOCHS, PreprocessConfig
+from eegsong.synth import GeneratorConfig
 
 SMALL_CONFIG = {
     "seed": 3,
@@ -270,6 +273,17 @@ class TestSessionIngest:
         cfg_path.write_text(json.dumps({"preprocess": {"step_order": steps}}))
         assert load("--channels", "3", "--config", str(cfg_path)).generator.n_channels == 3
 
+    @pytest.mark.parametrize("value", ["abc", [0.25], None])
+    def test_non_numeric_test_fraction_names_key_and_value(self, value, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(SMALL_CONFIG, test_fraction=value)))
+        out = tmp_path / "run"
+        assert main(["split", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: test_fraction must be a number, got {value!r}\n"
+        with pytest.raises(ConfigError, match="test_fraction"):
+            load_run_config(_build_parser().parse_args(["split", "--config", str(cfg_path)]))
+
 
 class TestDeterminism:
     def test_same_config_same_bytes(self, workspace):
@@ -428,6 +442,50 @@ def test_signal_stages_hold_one_subject_at_a_time(tmp_path, capsys):
     for stage in ("preprocess", "features"):
         growth = peaks[3][stage] - peaks[1][stage]
         assert growth < SUBJECT_EPOCH_BYTES, (stage, peaks[1][stage], peaks[3][stage])
+
+
+# 32 channels, six 20 s songs between 240 s silences: a 650 s session whose
+# float64 copy (41.6 MB) dwarfs one song's signature (1.28 MB) and the batch
+# of 12 ten-second epochs (7.68 MB), so a second whole-session copy shows.
+LONG_SESSION_GENERATOR = dict(
+    MEMORY_GENERATOR,
+    n_subjects=1,
+    n_songs=6,
+    song_seconds=20,
+    lead_silence_seconds=240,
+    trail_silence_seconds=240,
+    n_channels=32,
+)
+
+
+def test_signal_stages_hold_one_session_copy(tmp_path, capsys):
+    """Beside the float64 session, generate holds one song's signature
+    temporaries and a few one-channel rows; preprocess holds the float32
+    session as read, the float64 batch, and one notch block's filter buffer
+    and output."""
+    gen = GeneratorConfig(**LONG_SESSION_GENERATOR)
+    row = gen.session_samples * 8
+    session = gen.n_channels * row
+    signature = gen.n_channels * gen.song_seconds * gen.sample_rate_hz * 8
+    epoch_len = PreprocessConfig().epoch_seconds * gen.sample_rate_hz
+    n_epochs = gen.n_songs * gen.song_seconds * gen.sample_rate_hz // epoch_len
+    batch = n_epochs * gen.n_channels * epoch_len * 8
+    block_rows = min(_NOTCH_BLOCK_EPOCHS, n_epochs) * gen.n_channels
+    taps = (epoch_len + 2 * BIQUAD_PADLEN) * 3 * block_rows * 8
+    # per-sample index arrays (the 1/sqrt(k) weights, the sample times) and
+    # the interpreter's own allocations
+    slack = 4 * row + 1_000_000
+    budgets = {
+        "generate": session + 6 * signature + 6 * row + slack,
+        "preprocess": session // 2 + batch + taps + 2 * block_rows * epoch_len * 8 + slack,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(SMALL_CONFIG, generator=LONG_SESSION_GENERATOR)))
+    argv = ["--config", str(cfg_path), "--out", str(tmp_path / "run")]
+    peaks = {stage: _traced_peak([stage, *argv]) for stage in budgets}
+    capsys.readouterr()
+    over = {stage: (peaks[stage], budget) for stage, budget in budgets.items() if peaks[stage] >= budget}
+    assert over == {}
 
 
 def test_cli_import_loads_no_scipy():

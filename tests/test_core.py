@@ -56,6 +56,20 @@ class TestSessionRecording:
         with pytest.raises(ValueError, match="2-D"):
             SessionRecording(1, 250, np.zeros(100), (), {})
 
+    def test_float32_samples_are_kept_read_only_without_a_copy(self):
+        samples = np.random.default_rng(7).normal(size=(4, 100)).astype(np.float32)
+        s = SessionRecording(1, 250, samples, (), {})
+        assert s.samples.dtype == np.float32
+        assert np.shares_memory(s.samples, samples)
+        with pytest.raises(ValueError):
+            s.samples[0, 0] = 99.0
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.int32, np.float64])
+    def test_other_samples_become_float64(self, dtype):
+        s = SessionRecording(1, 250, np.ones((4, 100), dtype=dtype), (), {})
+        assert s.samples.dtype == np.float64
+        assert not s.samples.flags.writeable
+
 
 class TestEpoch:
     def test_baseline_mean_shape_enforced(self):
@@ -149,6 +163,15 @@ class TestExtractSegment:
             extract_segment(s, 0, 101)
         with pytest.raises(IndexError):
             extract_segment(s, 50, 50)
+
+    def test_float32_session_segment_is_an_exact_float64_copy(self):
+        s = make_session(n_samples=100)
+        s32 = SessionRecording(1, 250, s.samples.astype(np.float32), (), {})
+        seg = extract_segment(s32, 10, 20)
+        assert seg.dtype == np.float64
+        assert np.array_equal(seg, s.samples[:, 10:20].astype(np.float32))
+        seg[:] = 1e9
+        assert not np.any(s32.samples == 1e9)
 
     def test_copy_never_aliases(self):
         s = make_session(n_samples=100)

@@ -1,5 +1,6 @@
 """Synthetic session generator and the on-disk session format."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy import stats
 from eegsong import GeneratorConfig, generate_session
 from eegsong.core import BASELINE_SECONDS
 from eegsong import synth
+from eegsong.preprocess import _capture
 from eegsong.synth import (
     BACKGROUND_RMS_UV,
     BAD_CHANNEL_SCALE_BASE,
@@ -65,6 +67,33 @@ def test_determinism_bitwise(tiny_config):
     assert np.array_equal(a.samples, b.samples)
     assert a.markers == b.markers
     assert a.ratings == b.ratings
+
+
+def _whole_array_pink_noise(rng, n_channels, n_samples, sample_rate_hz):
+    """The background as one (n_channels, n_samples) draw and transform."""
+    white = rng.standard_normal((n_channels, n_samples))
+    spec = np.fft.rfft(white, axis=1)
+    k = np.arange(spec.shape[1], dtype=np.float64)
+    k[0] = 1.0
+    spec /= np.sqrt(k)
+    freqs = np.fft.rfftfreq(n_samples, d=1.0 / sample_rate_hz)
+    spec[:, freqs < synth.BACKGROUND_HIGHPASS_HZ] = 0.0
+    x = np.fft.irfft(spec, n=n_samples, axis=1)
+    x /= x.std(axis=1, keepdims=True)
+    return x
+
+
+@pytest.mark.parametrize("n_samples", [5000, 5001])
+@pytest.mark.parametrize("n_channels", [1, 3, 32])
+def test_pink_noise_matches_one_whole_array_transform(n_channels, n_samples):
+    # row by row, the draws and the arithmetic of each row are those of
+    # one whole-array transform; the generator ends in the same state too
+    by_row, whole = np.random.default_rng(4), np.random.default_rng(4)
+    assert np.array_equal(
+        synth._pink_noise(by_row, n_channels, n_samples, 250),
+        _whole_array_pink_noise(whole, n_channels, n_samples, 250),
+    )
+    assert by_row.bit_generator.state == whole.bit_generator.state
 
 
 def test_subjects_differ(tiny_session, tiny_session_2):
@@ -235,6 +264,25 @@ class TestOnDiskFormat:
         assert back.ratings == tiny_session.ratings
         # samples pass through float32 quantization, nothing more
         assert np.array_equal(back.samples, tiny_session.samples.astype("<f4").astype(np.float64))
+
+    def test_samples_file_is_the_float32_cast_of_the_session(self, tiny_session, tmp_path):
+        manifest = write_session(tiny_session, tmp_path)
+        expected = tiny_session.samples.astype("<f4").tobytes()
+        assert (manifest.parent / "samples.f32").read_bytes() == expected
+
+    def test_samples_are_read_as_stored(self, tiny_session, tmp_path):
+        back = read_session(write_session(tiny_session, tmp_path))
+        assert back.samples.dtype == np.float32
+        assert back.samples.shape == tiny_session.samples.shape
+        assert not back.samples.flags.writeable
+
+    def test_capture_of_a_read_session_matches_its_float64_cast(self, tiny_session, tmp_path):
+        back = read_session(write_session(tiny_session, tmp_path))
+        cast = dataclasses.replace(back, samples=back.samples.astype(np.float64))
+        assert cast.samples.dtype == np.float64
+        for a, b in zip(_capture(back, 10), _capture(cast, 10)):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
