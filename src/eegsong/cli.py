@@ -38,7 +38,8 @@ from .preprocess import (
     EpochsReader,
     EpochsWriter,
     PreprocessConfig,
-    run_pipeline,
+    capture_epochs,
+    clean_epochs,
     write_epochs,
 )
 from .synth import (
@@ -277,12 +278,15 @@ def _preprocess_subject(config: RunConfig, subject_id: int, writer: EpochsWriter
     violations = validate_session(session)
     if violations:
         raise PipelineError(f"{manifest.parent}: " + "; ".join(violations))
-    result = run_pipeline(session, config.preprocess)
+    for song_id, pair in session.ratings.items():
+        writer.ratings[(subject_id, song_id)] = pair
+    fs = session.sample_rate_hz
+    captured = capture_epochs(session, config.preprocess)
+    del session  # only the capture reads the samples
+    result = clean_epochs(subject_id, fs, captured, config.preprocess)
     writer.add(result.batch)
     writer.masks[subject_id] = result.channel_mask
     writer.n_dropped_epochs += result.n_dropped_epochs
-    for song_id, pair in session.ratings.items():
-        writer.ratings[(subject_id, song_id)] = pair
 
 
 def _preprocess(config: RunConfig, force: bool) -> str:

@@ -6,6 +6,10 @@ Both reproduce the arithmetic of the scipy.signal calls they stand in for
 bit-identical to scipy's on the same inputs; the tests hold them to that with
 scipy.signal as the oracle.  Nothing here imports scipy, whose signal package
 costs well over a second to import.
+
+`filtfilt` overwrites its argument: it walks the rows in tiles of samples,
+so a whole batch of epochs is filtered in one call with one small scratch
+buffer rather than a padded copy of the batch.
 """
 
 from __future__ import annotations
@@ -16,6 +20,11 @@ import numpy as np
 
 # filtfilt's default odd padding: three times the number of biquad taps.
 BIQUAD_PADLEN = 9
+
+# Samples per tile of filtfilt's walk.  Tiles of 32 to 128 samples filter a
+# (72, 32, 2500) batch in the same 0.12-0.13 s (one core of a 2-vCPU Xeon);
+# at 64 the (_TILE, 3, rows) scratch is 3.5 MB for its 2,304 rows.
+_TILE = 64
 
 
 def periodic_hamming(n: int) -> np.ndarray:
@@ -77,18 +86,25 @@ def _biquad_steady_state(b: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.linalg.solve(np.eye(2) - companion.T, b[1:] - a[1:] * b[0])
 
 
-def _biquad_pass(a: np.ndarray, z_init: np.ndarray, taps: np.ndarray) -> None:
-    """One transposed direct-form II pass over the leading (sample) axis, in
-    the operation order of scipy's C lfilter kernel:
+def _biquad_pass(
+    b: np.ndarray, a: np.ndarray, state: np.ndarray, samples: np.ndarray, scratch: np.ndarray
+) -> None:
+    """Continue one transposed direct-form II pass over samples, a
+    (k, *rows) view with k at most len(scratch), and write its output back
+    into it.  The operation order is that of scipy's C lfilter kernel:
 
         y = z0 + b0 x;  z0 = (z1 + b1 x) - a1 y;  z1 = b2 x - a2 y
 
-    taps[k] holds (b0 x, b1 x, b2 x) of sample k on entry and has y in
-    taps[k, 0] on return.  A third state row of -0.0, which added to b2 x
-    changes no bit, makes each sample three array calls."""
-    state = np.empty((3, taps.shape[2]))
-    state[:2] = z_init
-    state[2] = -0.0
+    The samples are copied into scratch, which holds (b0 x, b1 x, b2 x) of
+    sample k in scratch[k] and then y in scratch[k, 0].  state is (3, rows):
+    z0 and z1, carried from one call to the next, over a third row of -0.0,
+    which added to b2 x changes no bit and makes each sample three array
+    calls."""
+    taps = scratch[: len(samples)]
+    x = taps[:, 0].reshape(samples.shape)
+    x[...] = samples
+    np.multiply(taps[:, :1], b[1:, None], out=taps[:, 1:])
+    np.multiply(taps[:, 0], b[0], out=taps[:, 0])
     z = state[:2]
     feedback = a[1:, None]
     ay = np.empty((2, taps.shape[2]))
@@ -96,15 +112,24 @@ def _biquad_pass(a: np.ndarray, z_init: np.ndarray, taps: np.ndarray) -> None:
         np.add(state, tap, out=tap)
         np.multiply(feedback, y, out=ay)
         np.subtract(tail, ay, out=z)
+    samples[...] = x
 
 
-def filtfilt(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Forward-backward biquad (b, a with a[0] == 1) along the last axis, as
-    scipy.signal.filtfilt with its default odd padding of BIQUAD_PADLEN
-    samples and lfilter_zi initial conditions scaled by each pass's first
-    sample.  Every row is filtered at once: the more rows per call, the less
-    loop overhead each."""
-    x = np.asarray(x, dtype=np.float64)
+def filtfilt(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> None:
+    """Forward-backward biquad (b, a with a[0] == 1) along the last axis of
+    the float64 array x, in place, as scipy.signal.filtfilt with its default
+    odd padding of BIQUAD_PADLEN samples and lfilter_zi initial conditions
+    scaled by each pass's first sample.
+
+    Every row is filtered at once, _TILE samples at a time: the more rows,
+    the less loop overhead each, and the only buffers besides x are one
+    tile's (_TILE, 3, rows) scratch and the (BIQUAD_PADLEN, rows) pad at
+    each end.  The backward pass starts from the forward output's last
+    padded sample, so each sample sees scipy's arithmetic in scipy's order.
+    The backward pass over the leading pad is not run: its output is cut
+    off."""
+    if x.dtype != np.float64:
+        raise TypeError(f"filtfilt works in place on float64, got {x.dtype}")
     n = x.shape[-1]
     pad = BIQUAD_PADLEN
     if n <= pad:
@@ -112,16 +137,18 @@ def filtfilt(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
             "The length of the input vector x must be greater than padlen, "
             f"which is {pad}."
         )
-    rows = x.reshape(-1, n).T  # samples on the leading axis
-    taps = np.empty((n + 2 * pad, 3, rows.shape[1]))
-    ext = taps[:, 0]
-    ext[:pad] = 2 * rows[0] - rows[pad:0:-1]
-    ext[pad : n + pad] = rows
-    ext[n + pad :] = 2 * rows[-1] - rows[-2 : -pad - 2 : -1]
-    zi = _biquad_steady_state(b, a)
-    for taps_pass in (taps, taps[::-1]):  # forward, then backward over y
-        first = taps_pass[0, 0].copy()
-        np.multiply(taps_pass[:, :1], b[1:, None], out=taps_pass[:, 1:])
-        np.multiply(taps_pass[:, 0], b[0], out=taps_pass[:, 0])
-        _biquad_pass(a, zi[:, None] * first, taps_pass)
-    return np.ascontiguousarray(taps[pad : n + pad, 0].T).reshape(x.shape)
+    samples = np.moveaxis(x, -1, 0)  # a view, samples on the leading axis
+    head = 2 * samples[0] - samples[pad:0:-1]
+    tail = 2 * samples[-1] - samples[-2 : -pad - 2 : -1]
+    scratch = np.empty((_TILE, 3, x.size // n))
+    zi = _biquad_steady_state(b, a)[:, None]
+    state = np.empty((3, scratch.shape[2]))
+    state[2] = -0.0
+    tiles = [samples[i : i + _TILE] for i in range(0, n, _TILE)]
+
+    state[:2] = zi * head[0].reshape(-1)
+    for part in (head, *tiles, tail):
+        _biquad_pass(b, a, state, part, scratch)
+    state[:2] = zi * tail[-1].reshape(-1)
+    for part in (tail, *reversed(tiles)):
+        _biquad_pass(b, a, state, part[::-1], scratch)

@@ -4,11 +4,13 @@ epoch rejection.
 
 run_pipeline holds one subject's epochs as one (n_epochs, n_channels,
 n_samples) float64 batch, the layout of MNE-Python's Epochs.get_data(): capture
-copies every song's epochs into it, and each later step rewrites it in place.
-A subject read from disk costs its float32 session (half the bytes of a
-float64 one), the batch, and the temporaries of one block of epochs, of which
-the notch's filter buffer is the largest.  The epochs archive is written and
-read one subject's batch at a time.
+casts every song's epochs from the session straight into it, and each later
+step rewrites it in place.  run_pipeline is two halves, capture_epochs and
+clean_epochs, so that a caller can drop the session between them: a subject
+read from disk then costs its float32 session (half the bytes of a float64
+one) and the batch during capture, and the batch and small temporaries after
+it.  The epochs archive is written and read one subject's batch at a time,
+each batch written from its own buffer.
 
 The default step order mirrors the original acquisition pipeline, which
 re-references before rejecting bad channels (so a bad channel pollutes the
@@ -20,10 +22,11 @@ attenuation is directly measurable.  It is computed in numpy (`dsp`): the
 iirnotch coefficients, odd padding of 9 samples at each end, lfilter_zi
 steady-state initial conditions, then a transposed direct-form II biquad run
 forward and backward in the operation order of scipy's C lfilter, one Python
-step per sample over every row of a block at once.  Each sample sees the same
-floating-point operations in the same order as in scipy.signal.filtfilt, so
-the output matches it bit for bit.  run_pipeline filters epochs in blocks,
-which spreads the per-sample loop over many rows.
+step per sample over every row at once, in place in tiles of samples.  Each
+sample sees the same floating-point operations in the same order as in
+scipy.signal.filtfilt, so the output matches it bit for bit.  run_pipeline
+filters a subject's whole batch in one call, which spreads the per-sample
+loop over all its rows.
 """
 
 from __future__ import annotations
@@ -94,8 +97,9 @@ class PreprocessConfig:
         unknown = set(self.step_order) - set(PIPELINE_STEPS)
         if unknown:
             raise ValueError(f"unknown pipeline steps {sorted(unknown)}")
-        if not self.step_order or self.step_order[0] != "capture":
-            raise ValueError("step_order must start with 'capture'")
+        steps = self.step_order
+        if not steps or steps[0] != "capture" or "capture" in steps[1:]:
+            raise ValueError("step_order must start with 'capture' and hold it only there")
 
 
 @dataclass(frozen=True)
@@ -141,6 +145,11 @@ def _capture(
                 f"song {song_id} starts at sample {s}, too early for a "
                 f"{BASELINE_SECONDS} s baseline"
             )
+        if not s < e <= session.n_samples:
+            raise PipelineError(
+                f"song {song_id} spans samples [{s}, {e}), not inside the "
+                f"{session.n_samples} samples of the recording"
+            )
         songs.append((song_id, s, e))
 
     n_channels = session.n_channels
@@ -152,9 +161,11 @@ def _capture(
     at = 0
     for song_id, s, e in songs:
         n = (e - s) // epoch_len
-        segment = extract_segment(session, s, e).reshape(n_channels, n, epoch_len)
-        data[at : at + n] = segment.transpose(1, 0, 2)
         baseline_mean[at : at + n] = extract_segment(session, s - baseline_len, s).mean(axis=1)
+        # cast straight from the session into the batch: exact, and no
+        # song-sized float64 copy
+        song = session.samples[:, s:e].reshape(n_channels, n, epoch_len)
+        data[at : at + n] = song.transpose(1, 0, 2)
         song_ids[at : at + n] = song_id
         epoch_index[at : at + n] = np.arange(n)
         at += n
@@ -185,26 +196,36 @@ def baseline_correct(epoch: Epoch) -> Epoch:
     return epoch.with_data(data)
 
 
+def _notch(
+    data: np.ndarray, sample_rate_hz: float, notch_hz: float, bandwidth_hz: float
+) -> None:
+    """notch_filter in place on a float64 array."""
+    if not 0 < notch_hz < sample_rate_hz / 2:
+        raise ValueError(
+            f"notch at {notch_hz} Hz is not between 0 and Nyquist ({sample_rate_hz / 2} Hz)"
+        )
+    # checked one leading slice at a time, not with a batch-sized mask
+    if not all(np.isfinite(part).all() for part in np.atleast_2d(data)):
+        raise ValueError("input contains non-finite samples")
+    b, a = dsp.iirnotch(notch_hz, notch_hz / bandwidth_hz, sample_rate_hz)
+    dsp.filtfilt(b, a, data)
+
+
 def notch_filter(
     x: np.ndarray,
     sample_rate_hz: float,
     notch_hz: float = 50.0,
     bandwidth_hz: float = 2.0,
 ) -> np.ndarray:
-    """Zero-phase (forward-backward) second-order IIR notch along the last axis.
+    """Zero-phase (forward-backward) second-order IIR notch along the last
+    axis, returned as a float64 copy.
 
     Output length equals input length. bandwidth_hz is the -3 dB width of the
     single forward pass.
     """
-    if not 0 < notch_hz < sample_rate_hz / 2:
-        raise ValueError(
-            f"notch at {notch_hz} Hz is not between 0 and Nyquist ({sample_rate_hz / 2} Hz)"
-        )
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input contains non-finite samples")
-    b, a = dsp.iirnotch(notch_hz, notch_hz / bandwidth_hz, sample_rate_hz)
-    return dsp.filtfilt(b, a, x)
+    out = np.array(x, dtype=np.float64)
+    _notch(out, sample_rate_hz, notch_hz, bandwidth_hz)
+    return out
 
 
 def _reference_channels(n_channels: int, mask: ChannelMask) -> np.ndarray:
@@ -310,47 +331,52 @@ def reject_bad_channels(
     return ChannelMask(good=good, reasons={ch: frozenset(w) for ch, w in reasons.items()})
 
 
-# Epochs per block of the notch and re-reference steps of run_pipeline.  The
-# notch's per-sample loop costs the same for any number of rows, so blocks
-# amortise it; they also bound both steps' temporaries to one block.  The
-# largest is dsp.filtfilt's (S + 18, 3, block rows) float64 buffer: 15 MB for
-# 8 epochs of 32 channels x 2,500 samples, a third of what 24 epochs cost.
-# The notch of a (72, 32, 2500) batch takes 0.54 s in 8-epoch blocks against
-# 0.51 s in 24-epoch ones (one core of a 2-vCPU Xeon); the outputs are equal.
-_NOTCH_BLOCK_EPOCHS = 8
+# Epochs per block of the re-reference step of run_pipeline: its fancy-index
+# reads of the good channels copy one block, not the whole batch.
+_REREFERENCE_BLOCK_EPOCHS = 8
 
 
-def run_pipeline(session: SessionRecording, config: PreprocessConfig) -> PipelineResult:
-    """Apply config.step_order to a session.  Capture copies every epoch into
-    one (n_epochs, n_channels, n_samples) float64 batch; each later step
-    works on that batch in place, the notch and re-reference steps one block
-    of epochs at a time.  Deterministic."""
-    fs = session.sample_rate_hz
-    mask = ChannelMask.all_good(session.n_channels)
+def capture_epochs(
+    session: SessionRecording, config: PreprocessConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The capture half of run_pipeline: every song's epochs as one writable
+    (n_epochs, n_channels, n_samples) float64 batch, with each epoch's (C,)
+    baseline offset, song id and index.  Once this returns, the session is
+    not needed for the batch half, clean_epochs."""
+    try:
+        return _capture(session, config.epoch_seconds)
+    except PipelineError as e:
+        raise PipelineError(f"step 'capture' failed: {e}") from e
+
+
+def clean_epochs(
+    subject_id: int,
+    sample_rate_hz: int,
+    captured: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    config: PreprocessConfig,
+) -> PipelineResult:
+    """The batch half of run_pipeline: the steps of config.step_order after
+    capture, each on the captured batch in place.  The notch filters the
+    whole batch in one call; re-referencing goes one block of epochs at a
+    time."""
+    data, baseline_mean, song_id, epoch_index = captured
+    fs = sample_rate_hz
+    mask = ChannelMask.all_good(data.shape[1])
     n_dropped = 0
-    log: list[str] = []
+    log = [f"capture: {len(data)} epochs of {config.epoch_seconds} s"]
 
-    for step in config.step_order:
+    for step in config.step_order[1:]:
         try:
-            if step == "capture":
-                data, baseline_mean, song_id, epoch_index = _capture(
-                    session, config.epoch_seconds
-                )
-                log.append(f"capture: {len(data)} epochs of {config.epoch_seconds} s")
-            elif step == "baseline":
+            if step == "baseline":
                 _subtract_baseline(data, baseline_mean)
                 log.append("baseline: corrected against 10 s pre-song silence")
             elif step == "notch":
-                for i in range(0, len(data), _NOTCH_BLOCK_EPOCHS):
-                    block = data[i : i + _NOTCH_BLOCK_EPOCHS]
-                    block[:] = notch_filter(
-                        block, fs, config.notch_hz, config.notch_bandwidth_hz
-                    )
+                _notch(data, fs, config.notch_hz, config.notch_bandwidth_hz)
                 log.append(f"notch: {config.notch_hz} Hz zero-phase IIR")
             elif step == "rereference":
                 good = _reference_channels(data.shape[1], mask)
-                for i in range(0, len(data), _NOTCH_BLOCK_EPOCHS):
-                    _rereference(data[i : i + _NOTCH_BLOCK_EPOCHS], good)
+                for i in range(0, len(data), _REREFERENCE_BLOCK_EPOCHS):
+                    _rereference(data[i : i + _REREFERENCE_BLOCK_EPOCHS], good)
                 log.append(f"rereference: common average over {mask.n_good} channels")
             elif step == "bad_channels":
                 mask = reject_bad_channels(data, config.rejection_zscore, fs)
@@ -383,10 +409,23 @@ def run_pipeline(session: SessionRecording, config: PreprocessConfig) -> Pipelin
             raise PipelineError(f"step {step!r} failed: {e}") from e
 
     return PipelineResult(
-        batch=EpochBatch(session.subject_id, data, baseline_mean, song_id, epoch_index, fs),
+        batch=EpochBatch(subject_id, data, baseline_mean, song_id, epoch_index, fs),
         channel_mask=mask,
         n_dropped_epochs=n_dropped,
         log=tuple(log),
+    )
+
+
+def run_pipeline(session: SessionRecording, config: PreprocessConfig) -> PipelineResult:
+    """Apply config.step_order to a session: capture_epochs copies every
+    epoch into one (n_epochs, n_channels, n_samples) float64 batch, and
+    clean_epochs applies each later step to that batch in place.
+    Deterministic."""
+    return clean_epochs(
+        session.subject_id,
+        session.sample_rate_hz,
+        capture_epochs(session, config),
+        config,
     )
 
 
@@ -413,9 +452,17 @@ class EpochsFile:
 
 
 def _write_member(archive: zipfile.ZipFile, name: str, array) -> None:
-    """One array as the archive member name.npy, as np.savez writes it."""
+    """One array as the archive member name.npy, byte for byte as np.savez
+    writes a C-ordered array: the .npy 1.0 header, then the array's own
+    buffer, where np.lib.format.write_array would copy it out in chunks."""
+    array = np.asarray(array)
+    if not array.flags.c_contiguous:
+        array = array.copy(order="C")
     with archive.open(name + ".npy", "w", force_zip64=True) as fh:
-        np.lib.format.write_array(fh, np.asanyarray(array), allow_pickle=False)
+        np.lib.format.write_array_header_1_0(
+            fh, np.lib.format.header_data_from_array_1_0(array)
+        )
+        fh.write(array.reshape(-1).view(np.uint8))
 
 
 class EpochsWriter:

@@ -20,6 +20,10 @@ key: value header plus rating lines), ``subject_<id>/samples.f32``
 (channel-major little-endian float32), ``subject_<id>/events.csv``.
 read_session keeps the samples as stored, float32, so a subject read from
 disk costs half the bytes of its generated float64 session.
+
+generate_session makes one float64 session array and builds every part of
+the signal into it one channel row at a time, so it holds that one session
+copy and a few row-sized temporaries.
 """
 
 from __future__ import annotations
@@ -181,23 +185,37 @@ def _band_envelope(freqs: np.ndarray, profile: np.ndarray) -> np.ndarray:
     return env
 
 
-def _signature_noise(
+def _add_signature(
     rng: np.random.Generator,
-    n_channels: int,
-    n_samples: int,
+    song: np.ndarray,
+    gains: np.ndarray,
     sample_rate_hz: int,
     profile: np.ndarray,
-) -> np.ndarray:
-    """Band-limited noise whose per-band amplitudes follow the profile,
-    an independent realization per channel, unit RMS per channel."""
-    white = rng.standard_normal((n_channels, n_samples))
-    spec = np.fft.rfft(white, axis=1)
+) -> None:
+    """Add to each channel row of song, a (n_channels, n_samples) view of the
+    session, band-limited noise whose per-band amplitudes follow the profile:
+    an independent realization per channel, scaled to unit RMS and then by
+    that channel's gain.
+
+    Made one channel at a time, as _pink_noise is, so the only other arrays
+    are one row and its spectrum.  The draws take the generator's stream in
+    the order of one (n_channels, n_samples) draw, and each row sees the same
+    arithmetic as in a whole-array transform, so the session is the same bit
+    for bit."""
+    n_samples = song.shape[1]
     freqs = np.fft.rfftfreq(n_samples, d=1.0 / sample_rate_hz)
-    spec *= _band_envelope(freqs, profile)
-    x = np.fft.irfft(spec, n=n_samples, axis=1)
-    std = x.std(axis=1, keepdims=True)
-    std[std == 0] = 1.0
-    return x / std
+    envelope = _band_envelope(freqs, profile)
+    x = np.empty(n_samples)
+    spec = np.empty(freqs.shape, dtype=np.complex128)
+    for row, gain in zip(song, gains):
+        rng.standard_normal(out=x)
+        np.fft.rfft(x, out=spec)
+        spec *= envelope
+        np.fft.irfft(spec, n=n_samples, out=x)
+        std = x.std()
+        x /= std if std != 0 else 1.0
+        x *= gain
+        row += x
 
 
 def generate_session(config: GeneratorConfig, subject_id: int) -> SessionRecording:
@@ -216,16 +234,20 @@ def generate_session(config: GeneratorConfig, subject_id: int) -> SessionRecordi
     song_gains = rng.uniform(0.5, 1.5, config.n_songs)
     familiarity = rng.integers(1, 6, config.n_songs)
 
-    # Scaled in place, and the mains line added one channel at a time, so
-    # no second channels x samples array is made here.
+    # Scaled in place, and the mains line and the song signatures added one
+    # channel at a time, so no second channels x samples array is made here.
     samples = _pink_noise(rng, config.n_channels, n_total, fs)
     samples *= BACKGROUND_RMS_UV
 
-    t = np.arange(n_total) / fs
     line_phases = rng.uniform(0.0, 2.0 * np.pi, config.n_channels)
-    mains = 2.0 * np.pi * 50.0 * t
+    mains = 2.0 * np.pi * 50.0 * (np.arange(n_total) / fs)
+    line = np.empty(n_total)
     for row, phase in zip(samples, line_phases):
-        row += config.line_noise_amplitude_uv * np.sin(mains + phase)
+        np.add(mains, phase, out=line)
+        np.sin(line, out=line)
+        line *= config.line_noise_amplitude_uv
+        row += line
+    del mains, line
 
     markers: list[EventMarker] = [
         EventMarker("beep_single", 0),
@@ -235,16 +257,14 @@ def generate_session(config: GeneratorConfig, subject_id: int) -> SessionRecordi
     gap_len = config.inter_song_silence_seconds * fs
     pos = config.lead_silence_seconds * fs
     for s in range(1, config.n_songs + 1):
-        sig = _signature_noise(
-            rng, config.n_channels, song_len, fs, song_band_profile(s, config.n_songs)
+        amp = SIGNATURE_RMS_UV * config.class_separation * song_gains[s - 1] * channel_gains
+        _add_signature(
+            rng,
+            samples[:, pos : pos + song_len],
+            amp,
+            fs,
+            song_band_profile(s, config.n_songs),
         )
-        amp = (
-            SIGNATURE_RMS_UV
-            * config.class_separation
-            * song_gains[s - 1]
-            * channel_gains[:, None]
-        )
-        samples[:, pos : pos + song_len] += amp * sig
 
         end = pos + song_len
         markers.append(EventMarker("song_start", pos, song_id=s))

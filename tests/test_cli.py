@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from eegsong.cli import ConfigError, _build_parser, load_run_config, main
-from eegsong.dsp import BIQUAD_PADLEN
-from eegsong.preprocess import _NOTCH_BLOCK_EPOCHS, PreprocessConfig
+from eegsong.dsp import _TILE
+from eegsong.preprocess import PreprocessConfig
 from eegsong.synth import GeneratorConfig
 
 SMALL_CONFIG = {
@@ -444,40 +444,49 @@ def test_signal_stages_hold_one_subject_at_a_time(tmp_path, capsys):
         assert growth < SUBJECT_EPOCH_BYTES, (stage, peaks[1][stage], peaks[3][stage])
 
 
-# 32 channels, six 20 s songs between 240 s silences: a 650 s session whose
-# float64 copy (41.6 MB) dwarfs one song's signature (1.28 MB) and the batch
-# of 12 ten-second epochs (7.68 MB), so a second whole-session copy shows.
+# 32 channels, six 60 s songs between 240 s silences: an 890 s session whose
+# float64 copy (57.0 MB) outweighs the float32 one and the batch of 36
+# ten-second epochs (23.0 MB) together, so a second whole-session copy shows,
+# and whose songs are long enough for song-sized temporaries (3.84 MB for one
+# song's channels) to show too.
 LONG_SESSION_GENERATOR = dict(
     MEMORY_GENERATOR,
     n_subjects=1,
     n_songs=6,
-    song_seconds=20,
+    song_seconds=60,
     lead_silence_seconds=240,
     trail_silence_seconds=240,
     n_channels=32,
 )
 
 
-def test_signal_stages_hold_one_session_copy(tmp_path, capsys):
-    """Beside the float64 session, generate holds one song's signature
-    temporaries and a few one-channel rows; preprocess holds the float32
-    session as read, the float64 batch, and one notch block's filter buffer
-    and output."""
+def _long_session_bytes() -> dict[str, int]:
+    """Bytes of the arrays that the signal stages may hold at the
+    LONG_SESSION_GENERATOR config, and the slack allowed beside them."""
     gen = GeneratorConfig(**LONG_SESSION_GENERATOR)
     row = gen.session_samples * 8
-    session = gen.n_channels * row
-    signature = gen.n_channels * gen.song_seconds * gen.sample_rate_hz * 8
     epoch_len = PreprocessConfig().epoch_seconds * gen.sample_rate_hz
     n_epochs = gen.n_songs * gen.song_seconds * gen.sample_rate_hz // epoch_len
-    batch = n_epochs * gen.n_channels * epoch_len * 8
-    block_rows = min(_NOTCH_BLOCK_EPOCHS, n_epochs) * gen.n_channels
-    taps = (epoch_len + 2 * BIQUAD_PADLEN) * 3 * block_rows * 8
-    # per-sample index arrays (the 1/sqrt(k) weights, the sample times) and
-    # the interpreter's own allocations
-    slack = 4 * row + 1_000_000
+    return {
+        "session": gen.n_channels * row,
+        # one channel's spectrum and row-sized temporaries
+        "rows": 2 * row,
+        "batch": n_epochs * gen.n_channels * epoch_len * 8,
+        "tile": _TILE * 3 * n_epochs * gen.n_channels * 8,
+        # per-sample index arrays (the 1/sqrt(k) weights, the mains phase)
+        # and the interpreter's own allocations
+        "slack": 4 * row + 1_000_000,
+    }
+
+
+def test_signal_stages_hold_one_session_copy(tmp_path, capsys):
+    """Beside the float64 session, generate holds a few one-channel rows;
+    preprocess holds the float32 session as read, the float64 batch and the
+    notch's tile scratch, and drops the session once the batch is captured."""
+    size = _long_session_bytes()
     budgets = {
-        "generate": session + 6 * signature + 6 * row + slack,
-        "preprocess": session // 2 + batch + taps + 2 * block_rows * epoch_len * 8 + slack,
+        "generate": size["session"] + size["rows"] + size["slack"],
+        "preprocess": size["session"] // 2 + size["batch"] + size["tile"] + size["slack"],
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(dict(SMALL_CONFIG, generator=LONG_SESSION_GENERATOR)))
@@ -486,6 +495,19 @@ def test_signal_stages_hold_one_session_copy(tmp_path, capsys):
     capsys.readouterr()
     over = {stage: (peaks[stage], budget) for stage, budget in budgets.items() if peaks[stage] >= budget}
     assert over == {}
+
+
+def test_pipeline_process_holds_one_session_copy(tmp_path, capsys):
+    """One `pipeline` process, every stage in turn, peaks under the float64
+    session plus a few rows and slack: no stage holds a second session-sized
+    array beside the largest it must."""
+    size = _long_session_bytes()
+    budget = size["session"] + size["rows"] + size["slack"]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(SMALL_CONFIG, generator=LONG_SESSION_GENERATOR)))
+    peak = _traced_peak(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    capsys.readouterr()
+    assert peak < budget, (peak, budget)
 
 
 def test_cli_import_loads_no_scipy():

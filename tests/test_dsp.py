@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import signal
 
-from eegsong import PreprocessConfig, dsp, preprocess, run_pipeline
+from eegsong import PreprocessConfig, dsp, run_pipeline
 from eegsong.core import EEG_BAND_EDGES
 from eegsong.features.spectral import PSD_DB_FLOOR, spectopo_bandpower
 from eegsong.preprocess import (
@@ -129,13 +129,56 @@ class TestNotch:
         with pytest.raises(ValueError, match="padlen"):
             notch_filter(x, FS)
 
-    def test_run_pipeline_blocks_match_epoch_by_epoch(self, tiny_session, monkeypatch):
-        # 8 epochs in blocks of 3, 3 and 2: each block is one filtfilt call
-        monkeypatch.setattr(preprocess, "_NOTCH_BLOCK_EPOCHS", 3)
+    def test_run_pipeline_blocks_match_epoch_by_epoch(self, tiny_session):
+        # run_pipeline filters the whole batch in one call, in tiles of
+        # samples that do not divide the 2,500-sample epochs
         config = PreprocessConfig(step_order=("capture", "baseline", "notch"))
-        blocked = run_pipeline(tiny_session, config).epochs
+        batched = run_pipeline(tiny_session, config).epochs
         epochs = capture_music_epochs(tiny_session, config.epoch_seconds)
         assert len(epochs) == 8
-        for got, ep in zip(blocked, epochs):
+        assert epochs[0].data.shape[-1] % dsp._TILE != 0
+        for got, ep in zip(batched, epochs):
             expected = notch_filter(baseline_correct(ep).data, FS)
             assert np.array_equal(got.data, expected)
+
+
+class TestFiltfiltInPlace:
+    """dsp.filtfilt walks its argument in tiles of samples and overwrites it."""
+
+    @pytest.mark.parametrize("n_samples", [10, 11, 37, dsp._TILE, 2501])
+    def test_batch_matches_scipy_filtfilt(self, n_samples):
+        x = noise((3, 4), n_samples, seed=5)
+        b, a = signal.iirnotch(50.0, 25.0, fs=FS)
+        expected = signal.filtfilt(b, a, x, axis=-1)
+        y = x.copy()
+        assert dsp.filtfilt(b, a, y) is None
+        assert np.array_equal(y, expected)
+
+    def test_writes_into_its_argument(self):
+        # a strided view: the rows it covers are filtered where they lie and
+        # the rows between them are not touched
+        whole = noise((4, 6), 300, seed=6)
+        before = whole.copy()
+        view = whole[:, ::2]
+        b, a = signal.iirnotch(50.0, 25.0, fs=FS)
+        dsp.filtfilt(b, a, view)
+        assert np.array_equal(whole[:, ::2], signal.filtfilt(b, a, before[:, ::2]))
+        assert np.array_equal(whole[:, 1::2], before[:, 1::2])
+
+    @pytest.mark.parametrize("n_samples", [1, 5, 9])
+    def test_nine_samples_or_fewer_raise_and_leave_the_input(self, n_samples):
+        x = noise((2, 3), n_samples, seed=7)
+        before = x.copy()
+        b, a = signal.iirnotch(50.0, 25.0, fs=FS)
+        with pytest.raises(ValueError, match="padlen"):
+            dsp.filtfilt(b, a, x)
+        assert np.array_equal(x, before)
+
+
+def test_notch_filter_leaves_its_input_alone():
+    # notch_filter copies, then filters the copy in place
+    x = noise((2, 3), 100, seed=4)
+    before = x.copy()
+    out = notch_filter(x, FS)
+    assert not np.shares_memory(out, x)
+    assert np.array_equal(x, before)

@@ -1,7 +1,9 @@
 """Epoch capture, baseline correction, notch filter, re-referencing,
 bad-channel rejection, and the composed pipeline."""
 
+import io
 import re
+import zipfile
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from eegsong import GeneratorConfig, PipelineError, PreprocessConfig, generate_s
 from eegsong.core import ChannelMask, Epoch
 from eegsong.preprocess import (
     EpochsFile,
+    _write_member,
     average_rereference,
     baseline_correct,
     capture_music_epochs,
@@ -55,6 +58,8 @@ class TestConfig:
     def test_capture_must_come_first(self):
         with pytest.raises(ValueError, match="start with 'capture'"):
             PreprocessConfig(step_order=("baseline", "capture"))
+        with pytest.raises(ValueError, match="start with 'capture'"):
+            PreprocessConfig(step_order=("capture", "baseline", "capture"))
 
 
 class TestCapture:
@@ -457,3 +462,28 @@ class TestEpochsFile:
         np.savez(path, **payload)
         with pytest.raises(PipelineError, match=re.escape(f"{path}: epochs archive has no mask_good array")):
             load_epochs(path)
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.asarray(3),
+            np.zeros((0, 4)),
+            np.array([[True, False], [False, True]]),
+            np.arange(-3, 4, dtype=np.int64),
+            np.random.default_rng(0).normal(size=(3, 4, 5)),
+        ],
+        ids=["0-d", "empty", "bool", "int64", "3-D float64"],
+    )
+    def test_member_bytes_match_write_array(self, array):
+        def member(write):
+            buffer = io.BytesIO()
+            with zipfile.ZipFile(buffer, "w") as archive:
+                write(archive)
+            with zipfile.ZipFile(buffer) as archive:
+                return archive.read("x.npy")
+
+        def reference(archive):
+            with archive.open("x.npy", "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, array, allow_pickle=False)
+
+        assert member(lambda archive: _write_member(archive, "x", array)) == member(reference)
