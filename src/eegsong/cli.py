@@ -47,8 +47,8 @@ from .synth import (
     MANIFEST_NAME,
     SAMPLES_NAME,
     GeneratorConfig,
+    SessionReader,
     generate_session,
-    read_session,
     session_dir_name,
     write_session,
 )
@@ -271,19 +271,19 @@ def _generate(config: RunConfig, force: bool) -> str:
 
 
 def _preprocess_subject(config: RunConfig, subject_id: int, writer: EpochsWriter) -> None:
-    """Read, check and preprocess one subject's session into writer; nothing
-    of the subject is kept once this returns."""
+    """Open, check and preprocess one subject's session into writer: the
+    capture reads each song's channel rows from the samples file, so the
+    session is never in memory whole, and nothing of the subject is kept
+    once this returns."""
     manifest = config.out / SESSIONS_DIR / session_dir_name(subject_id) / MANIFEST_NAME
-    session = read_session(manifest)
-    violations = validate_session(session)
-    if violations:
-        raise PipelineError(f"{manifest.parent}: " + "; ".join(violations))
-    for song_id, pair in session.ratings.items():
-        writer.ratings[(subject_id, song_id)] = pair
-    fs = session.sample_rate_hz
-    captured = capture_epochs(session, config.preprocess)
-    del session  # only the capture reads the samples
-    result = clean_epochs(subject_id, fs, captured, config.preprocess)
+    with SessionReader(manifest) as session:
+        violations = validate_session(session)
+        if violations:
+            raise PipelineError(f"{manifest.parent}: " + "; ".join(violations))
+        for song_id, pair in session.ratings.items():
+            writer.ratings[(subject_id, song_id)] = pair
+        captured = capture_epochs(session, config.preprocess)
+    result = clean_epochs(subject_id, session.sample_rate_hz, captured, config.preprocess)
     writer.add(result.batch)
     writer.masks[subject_id] = result.channel_mask
     writer.n_dropped_epochs += result.n_dropped_epochs
@@ -306,7 +306,7 @@ def _preprocess(config: RunConfig, force: bool) -> str:
 
 
 def _features(config: RunConfig, force: bool) -> str:
-    """Featurize epochs.npz one subject's batch at a time."""
+    """Featurize epochs.npz one epoch at a time."""
     with EpochsReader(config.out / EPOCHS_FILE) as reader:
         dataset = build_feature_matrix(
             reader.epochs(), config.features, ratings=reader.ratings

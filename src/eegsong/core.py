@@ -5,7 +5,7 @@ write that every stage uses.
 All types are immutable after construction (frozen dataclasses; numpy arrays
 are flagged read-only), so they can be shared freely across workers.
 Signal values are microvolts, held as float64 in memory, except that a session
-read from disk keeps its float32 samples (see SessionRecording).
+read whole from disk keeps its float32 samples (see SessionRecording).
 """
 
 from __future__ import annotations
@@ -72,6 +72,20 @@ class Archive:
     def __getitem__(self, name: str) -> np.ndarray:
         try:
             return self._npz[name]
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise self.error(
+                f"{self.path}: not a readable {self.what} archive ({exc})"
+            ) from exc
+
+    @contextmanager
+    def stream(self, name: str) -> Iterator[zipfile.ZipExtFile]:
+        """The member name.npy open as a zip stream, header and all.  A zip
+        fault, or a ValueError, inside the block raises error naming the
+        path, as reading a whole array does; zipfile checks the member's
+        CRC once it is read to its end."""
+        try:
+            with self._npz.zip.open(name + ".npy") as fh:
+                yield fh
         except (ValueError, EOFError, zipfile.BadZipFile) as exc:
             raise self.error(
                 f"{self.path}: not a readable {self.what} archive ({exc})"
@@ -162,11 +176,13 @@ class SessionRecording:
     """One subject's full multichannel recording with markers and ratings.
 
     samples: channels x time, microvolts, read-only.  float32 samples are kept
-    as float32, flagged read-only in place rather than copied: a session read
-    from disk is stored as float32, and a float64 copy beside it would double
-    the largest array of a subject.  Samples of any other dtype are copied to
-    float64, as generate_session makes them.  extract_segment copies out
-    float64 either way; the float32 to float64 cast is exact.
+    as float32, flagged read-only in place rather than copied: synth.read_session
+    reads a session as stored, as float32, and a float64 copy beside it would
+    double the largest array of a subject.  (preprocess never reads a whole
+    session: it reads each song's channel rows through a synth.SessionReader.)
+    Samples of any other dtype are copied to float64, as generate_session
+    makes them.  extract_segment copies out float64 either way; the float32 to
+    float64 cast is exact.
     ratings: song_id -> (enjoyment 1-5, familiarity 1-5).
     """
 
@@ -197,6 +213,11 @@ class SessionRecording:
     @property
     def n_samples(self) -> int:
         return self.samples.shape[1]
+
+    def row(self, channel: int, start: int, end: int) -> np.ndarray:
+        """samples[channel, start:end], a read-only view: the row accessor
+        that synth.SessionReader has too."""
+        return self.samples[channel, start:end]
 
 
 @dataclass(frozen=True)
@@ -321,7 +342,9 @@ class ChannelMask:
 def validate_session(session: SessionRecording) -> list[str]:
     """Collect every invariant violation; an empty list means the session is valid.
 
-    Violations are data, not failures: nothing raises here.
+    Only the sample rate, length, markers and ratings are read, so an open
+    synth.SessionReader is checked the same way.  Violations are data, not
+    failures: nothing raises here.
     """
     violations: list[str] = []
     if session.sample_rate_hz not in EXPECTED_SAMPLE_RATES:

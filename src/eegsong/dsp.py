@@ -37,29 +37,41 @@ def periodic_hamming(n: int) -> np.ndarray:
     return w[:-1]
 
 
+# Samples per chunk of one row's Welch segments: a chunk's detrended,
+# windowed and transformed arrays (16,000 float64 samples, 128 KB) stay under
+# glibc's 128 KiB mmap threshold, so a long row's Welch reuses heap blocks
+# rather than faulting fresh pages in for each temporary.
+_WELCH_CHUNK_SAMPLES = 16_000
+
+
 def welch(
     x: np.ndarray, sample_rate_hz: float, nperseg: int, detrend: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """One-sided Welch PSD along the last axis: periodic Hamming window of
     nperseg samples, 50% overlap, density scaling, mean over segments.
-    detrend subtracts each segment's mean before windowing."""
+    detrend subtracts each segment's mean before windowing.  The segments
+    are transformed _WELCH_CHUNK_SAMPLES // nperseg at a time into one
+    (..., freq, segment) power array."""
     x = np.asarray(x, dtype=np.float64)
     noverlap = nperseg // 2
     hop = nperseg - noverlap
     n_seg = (x.shape[-1] - noverlap) // hop
+    power = np.empty((*x.shape[:-1], nperseg // 2 + 1, n_seg))
     win = periodic_hamming(nperseg)
     # ShortTimeFFT.scale_to('psd'): builtin sum, divided by T = 1 / fs
     win = win * (1 / np.sqrt(sum(win * win) / (1 / sample_rate_hz)))
     segments = np.lib.stride_tricks.sliding_window_view(x, nperseg, axis=-1)
     segments = segments[..., : n_seg * hop : hop, :]
-    if detrend:
-        segments = segments - segments.mean(axis=-1, keepdims=True)
-    spec = np.fft.rfft(segments * win, axis=-1)
+    chunk = max(1, _WELCH_CHUNK_SAMPLES // nperseg)
+    for i in range(0, n_seg, chunk):
+        part = segments[..., i : i + chunk, :]
+        if detrend:
+            part = part - part.mean(axis=-1, keepdims=True)
+        spec = np.swapaxes(np.fft.rfft(part * win, axis=-1), -1, -2)
+        np.add(spec.real**2, spec.imag**2, out=power[..., i : i + chunk])
+    power[..., 1 : -1 if nperseg % 2 == 0 else None, :] *= 2
     # average over a C-contiguous (..., freq, segment) array, as scipy does,
     # so the pairwise summation runs in the same order
-    spec = np.ascontiguousarray(np.swapaxes(spec, -1, -2))
-    power = spec.real**2 + spec.imag**2
-    power[..., 1 : -1 if nperseg % 2 == 0 else None, :] *= 2
     return np.fft.rfftfreq(nperseg, 1 / sample_rate_hz), power.mean(axis=-1)
 
 

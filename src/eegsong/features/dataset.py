@@ -98,8 +98,8 @@ def build_feature_matrix(
 ) -> Dataset:
     """Compute the selected feature families for every epoch, in one pass
     over epochs, which may be a generator.  No epoch is held once its row is
-    made, so a generator that reads epochs batch by batch keeps one batch in
-    memory.
+    made, so a generator that reads epochs one at a time, as
+    EpochsReader.epochs does, keeps one epoch in memory.
 
     ratings maps (subject_id, song_id) to (enjoyment, familiarity); epochs with
     no entry get zeros in those meta columns.
@@ -117,21 +117,23 @@ def build_feature_matrix(
 
     rows = []
     meta = []  # (song_id, subject_id, epoch_index, enjoyment, familiarity)
-    names: tuple[str, ...] | None = None
+    # the column names follow from (channel count, sorted feature names): made
+    # once from the first epoch, and each later epoch's layout compared
+    layout: tuple[int, list[str]] | None = None
     for epoch in epochs:
         pos = len(rows)
         per_channel: dict[str, np.ndarray] = {}
         for family in selection:
             per_channel.update(FAMILIES[family](epoch.data, epoch.sample_rate_hz))
         feature_order = sorted(per_channel)
-        epoch_names = tuple(
-            f"ch{c}_{fname}"
-            for c in range(epoch.n_channels)
-            for fname in feature_order
-        )
-        if names is None:
-            names = epoch_names
-        elif names != epoch_names:
+        if layout is None:
+            layout = (epoch.n_channels, feature_order)
+            names = tuple(
+                f"ch{c}_{fname}"
+                for c in range(epoch.n_channels)
+                for fname in feature_order
+            )
+        elif layout != (epoch.n_channels, feature_order):
             raise ValueError(
                 f"epoch {pos} produced a different feature layout "
                 "(mixed channel counts or lengths?)"
@@ -148,8 +150,7 @@ def build_feature_matrix(
         rows.append(row)
         enjoy, familiar = ratings.get((epoch.subject_id, epoch.song_id), (0, 0))
         meta.append((epoch.song_id, epoch.subject_id, epoch.epoch_index, enjoy, familiar))
-        # an epoch may be a view of a whole batch: drop it before the next
-        # epoch, which may come from a batch read only now
+        # drop the epoch before the generator reads the next one
         del epoch
     if not rows:
         raise ValueError("no epochs to featurize")

@@ -4,13 +4,14 @@ epoch rejection.
 
 run_pipeline holds one subject's epochs as one (n_epochs, n_channels,
 n_samples) float64 batch, the layout of MNE-Python's Epochs.get_data(): capture
-casts every song's epochs from the session straight into it, and each later
-step rewrites it in place.  run_pipeline is two halves, capture_epochs and
-clean_epochs, so that a caller can drop the session between them: a subject
-read from disk then costs its float32 session (half the bytes of a float64
-one) and the batch during capture, and the batch and small temporaries after
-it.  The epochs archive is written and read one subject's batch at a time,
-each batch written from its own buffer.
+casts every song's epochs from the session straight into it, one channel row
+at a time, and each later step rewrites it in place.  run_pipeline is two
+halves, capture_epochs and clean_epochs.  Capture takes its rows from an
+in-memory session or from an open synth.SessionReader, which reads each
+song's channel rows from disk into one reused buffer; a subject read that way
+costs the batch and a few row-sized buffers, and no session-sized array.  The
+epochs archive is written one subject's batch at a time, each batch from its
+own buffer, and EpochsReader reads it back one epoch at a time.
 
 The default step order mirrors the original acquisition pipeline, which
 re-references before rejecting bad channels (so a bad channel pollutes the
@@ -50,9 +51,9 @@ from .core import (
     PipelineError,
     SessionRecording,
     atomic_write,
-    extract_segment,
     read_archive,
 )
+from .synth import SessionReader
 
 PIPELINE_STEPS = (
     "capture",
@@ -116,11 +117,15 @@ class PipelineResult:
 
 
 def _capture(
-    session: SessionRecording, epoch_seconds: int
+    session: SessionRecording | SessionReader, epoch_seconds: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every song's non-overlapping epochs copied into one (E, C, S) array,
     with each epoch's (C,) baseline offset (the per-channel mean of the
-    BASELINE_SECONDS of silence before its song's onset), song id and index."""
+    BASELINE_SECONDS of silence before its song's onset), song id and index.
+
+    The samples are taken through session.row, one channel's baseline and
+    song at a time: a view of an in-memory session, or a read from an open
+    session file into one reused buffer."""
     fs = session.sample_rate_hz
     epoch_len = epoch_seconds * fs
     baseline_len = BASELINE_SECONDS * fs
@@ -161,11 +166,13 @@ def _capture(
     at = 0
     for song_id, s, e in songs:
         n = (e - s) // epoch_len
-        baseline_mean[at : at + n] = extract_segment(session, s - baseline_len, s).mean(axis=1)
-        # cast straight from the session into the batch: exact, and no
-        # song-sized float64 copy
-        song = session.samples[:, s:e].reshape(n_channels, n, epoch_len)
-        data[at : at + n] = song.transpose(1, 0, 2)
+        for c in range(n_channels):
+            row = session.row(c, s - baseline_len, e)
+            # the same bits as the channel's row of a float64 baseline window's
+            # mean over axis 1
+            baseline_mean[at : at + n, c] = row[:baseline_len].astype(np.float64).mean()
+            # cast straight from the row into the batch: exact
+            data[at : at + n, c] = row[baseline_len:].reshape(n, epoch_len)
         song_ids[at : at + n] = song_id
         epoch_index[at : at + n] = np.arange(n)
         at += n
@@ -173,7 +180,7 @@ def _capture(
 
 
 def capture_music_epochs(
-    session: SessionRecording, epoch_seconds: int
+    session: SessionRecording | SessionReader, epoch_seconds: int
 ) -> list[Epoch]:
     """Slice every song into non-overlapping epochs, each carrying the per-channel
     mean of the BASELINE_SECONDS of silence before its song's onset."""
@@ -242,8 +249,17 @@ def _reference_channels(n_channels: int, mask: ChannelMask) -> np.ndarray:
 
 def _rereference(data: np.ndarray, good: np.ndarray) -> None:
     """In place over (..., C, S): the per-sample mean over the good channels
-    off every good channel."""
-    data[..., good, :] -= data[..., good, :].mean(axis=-2, keepdims=True)
+    off every good channel.  The mean is summed one good channel at a time
+    into one (..., S) buffer, in the order in which a mean over the channel
+    axis adds them, so it has the same bits without a copy of the good
+    channels."""
+    channels = np.flatnonzero(good)
+    mean = data[..., channels[0], :].copy()
+    for c in channels[1:]:
+        mean += data[..., c, :]
+    mean /= len(channels)
+    for c in channels:
+        data[..., c, :] -= mean
 
 
 def average_rereference(segment: np.ndarray, mask: ChannelMask) -> np.ndarray:
@@ -255,37 +271,49 @@ def average_rereference(segment: np.ndarray, mask: ChannelMask) -> np.ndarray:
     return out
 
 
-def _excess_kurtosis(centered: np.ndarray) -> np.ndarray:
-    """Excess kurtosis along the last axis of an already mean-centred array."""
-    squared = centered * centered
-    m2 = squared.mean(axis=-1)
-    m4 = (squared * squared).mean(axis=-1)
-    m2 = np.where(m2 == 0, 1.0, m2)
-    return m4 / m2**2 - 3.0
-
-
-def _eeg_span_power(x: np.ndarray, sample_rate_hz: float) -> np.ndarray:
-    """Total power along the last axis over the span of EEG_BAND_EDGES, from
-    the lowest lower edge to the highest upper edge, via a mean-detrended
-    Welch PSD run one row at a time (a whole-array Welch holds every segment
-    at once)."""
-    rows = x.reshape(-1, x.shape[-1])
-    nperseg = min(x.shape[-1], int(sample_rate_hz))
-    spectra = [dsp.welch(row, sample_rate_hz, nperseg, detrend=True) for row in rows]
-    freqs = spectra[0][0]
-    psd = np.stack([p for _, p in spectra])
-    lo = min(edge for _, edge, _ in EEG_BAND_EDGES)
-    hi = max(edge for _, _, edge in EEG_BAND_EDGES)
-    band = (freqs >= lo) & (freqs < hi)
-    df = freqs[1] - freqs[0] if len(freqs) > 1 else 1.0
-    return (psd[:, band].sum(axis=1) * df).reshape(x.shape[:-1])
-
-
 def _zscore_across_channels(values: np.ndarray) -> np.ndarray:
     std = values.std()
     if std == 0:
         return np.zeros_like(values)
     return (values - values.mean()) / std
+
+
+def _rejection_measures(segment: np.ndarray, sample_rate_hz: float) -> dict[str, np.ndarray]:
+    """Each channel's REJECTION_MEASURES: the mean absolute deviation, the
+    excess kurtosis and the EEG-span power of its row.  segment is channels x
+    samples, or an (E, C, S) epoch batch, whose channel c is then its
+    epochs' rows c end to end.  The measures are taken one channel at a time
+    on buffers kept from channel to channel: the row, its mean-centred copy
+    and one scratch row."""
+    segment = np.asarray(segment)
+    n_channels = segment.shape[-2]
+    n = segment[..., 0, :].size
+    row, centered, scratch = np.empty((3, n))
+    # row as the shape of one channel's slice of segment, to copy it in
+    row_in = row.reshape(segment[..., 0, :].shape)
+    # the spectrum measure: total power over the span of EEG_BAND_EDGES, from
+    # the lowest lower edge to the highest upper edge, via a mean-detrended
+    # Welch PSD
+    nperseg = min(n, int(sample_rate_hz))
+    freqs = np.fft.rfftfreq(nperseg, 1 / sample_rate_hz)
+    lo = min(edge for _, edge, _ in EEG_BAND_EDGES)
+    hi = max(edge for _, _, edge in EEG_BAND_EDGES)
+    band = (freqs >= lo) & (freqs < hi)
+    df = freqs[1] - freqs[0] if len(freqs) > 1 else 1.0
+    measures = {name: np.empty(n_channels) for name in REJECTION_MEASURES}
+    for ch in range(n_channels):
+        row_in[...] = segment[..., ch, :]
+        np.subtract(row, row.mean(), out=centered)
+        measures["probability"][ch] = np.abs(centered, out=scratch).mean()
+        # excess kurtosis: the fourth central moment over the squared second
+        squared = np.multiply(centered, centered, out=scratch)
+        m2 = squared.mean()
+        m4 = np.multiply(squared, squared, out=scratch).mean()
+        m2 = 1.0 if m2 == 0 else m2
+        measures["kurtosis"][ch] = m4 / (m2 * m2) - 3.0
+        _, psd = dsp.welch(row, sample_rate_hz, nperseg, detrend=True)
+        measures["spectrum"][ch] = psd[band].sum() * df
+    return measures
 
 
 def reject_bad_channels(
@@ -295,26 +323,16 @@ def reject_bad_channels(
 ) -> ChannelMask:
     """Flag channels whose amplitude distribution, kurtosis, or EEG-span power
     is a cross-channel outlier (|z| above the threshold on any measure).
-
-    segment is channels x samples, or an (E, C, S) epoch batch, whose channel
-    c is then its epochs' rows c end to end.  The measures are taken one
-    channel at a time."""
-    segment = np.asarray(segment, dtype=np.float64)
-    n_channels = segment.shape[-2]
+    segment is channels x samples or an (E, C, S) epoch batch, as
+    _rejection_measures takes it."""
+    n_channels = np.shape(segment)[-2]
     if n_channels < MIN_REJECTION_CHANNELS:
         raise PipelineError(
             f"bad-channel rejection needs >= {MIN_REJECTION_CHANNELS} channels, "
             f"got {n_channels}"
         )
 
-    measures = {name: np.empty(n_channels) for name in REJECTION_MEASURES}
-    for ch in range(n_channels):
-        row = segment[..., ch, :].reshape(-1)
-        centered = row - row.mean()
-        measures["probability"][ch] = np.abs(centered).mean()
-        measures["kurtosis"][ch] = _excess_kurtosis(centered)
-        measures["spectrum"][ch] = _eeg_span_power(row, sample_rate_hz)
-
+    measures = _rejection_measures(segment, sample_rate_hz)
     good = np.ones(n_channels, dtype=bool)
     reasons: dict[int, set[str]] = {}
     for name, values in measures.items():
@@ -331,18 +349,15 @@ def reject_bad_channels(
     return ChannelMask(good=good, reasons={ch: frozenset(w) for ch, w in reasons.items()})
 
 
-# Epochs per block of the re-reference step of run_pipeline: its fancy-index
-# reads of the good channels copy one block, not the whole batch.
-_REREFERENCE_BLOCK_EPOCHS = 8
-
-
 def capture_epochs(
-    session: SessionRecording, config: PreprocessConfig
+    session: SessionRecording | SessionReader, config: PreprocessConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The capture half of run_pipeline: every song's epochs as one writable
     (n_epochs, n_channels, n_samples) float64 batch, with each epoch's (C,)
-    baseline offset, song id and index.  Once this returns, the session is
-    not needed for the batch half, clean_epochs."""
+    baseline offset, song id and index.  session is a SessionRecording or
+    an open SessionReader, whose rows are read from disk as they are cast.
+    Once this returns, the session is not needed for the batch half,
+    clean_epochs."""
     try:
         return _capture(session, config.epoch_seconds)
     except PipelineError as e:
@@ -356,9 +371,8 @@ def clean_epochs(
     config: PreprocessConfig,
 ) -> PipelineResult:
     """The batch half of run_pipeline: the steps of config.step_order after
-    capture, each on the captured batch in place.  The notch filters the
-    whole batch in one call; re-referencing goes one block of epochs at a
-    time."""
+    capture, each on the captured batch in place.  The notch and the
+    re-reference each take the whole batch in one call."""
     data, baseline_mean, song_id, epoch_index = captured
     fs = sample_rate_hz
     mask = ChannelMask.all_good(data.shape[1])
@@ -374,9 +388,7 @@ def clean_epochs(
                 _notch(data, fs, config.notch_hz, config.notch_bandwidth_hz)
                 log.append(f"notch: {config.notch_hz} Hz zero-phase IIR")
             elif step == "rereference":
-                good = _reference_channels(data.shape[1], mask)
-                for i in range(0, len(data), _REREFERENCE_BLOCK_EPOCHS):
-                    _rereference(data[i : i + _REREFERENCE_BLOCK_EPOCHS], good)
+                _rereference(data, _reference_channels(data.shape[1], mask))
                 log.append(f"rereference: common average over {mask.n_good} channels")
             elif step == "bad_channels":
                 mask = reject_bad_channels(data, config.rejection_zscore, fs)
@@ -576,8 +588,8 @@ def save_epochs(path, epochs_file: EpochsFile):
 
 
 class EpochsReader:
-    """An epochs archive open for reading one subject's batch at a time; the
-    masks, ratings and per-epoch arrays are read on opening.  Close it, or
+    """An epochs archive open for reading one epoch at a time; the masks,
+    ratings and per-epoch arrays are read on opening.  Close it, or
     use it as a context manager."""
 
     def __init__(self, path):
@@ -618,29 +630,51 @@ class EpochsReader:
             for k, v in zip(archive["rating_keys"], archive["rating_values"])
         }
 
-    def _batch(self, subject_id: int) -> EpochBatch:
-        """One subject's epochs, read from the archive."""
+    def _stream(self, subject_id: int) -> Iterator[Epoch]:
+        """One subject's epochs, each read from its data_<subject> member
+        into a fresh array as it is reached.  The member's .npy header must
+        be the version 1.0 one that _write_member writes, of a C-ordered
+        float64 (epochs, channels, samples) array that matches the per-epoch
+        arrays; the member is read to its end, so zipfile checks its CRC."""
+        path, name = self._archive.path, f"data_{subject_id}"
         rows = np.flatnonzero(self._per_epoch["subject_id"] == subject_id)
-        data = self._archive[f"data_{subject_id}"]
-        if data.ndim != 3 or data.shape[0] != rows.size:
-            raise PipelineError(
-                f"{self._archive.path}: data_{subject_id} holds {data.shape[0]} "
-                f"epochs, the per-epoch arrays {rows.size}"
-            )
-        return EpochBatch(
-            subject_id,
-            data,
-            self._per_epoch["baseline_mean"][rows],
-            self._per_epoch["song_id"][rows],
-            self._per_epoch["epoch_index"][rows],
-            self.sample_rate_hz,
-        )
+        n_channels = self._per_epoch["baseline_mean"].shape[1]
+        with self._archive.stream(name) as fh:
+            version = np.lib.format.read_magic(fh)
+            if version != (1, 0):
+                raise PipelineError(f"{path}: {name} has .npy format version {version}")
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+            if dtype != np.float64 or fortran_order:
+                raise PipelineError(
+                    f"{path}: {name} holds {dtype} in "
+                    f"{'Fortran' if fortran_order else 'C'} order, not C-ordered float64"
+                )
+            if len(shape) != 3 or shape[:2] != (rows.size, n_channels):
+                raise PipelineError(
+                    f"{path}: {name} has shape {shape}, the per-epoch arrays "
+                    f"({rows.size}, {n_channels}, samples)"
+                )
+            for i in rows:
+                data = np.empty(shape[1:])
+                if fh.readinto(memoryview(data.view(np.uint8))) != data.nbytes:
+                    raise PipelineError(f"{path}: {name} ends inside its epochs")
+                yield Epoch(
+                    subject_id=subject_id,
+                    song_id=int(self._per_epoch["song_id"][i]),
+                    epoch_index=int(self._per_epoch["epoch_index"][i]),
+                    data=data,
+                    baseline_mean=self._per_epoch["baseline_mean"][i],
+                    sample_rate_hz=self.sample_rate_hz,
+                )
+            if fh.read(1):
+                raise PipelineError(f"{path}: {name} holds bytes past its epochs")
 
     def epochs(self) -> Iterator[Epoch]:
-        """Every epoch, subject by subject, with one subject's batch in memory
-        at a time as long as the caller keeps no epoch of the last one."""
+        """Every epoch, subject by subject, read from the archive one epoch at
+        a time: one epoch's data in memory as long as the caller keeps no
+        earlier one."""
         for subject_id in self._subjects:
-            yield from self._batch(subject_id).epochs
+            yield from self._stream(subject_id)
 
     def close(self) -> None:
         self._archive.close()

@@ -18,8 +18,10 @@ All randomness comes from numpy's PCG64 generator seeded from
 On-disk layout (per subject): ``subject_<id>/manifest.txt`` (plain-text
 key: value header plus rating lines), ``subject_<id>/samples.f32``
 (channel-major little-endian float32), ``subject_<id>/events.csv``.
-read_session keeps the samples as stored, float32, so a subject read from
-disk costs half the bytes of its generated float64 session.
+SessionReader opens a session, manifest and events, and reads its samples
+one channel row's span at a time into a reused buffer, so preprocess holds
+no session-sized array.  read_session reads every row through it into one
+float32 array, as stored: half the bytes of the generated float64 session.
 
 generate_session makes one float64 session array and builds every part of
 the signal into it one channel row at a time, so it holds that one session
@@ -406,43 +408,103 @@ def _parse_events(path: Path) -> tuple[EventMarker, ...]:
     return tuple(markers)
 
 
+class SessionReader:
+    """A session written by write_session, open for reading.  The manifest
+    and events are read on opening, after the samples file's length is
+    checked against the manifest; the samples are read one channel row's
+    span at a time.  It has the sample_rate_hz, n_channels, n_samples,
+    markers and ratings of a SessionRecording, so validate_session takes
+    it.  Close it, or use it as a context manager."""
+
+    def __init__(self, manifest_path: str | Path):
+        manifest_path = Path(manifest_path)
+        if not manifest_path.exists():
+            raise FileNotFoundError(manifest_path)
+        root = manifest_path.parent
+        header, self.ratings = _parse_manifest(manifest_path)
+        self.subject_id = header["subject_id"]
+        self.sample_rate_hz = header["sample_rate_hz"]
+        self.n_channels = header["n_channels"]
+        self.n_samples = header["n_samples"]
+
+        self.path = root / SAMPLES_NAME
+        if not self.path.exists():
+            raise FileNotFoundError(self.path)
+        expected = self.n_channels * self.n_samples * 4
+        size = self.path.stat().st_size
+        if size != expected:
+            raise SessionFormatError(
+                f"{self.path}: length mismatch: expected {expected} bytes "
+                f"({self.n_channels} channels x {self.n_samples} samples "
+                f"x 4), got {size}"
+            )
+
+        events_path = root / EVENTS_NAME
+        if not events_path.exists():
+            raise FileNotFoundError(events_path)
+        self.markers = _parse_events(events_path)
+        self._file = open(self.path, "rb", buffering=0)
+        self._row = np.empty(0, dtype="<f4")
+
+    def read_into(self, channel: int, start: int, out: np.ndarray) -> None:
+        """Read samples[channel, start:start + len(out)] into out, a 1-D
+        C-contiguous float32 array.  A read that ends short, because the
+        file shrank after opening, raises SessionFormatError."""
+        if not (0 <= channel < self.n_channels and 0 <= start <= self.n_samples - len(out)):
+            raise IndexError(
+                f"channel {channel} samples [{start}, {start + len(out)}) out of "
+                f"range for {self.n_channels} channels x {self.n_samples} samples"
+            )
+        offset = (channel * self.n_samples + start) * 4
+        self._file.seek(offset)
+        view = memoryview(out.view(np.uint8))
+        got = 0
+        while got < len(view):
+            n = self._file.readinto(view[got:])
+            if not n:
+                raise SessionFormatError(
+                    f"{self.path}: short read: expected {len(view)} bytes at "
+                    f"offset {offset}, got {got}"
+                )
+            got += n
+
+    def row(self, channel: int, start: int, end: int) -> np.ndarray:
+        """samples[channel, start:end] as float32, read into a buffer that
+        the next call overwrites."""
+        if end < start:
+            raise IndexError(f"samples [{start}, {end}) end before they start")
+        if self._row.size < end - start:
+            self._row = np.empty(end - start, dtype="<f4")
+        out = self._row[: end - start]
+        self.read_into(channel, start, out)
+        return out
+
+    def close(self) -> None:
+        self._file.close()
+
+    def __enter__(self) -> SessionReader:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
 def read_session(manifest_path: str | Path) -> SessionRecording:
-    """Read a session written by write_session.
+    """Read a session written by write_session, every row through a
+    SessionReader.
 
     The samples are kept as stored, one read-only float32 array: they
     round-trip exactly except for float32 quantization, and extract_segment
     casts what it copies out to float64.
     """
-    manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
-        raise FileNotFoundError(manifest_path)
-    root = manifest_path.parent
-    header, ratings = _parse_manifest(manifest_path)
-
-    bin_path = root / SAMPLES_NAME
-    if not bin_path.exists():
-        raise FileNotFoundError(bin_path)
-    expected = header["n_channels"] * header["n_samples"] * 4
-    size = bin_path.stat().st_size
-    if size != expected:
-        raise SessionFormatError(
-            f"{bin_path}: length mismatch: expected {expected} bytes "
-            f"({header['n_channels']} channels x {header['n_samples']} samples "
-            f"x 4), got {size}"
-        )
-    samples = np.fromfile(bin_path, dtype="<f4").reshape(
-        header["n_channels"], header["n_samples"]
-    )
-
-    events_path = root / EVENTS_NAME
-    if not events_path.exists():
-        raise FileNotFoundError(events_path)
-    markers = _parse_events(events_path)
-
+    with SessionReader(manifest_path) as reader:
+        samples = np.empty((reader.n_channels, reader.n_samples), dtype="<f4")
+        for channel, row in enumerate(samples):
+            reader.read_into(channel, 0, row)
     return SessionRecording(
-        subject_id=header["subject_id"],
-        sample_rate_hz=header["sample_rate_hz"],
+        subject_id=reader.subject_id,
+        sample_rate_hz=reader.sample_rate_hz,
         samples=samples,
-        markers=markers,
-        ratings=ratings,
+        markers=reader.markers,
+        ratings=reader.ratings,
     )

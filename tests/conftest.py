@@ -43,6 +43,33 @@ TINY = GeneratorConfig(
     seed=123,
 )
 
+# 16 channels, two 60 s songs: 12 ten-second epochs, 3.84 MB of float64
+# epoch data per subject.
+MEMORY_GENERATOR = {
+    "n_songs": 2,
+    "song_seconds": 60,
+    "inter_song_silence_seconds": 10,
+    "lead_silence_seconds": 20,
+    "trail_silence_seconds": 10,
+    "n_channels": 16,
+    "n_bad_channels": 1,
+}
+
+# 32 channels, six 60 s songs between 240 s silences: an 890 s session whose
+# float64 copy (57.0 MB) outweighs the float32 one and the batch of 36
+# ten-second epochs (23.0 MB) together, so a second whole-session copy shows,
+# and whose songs are long enough for song-sized temporaries (3.84 MB for one
+# song's channels) to show too.
+LONG_SESSION_GENERATOR = dict(
+    MEMORY_GENERATOR,
+    n_subjects=1,
+    n_songs=6,
+    song_seconds=60,
+    lead_silence_seconds=240,
+    trail_silence_seconds=240,
+    n_channels=32,
+)
+
 
 @pytest.fixture(scope="session")
 def tiny_config():

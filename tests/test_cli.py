@@ -17,6 +17,8 @@ from eegsong.dsp import _TILE
 from eegsong.preprocess import PreprocessConfig
 from eegsong.synth import GeneratorConfig
 
+from conftest import LONG_SESSION_GENERATOR, MEMORY_GENERATOR
+
 SMALL_CONFIG = {
     "seed": 3,
     "features": ["spectopo", "entropy"],
@@ -404,17 +406,6 @@ class TestErrorHandling:
         assert "pipeline" in capsys.readouterr().out
 
 
-# 16 channels, two 60 s songs: 12 ten-second epochs, 3.84 MB of float64
-# epoch data per subject.
-MEMORY_GENERATOR = {
-    "n_songs": 2,
-    "song_seconds": 60,
-    "inter_song_silence_seconds": 10,
-    "lead_silence_seconds": 20,
-    "trail_silence_seconds": 10,
-    "n_channels": 16,
-    "n_bad_channels": 1,
-}
 SUBJECT_EPOCH_BYTES = 12 * 16 * 2500 * 8
 
 
@@ -444,22 +435,6 @@ def test_signal_stages_hold_one_subject_at_a_time(tmp_path, capsys):
         assert growth < SUBJECT_EPOCH_BYTES, (stage, peaks[1][stage], peaks[3][stage])
 
 
-# 32 channels, six 60 s songs between 240 s silences: an 890 s session whose
-# float64 copy (57.0 MB) outweighs the float32 one and the batch of 36
-# ten-second epochs (23.0 MB) together, so a second whole-session copy shows,
-# and whose songs are long enough for song-sized temporaries (3.84 MB for one
-# song's channels) to show too.
-LONG_SESSION_GENERATOR = dict(
-    MEMORY_GENERATOR,
-    n_subjects=1,
-    n_songs=6,
-    song_seconds=60,
-    lead_silence_seconds=240,
-    trail_silence_seconds=240,
-    n_channels=32,
-)
-
-
 def _long_session_bytes() -> dict[str, int]:
     """Bytes of the arrays that the signal stages may hold at the
     LONG_SESSION_GENERATOR config, and the slack allowed beside them."""
@@ -473,6 +448,9 @@ def _long_session_bytes() -> dict[str, int]:
         "rows": 2 * row,
         "batch": n_epochs * gen.n_channels * epoch_len * 8,
         "tile": _TILE * 3 * n_epochs * gen.n_channels * 8,
+        "epoch": gen.n_channels * epoch_len * 8,
+        # each epoch's (C,) baseline offset, subject, song and index
+        "per_epoch": n_epochs * (gen.n_channels + 3) * 8,
         # per-sample index arrays (the 1/sqrt(k) weights, the mains phase)
         # and the interpreter's own allocations
         "slack": 4 * row + 1_000_000,
@@ -481,12 +459,14 @@ def _long_session_bytes() -> dict[str, int]:
 
 def test_signal_stages_hold_one_session_copy(tmp_path, capsys):
     """Beside the float64 session, generate holds a few one-channel rows;
-    preprocess holds the float32 session as read, the float64 batch and the
-    notch's tile scratch, and drops the session once the batch is captured."""
+    preprocess holds the float64 batch, the notch's tile scratch and a few
+    rows, reading the session from disk row by row rather than whole; and
+    features holds one epoch at a time beside the per-epoch arrays."""
     size = _long_session_bytes()
     budgets = {
         "generate": size["session"] + size["rows"] + size["slack"],
-        "preprocess": size["session"] // 2 + size["batch"] + size["tile"] + size["slack"],
+        "preprocess": size["batch"] + size["tile"] + size["rows"] + size["slack"],
+        "features": size["epoch"] + size["per_epoch"] + size["slack"],
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(dict(SMALL_CONFIG, generator=LONG_SESSION_GENERATOR)))

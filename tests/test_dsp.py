@@ -10,7 +10,7 @@ from eegsong import PreprocessConfig, dsp, run_pipeline
 from eegsong.core import EEG_BAND_EDGES
 from eegsong.features.spectral import PSD_DB_FLOOR, spectopo_bandpower
 from eegsong.preprocess import (
-    _eeg_span_power,
+    _rejection_measures,
     baseline_correct,
     capture_music_epochs,
     notch_filter,
@@ -97,8 +97,10 @@ class TestWelch:
         nperseg = min(n_samples, FS)
         freqs, psd = signal.welch(x, fs=FS, window="hamming", nperseg=nperseg, axis=-1)
         band = (freqs >= EEG_BAND_EDGES[0][1]) & (freqs < EEG_BAND_EDGES[-1][2])
-        expected = psd[:, band].sum(axis=1) * (freqs[1] - freqs[0])
-        assert np.array_equal(_eeg_span_power(x, FS), expected)
+        # each row's band summed alone, as reject_bad_channels measures one
+        # channel per call (a (rows, band) sum along axis 1 rounds otherwise)
+        expected = [p[band].sum() * (freqs[1] - freqs[0]) for p in psd]
+        assert np.array_equal(_rejection_measures(x, FS)["spectrum"], expected)
 
 
 class TestNotch:

@@ -3,15 +3,20 @@ bad-channel rejection, and the composed pipeline."""
 
 import io
 import re
+import struct
 import zipfile
 
 import numpy as np
 import pytest
+from scipy import signal
 
-from eegsong import GeneratorConfig, PipelineError, PreprocessConfig, generate_session
-from eegsong.core import ChannelMask, Epoch
+from eegsong import GeneratorConfig, PipelineError, PreprocessConfig, dsp, generate_session
+from eegsong.core import EEG_BAND_EDGES, REJECTION_MEASURES, ChannelMask, Epoch
 from eegsong.preprocess import (
     EpochsFile,
+    EpochsReader,
+    _rejection_measures,
+    _rereference,
     _write_member,
     average_rereference,
     baseline_correct,
@@ -252,6 +257,18 @@ class TestRereference:
         assert np.array_equal(out[2], seg[2])
         assert np.abs(out[mask.good].mean(axis=0)).max() < 1e-10
 
+    @pytest.mark.parametrize("shape", [(5, 32, 300), (32, 300)], ids=["batch", "segment"])
+    def test_channel_by_channel_mean_equals_the_one_line_formula(self, shape, rng):
+        """The in-place re-reference, which sums the good channels one at a
+        time, keeps to the mean over the channel axis bit for bit."""
+        data = rng.normal(size=shape) * 30.0
+        good = np.ones(32, dtype=bool)
+        good[[0, 7, 30]] = False
+        expected = data.copy()
+        expected[..., good, :] -= expected[..., good, :].mean(axis=-2, keepdims=True)
+        _rereference(data, good)
+        assert np.array_equal(data, expected)
+
     def test_needs_two_good_channels(self, rng):
         seg = rng.normal(size=(3, 100))
         mask = ChannelMask(good=np.array([True, False, False]))
@@ -305,6 +322,45 @@ class TestRejectBadChannels:
     def test_needs_four_channels(self, rng):
         with pytest.raises(PipelineError, match=">= 4 channels"):
             reject_bad_channels(rng.normal(size=(3, 500)), 5.0, FS)
+
+    @staticmethod
+    def one_shot_measures(segment):
+        """The rejection measures with a fresh array for every step and
+        scipy's Welch over each whole row: the reference that the buffered,
+        chunked measures keep to bit for bit."""
+        measures = {name: [] for name in REJECTION_MEASURES}
+        lo, hi = EEG_BAND_EDGES[0][1], EEG_BAND_EDGES[-1][2]
+        for ch in range(segment.shape[-2]):
+            row = segment[..., ch, :].reshape(-1)
+            centered = row - row.mean()
+            measures["probability"].append(np.abs(centered).mean())
+            squared = centered * centered
+            m2 = squared.mean()
+            m4 = (squared * squared).mean()
+            m2 = np.where(m2 == 0, 1.0, m2)
+            measures["kurtosis"].append(m4 / m2**2 - 3.0)
+            nperseg = min(row.size, FS)
+            freqs, psd = signal.welch(row, fs=FS, window="hamming", nperseg=nperseg)
+            band = (freqs >= lo) & (freqs < hi)
+            measures["spectrum"].append(psd[band].sum() * (freqs[1] - freqs[0]))
+        return measures
+
+    @pytest.mark.parametrize("shape", [(8, 6, 2500), (6, 20_000)], ids=["batch", "segment"])
+    def test_buffered_measures_equal_the_one_shot_formulas(self, shape, rng):
+        """A constant channel (zero variance), a loud one, and a row of
+        20,000 samples, whose 159 Welch segments are not a multiple of the
+        chunk."""
+        n_seg = (20_000 - FS // 2) // (FS - FS // 2)
+        chunk = dsp._WELCH_CHUNK_SAMPLES // FS
+        assert n_seg > chunk and n_seg % chunk
+        segment = rng.normal(size=shape) * 10.0 + 3.0
+        segment[..., 2, :] = 7.0
+        segment[..., 4, :] *= 40.0
+        measures = _rejection_measures(segment, FS)
+        expected = self.one_shot_measures(segment)
+        assert measures["kurtosis"][2] == -3.0
+        for name in REJECTION_MEASURES:
+            assert np.array_equal(measures[name], expected[name]), name
 
     def test_half_montage_guard(self, rng):
         # 3 wild channels out of 4 would leave under half the montage
@@ -487,3 +543,76 @@ class TestEpochsFile:
                 np.lib.format.write_array(fh, array, allow_pickle=False)
 
         assert member(lambda archive: _write_member(archive, "x", array)) == member(reference)
+
+    @pytest.fixture()
+    def two_subject_file(self, tiny_pipeline, tiny_session, tiny_session_2, tmp_path):
+        """An epochs archive of the two TINY subjects, as the CLI writes it."""
+        second = run_pipeline(tiny_session_2, PreprocessConfig())
+        ratings = {}
+        for session in (tiny_session, tiny_session_2):
+            ratings.update({(session.subject_id, s): r for s, r in session.ratings.items()})
+        path = tmp_path / "epochs.npz"
+        save_epochs(
+            path,
+            EpochsFile(
+                epochs=tiny_pipeline.epochs + second.epochs,
+                masks={1: tiny_pipeline.channel_mask, 2: second.channel_mask},
+                ratings=ratings,
+                sample_rate_hz=FS,
+            ),
+        )
+        return path
+
+    def test_streamed_epochs_equal_each_member(self, two_subject_file):
+        with EpochsReader(two_subject_file) as reader:
+            streamed = list(reader.epochs())
+        with np.load(two_subject_file) as archive:
+            members = {sid: archive[f"data_{sid}"] for sid in (1, 2)}
+            per_epoch = {name: archive[name] for name in ("subject_id", "song_id", "epoch_index", "baseline_mean")}
+        assert [ep.subject_id for ep in streamed] == per_epoch["subject_id"].tolist()
+        assert [ep.song_id for ep in streamed] == per_epoch["song_id"].tolist()
+        assert [ep.epoch_index for ep in streamed] == per_epoch["epoch_index"].tolist()
+        at = {1: 0, 2: 0}
+        for i, ep in enumerate(streamed):
+            assert np.array_equal(ep.data, members[ep.subject_id][at[ep.subject_id]])
+            assert np.array_equal(ep.baseline_mean, per_epoch["baseline_mean"][i])
+            at[ep.subject_id] += 1
+        assert at == {sid: len(data) for sid, data in members.items()}
+        # each epoch is its own array, not a view of a subject's batch
+        assert all(ep.data.base is None for ep in streamed)
+
+    def test_flipped_byte_in_a_data_member_fails_its_crc(self, two_subject_file):
+        path = two_subject_file
+        with zipfile.ZipFile(path) as archive:
+            info = archive.getinfo("data_1.npy")
+        blob = bytearray(path.read_bytes())
+        name_len, extra_len = struct.unpack("<HH", blob[info.header_offset + 26 : info.header_offset + 30])
+        blob[info.header_offset + 30 + name_len + extra_len + info.file_size // 2] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with EpochsReader(path) as reader:
+            with pytest.raises(PipelineError, match=re.escape(f"{path}: not a readable epochs archive")) as err:
+                list(reader.epochs())
+        assert "CRC" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda data: data[:-1], r"has shape \(\d+, 8, 2500\), the per-epoch arrays"),
+            (lambda data: data[:, :-1], r"has shape \(\d+, 7, 2500\), the per-epoch arrays"),
+            (lambda data: data[0], "has shape"),
+            (lambda data: data.astype(np.float32), "holds float32 in C order"),
+            (np.asfortranarray, "holds float64 in Fortran order"),
+        ],
+        ids=["epochs", "channels", "2-D", "float32", "fortran"],
+    )
+    def test_data_member_at_odds_with_the_per_epoch_arrays_is_refused(
+        self, two_subject_file, damage, message
+    ):
+        path = two_subject_file
+        with np.load(path) as archive:
+            payload = dict(archive)
+        payload["data_1"] = damage(payload["data_1"])
+        np.savez(path, **payload)
+        with EpochsReader(path) as reader:
+            with pytest.raises(PipelineError, match=f"{re.escape(str(path))}: data_1 " + message):
+                list(reader.epochs())

@@ -1,20 +1,24 @@
 """Synthetic session generator and the on-disk session format."""
 
 import dataclasses
+import os
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import LONG_SESSION_GENERATOR, TINY
+
 from eegsong import GeneratorConfig, generate_session
-from eegsong.core import BASELINE_SECONDS
+from eegsong.core import BASELINE_SECONDS, extract_segment
 from eegsong import synth
-from eegsong.preprocess import _capture
+from eegsong.preprocess import PreprocessConfig, _capture, capture_epochs
 from eegsong.synth import (
     BACKGROUND_RMS_UV,
     BAD_CHANNEL_SCALE_BASE,
     SessionFormatError,
+    SessionReader,
     read_session,
     session_dir_name,
     song_band_profile,
@@ -362,3 +366,83 @@ class TestOnDiskFormat:
             assert (rewritten / name).read_bytes() == (clean / name).read_bytes(), name
             if name != "events.csv":
                 assert (fresh / name).read_bytes() == (clean / name).read_bytes(), name
+
+
+def _whole_window_capture(session, epoch_seconds):
+    """_capture's arithmetic on whole song windows, as a reference: every
+    channel's song cast at once, and the baseline offsets as the mean over
+    axis 1 of the float64 baseline window."""
+    fs = session.sample_rate_hz
+    epoch_len, baseline_len = epoch_seconds * fs, BASELINE_SECONDS * fs
+    ends = {m.song_id: m.sample_index for m in session.markers if m.kind == "song_end"}
+    parts = []
+    for m in session.markers:
+        if m.kind != "song_start":
+            continue
+        s, e = m.sample_index, ends[m.song_id]
+        n = (e - s) // epoch_len
+        song = session.samples[:, s:e].reshape(session.n_channels, n, epoch_len)
+        baseline = extract_segment(session, s - baseline_len, s).mean(axis=1)
+        parts.append((
+            song.transpose(1, 0, 2).astype(np.float64),
+            np.tile(baseline, (n, 1)),
+            np.full(n, m.song_id),
+            np.arange(n),
+        ))
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+class TestSessionReader:
+    @pytest.mark.parametrize(
+        "config",
+        [TINY, GeneratorConfig(**LONG_SESSION_GENERATOR)],
+        ids=["tiny", "long_session"],
+    )
+    def test_capture_from_the_file_equals_capture_from_read_session(self, config, tmp_path):
+        manifest = write_session(generate_session(config, 1), tmp_path)
+        back = read_session(manifest)
+        from_memory = _capture(back, 10)
+        with SessionReader(manifest) as reader:
+            from_file = _capture(reader, 10)
+        reference = _whole_window_capture(back, 10)
+        for got, want, ref in zip(from_file, from_memory, reference):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert np.array_equal(got, ref)
+
+    def test_reads_what_read_session_reads(self, tiny_session, tmp_path):
+        manifest = write_session(tiny_session, tmp_path)
+        back = read_session(manifest)
+        with SessionReader(manifest) as reader:
+            assert (reader.subject_id, reader.sample_rate_hz) == (back.subject_id, back.sample_rate_hz)
+            assert (reader.n_channels, reader.n_samples) == back.samples.shape
+            assert reader.markers == back.markers
+            assert reader.ratings == back.ratings
+            for channel in (0, back.n_channels - 1):
+                row = reader.row(channel, 10, 4000)
+                assert row.dtype == np.float32
+                assert np.array_equal(row, back.row(channel, 10, 4000))
+            with pytest.raises(IndexError):
+                reader.row(back.n_channels, 0, 10)
+            with pytest.raises(IndexError):
+                reader.row(0, back.n_samples - 5, back.n_samples + 5)
+
+    def test_truncated_before_opening_gives_length_mismatch(self, tiny_session, tmp_path):
+        manifest = write_session(tiny_session, tmp_path)
+        bin_path = manifest.parent / "samples.f32"
+        size = bin_path.stat().st_size
+        os.truncate(bin_path, size - 4)
+        with pytest.raises(SessionFormatError, match="length mismatch") as err:
+            SessionReader(manifest)
+        assert f"expected {size} bytes" in str(err.value)
+
+    def test_shortened_after_opening_fails_the_capture(self, tiny_session, tmp_path):
+        """The length check passes on opening; a capture that then runs into
+        the shortened file raises on the short read rather than returning a
+        batch with unread rows."""
+        manifest = write_session(tiny_session, tmp_path)
+        bin_path = manifest.parent / "samples.f32"
+        with SessionReader(manifest) as reader:
+            os.truncate(bin_path, bin_path.stat().st_size // 2)
+            with pytest.raises(SessionFormatError, match=f"{bin_path}: short read"):
+                capture_epochs(reader, PreprocessConfig())
