@@ -14,7 +14,6 @@ from .core import (
     EventMarker,
     PipelineError,
     SessionRecording,
-    extract_segment,
     validate_session,
 )
 from .evaluation import (
@@ -57,7 +56,6 @@ __all__ = [
     "build_feature_matrix",
     "evaluate",
     "evaluate_ratings",
-    "extract_segment",
     "fit",
     "fit_dataset",
     "generate_session",

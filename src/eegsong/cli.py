@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,8 +39,7 @@ from .preprocess import (
     EpochsReader,
     EpochsWriter,
     PreprocessConfig,
-    capture_epochs,
-    clean_epochs,
+    run_pipeline,
     write_epochs,
 )
 from .synth import (
@@ -97,18 +97,30 @@ _SECTION_FLAGS = {
 }
 
 
+# JSON has one number type, so a count in a config file may come as 2.5, 8.0 or
+# true: a numeric field takes only its annotated type (never a bool), an int
+# where a float is meant, and null where None is
+_FIELD_VALUES = {
+    int: ((int,), "an integer"),
+    int | None: ((int, type(None)), "an integer or null"),
+    float: ((int, float), "a number"),
+    float | None: ((int, float, type(None)), "a number or null"),
+}
+
+
 def _section_kwargs(raw: dict, section: str) -> dict:
     data = raw.get(section, {})
     if not isinstance(data, dict):
         raise ConfigError(f"config section {section!r} must be an object")
-    known = {f.name for f in dataclasses.fields(_SECTIONS[section])}
-    for key in data:
-        if key not in known:
+    types = typing.get_type_hints(_SECTIONS[section])
+    for key, value in data.items():
+        if key not in types:
             raise ConfigError(f"unknown {section} config key {key!r}")
-    kwargs = dict(data)
-    if "step_order" in kwargs:
-        kwargs["step_order"] = tuple(kwargs["step_order"])
-    return kwargs
+        if types[key] in _FIELD_VALUES:
+            allowed, kind = _FIELD_VALUES[types[key]]
+            if type(value) not in allowed:
+                raise ConfigError(f"{section} config key {key!r} must be {kind}, got {value!r}")
+    return dict(data)
 
 
 def load_run_config(args: argparse.Namespace) -> RunConfig:
@@ -125,7 +137,7 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"unknown config key {key!r}")
 
     seed = raw.get("seed", 0) if args.seed is None else args.seed
-    if not isinstance(seed, int) or seed < 0:
+    if type(seed) is not int or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
     sections = {section: _section_kwargs(raw, section) for section in _SECTIONS}
@@ -206,7 +218,7 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
             f"(its Welch windows are 1 s), got epoch_seconds {epoch_seconds}"
         )
     n_channels = config.generator.n_channels
-    if "bad_channels" in pre.step_order and n_channels < MIN_REJECTION_CHANNELS:
+    if n_channels < MIN_REJECTION_CHANNELS:
         raise ConfigError(
             f"the bad_channels step needs at least {MIN_REJECTION_CHANNELS} "
             f"channels, got n_channels {n_channels}"
@@ -278,12 +290,13 @@ def _preprocess_subject(config: RunConfig, subject_id: int, writer: EpochsWriter
     manifest = config.out / SESSIONS_DIR / session_dir_name(subject_id) / MANIFEST_NAME
     with SessionReader(manifest) as session:
         violations = validate_session(session)
+        if session.subject_id != subject_id:
+            violations.append(f"manifest records subject {session.subject_id}")
         if violations:
             raise PipelineError(f"{manifest.parent}: " + "; ".join(violations))
         for song_id, pair in session.ratings.items():
             writer.ratings[(subject_id, song_id)] = pair
-        captured = capture_epochs(session, config.preprocess)
-    result = clean_epochs(subject_id, session.sample_rate_hz, captured, config.preprocess)
+        result = run_pipeline(session, config.preprocess)
     writer.add(result.batch)
     writer.masks[subject_id] = result.channel_mask
     writer.n_dropped_epochs += result.n_dropped_epochs

@@ -181,8 +181,7 @@ class SessionRecording:
     double the largest array of a subject.  (preprocess never reads a whole
     session: it reads each song's channel rows through a synth.SessionReader.)
     Samples of any other dtype are copied to float64, as generate_session
-    makes them.  extract_segment copies out float64 either way; the float32 to
-    float64 cast is exact.
+    makes them.
     ratings: song_id -> (enjoyment 1-5, familiarity 1-5).
     """
 
@@ -380,17 +379,3 @@ def validate_session(session: SessionRecording) -> list[str]:
                 f"enjoyment={enjoy}, familiarity={familiar}"
             )
     return violations
-
-
-def extract_segment(
-    session: SessionRecording, start_sample: int, end_sample: int
-) -> np.ndarray:
-    """Copy out samples[:, start:end] as float64. The copy never aliases the
-    session."""
-    n = session.n_samples
-    if not (0 <= start_sample < end_sample <= n):
-        raise IndexError(
-            f"segment [{start_sample}, {end_sample}) out of range "
-            f"for recording of {n} samples"
-        )
-    return session.samples[:, start_sample:end_sample].astype(np.float64)

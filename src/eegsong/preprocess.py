@@ -2,20 +2,21 @@
 re-referencing, statistical bad-channel rejection, optional amplitude-based
 epoch rejection.
 
+run_pipeline runs the steps in one fixed order: capture, baseline, notch,
+rereference, bad_channels, then amplitude_reject when amplitude_reject_uv is
+set.  It re-references before rejecting bad channels, as the original
+acquisition pipeline does, so a bad channel pollutes the common average; the
+order is part of the method, not a setting.
+
 run_pipeline holds one subject's epochs as one (n_epochs, n_channels,
 n_samples) float64 batch, the layout of MNE-Python's Epochs.get_data(): capture
 casts every song's epochs from the session straight into it, one channel row
-at a time, and each later step rewrites it in place.  run_pipeline is two
-halves, capture_epochs and clean_epochs.  Capture takes its rows from an
-in-memory session or from an open synth.SessionReader, which reads each
-song's channel rows from disk into one reused buffer; a subject read that way
-costs the batch and a few row-sized buffers, and no session-sized array.  The
-epochs archive is written one subject's batch at a time, each batch from its
-own buffer, and EpochsReader reads it back one epoch at a time.
-
-The default step order mirrors the original acquisition pipeline, which
-re-references before rejecting bad channels (so a bad channel pollutes the
-common average). Pass a custom step_order to run rejection first.
+at a time, and each later step rewrites it in place.  Capture takes its rows
+from an in-memory session or from an open synth.SessionReader, which reads
+each song's channel rows from disk into one reused buffer; a subject read that
+way costs the batch and a few row-sized buffers, and no session-sized array.
+The epochs archive is written one subject's batch at a time, each batch from
+its own buffer, and EpochsReader reads it back one epoch at a time.
 
 The mains filter is a zero-phase second-order IIR notch, not a sliding-window
 sinusoid regression; same intent (kill the 50 Hz line), far simpler, and its
@@ -55,17 +56,8 @@ from .core import (
 )
 from .synth import SessionReader
 
-PIPELINE_STEPS = (
-    "capture",
-    "baseline",
-    "notch",
-    "rereference",
-    "bad_channels",
-    "amplitude_reject",
-)
-
 # Fewest channels whose cross-channel z-scores bad-channel rejection takes;
-# the run config refuses fewer when the bad_channels step is in step_order.
+# the run config refuses fewer.
 MIN_REJECTION_CHANNELS = 4
 
 
@@ -76,7 +68,6 @@ class PreprocessConfig:
     notch_bandwidth_hz: float = 2.0
     rejection_zscore: float = 5.0
     amplitude_reject_uv: float | None = None
-    step_order: tuple[str, ...] = PIPELINE_STEPS
 
     def __post_init__(self):
         # divisibility by the song length is checked where the song is known
@@ -95,12 +86,6 @@ class PreprocessConfig:
             )
         if self.rejection_zscore <= 0:
             raise ValueError("rejection_zscore must be positive")
-        unknown = set(self.step_order) - set(PIPELINE_STEPS)
-        if unknown:
-            raise ValueError(f"unknown pipeline steps {sorted(unknown)}")
-        steps = self.step_order
-        if not steps or steps[0] != "capture" or "capture" in steps[1:]:
-            raise ValueError("step_order must start with 'capture' and hold it only there")
 
 
 @dataclass(frozen=True)
@@ -349,95 +334,71 @@ def reject_bad_channels(
     return ChannelMask(good=good, reasons={ch: frozenset(w) for ch, w in reasons.items()})
 
 
-def capture_epochs(
-    session: SessionRecording | SessionReader, config: PreprocessConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The capture half of run_pipeline: every song's epochs as one writable
-    (n_epochs, n_channels, n_samples) float64 batch, with each epoch's (C,)
-    baseline offset, song id and index.  session is a SessionRecording or
-    an open SessionReader, whose rows are read from disk as they are cast.
-    Once this returns, the session is not needed for the batch half,
-    clean_epochs."""
+@contextmanager
+def _step(name: str) -> Iterator[None]:
+    """Name the step in a PipelineError raised inside the block."""
     try:
-        return _capture(session, config.epoch_seconds)
+        yield
     except PipelineError as e:
-        raise PipelineError(f"step 'capture' failed: {e}") from e
+        raise PipelineError(f"step {name!r} failed: {e}") from e
 
 
-def clean_epochs(
-    subject_id: int,
-    sample_rate_hz: int,
-    captured: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    config: PreprocessConfig,
+def run_pipeline(
+    session: SessionRecording | SessionReader, config: PreprocessConfig
 ) -> PipelineResult:
-    """The batch half of run_pipeline: the steps of config.step_order after
-    capture, each on the captured batch in place.  The notch and the
-    re-reference each take the whole batch in one call."""
-    data, baseline_mean, song_id, epoch_index = captured
-    fs = sample_rate_hz
-    mask = ChannelMask.all_good(data.shape[1])
-    n_dropped = 0
+    """Preprocess one subject's session: capture copies every epoch into one
+    (n_epochs, n_channels, n_samples) float64 batch, and baseline, notch,
+    rereference, bad_channels and amplitude_reject (when amplitude_reject_uv
+    is set) follow in that order, each on the batch in place.  The notch and
+    the re-reference each take the whole batch in one call.  session is a
+    SessionRecording or an open SessionReader, whose rows are read from disk
+    as they are cast.  Deterministic."""
+    fs = session.sample_rate_hz
+    with _step("capture"):
+        data, baseline_mean, song_id, epoch_index = _capture(session, config.epoch_seconds)
     log = [f"capture: {len(data)} epochs of {config.epoch_seconds} s"]
 
-    for step in config.step_order[1:]:
-        try:
-            if step == "baseline":
-                _subtract_baseline(data, baseline_mean)
-                log.append("baseline: corrected against 10 s pre-song silence")
-            elif step == "notch":
-                _notch(data, fs, config.notch_hz, config.notch_bandwidth_hz)
-                log.append(f"notch: {config.notch_hz} Hz zero-phase IIR")
-            elif step == "rereference":
-                _rereference(data, _reference_channels(data.shape[1], mask))
-                log.append(f"rereference: common average over {mask.n_good} channels")
-            elif step == "bad_channels":
-                mask = reject_bad_channels(data, config.rejection_zscore, fs)
-                for ch in sorted(mask.reasons):
-                    log.append(
-                        f"bad_channels: rejected channel {ch} "
-                        f"({', '.join(sorted(mask.reasons[ch]))})"
-                    )
-                if not mask.reasons:
-                    log.append("bad_channels: none rejected")
-            elif step == "amplitude_reject":
-                if config.amplitude_reject_uv is not None:
-                    peaks = np.array([np.abs(epoch).max() for epoch in data])
-                    keep = ~(peaks > config.amplitude_reject_uv)
-                    for i in np.flatnonzero(~keep):
-                        n_dropped += 1
-                        log.append(
-                            f"amplitude_reject: dropped song {song_id[i]} "
-                            f"epoch {epoch_index[i]}"
-                        )
-                    # compact the kept epochs to the front, in place
-                    arrays = (data, baseline_mean, song_id, epoch_index)
-                    for to, at in enumerate(np.flatnonzero(keep)):
-                        for array in arrays:
-                            array[to] = array[at]
-                    data, baseline_mean, song_id, epoch_index = (
-                        array[: int(keep.sum())] for array in arrays
-                    )
-        except PipelineError as e:
-            raise PipelineError(f"step {step!r} failed: {e}") from e
+    _subtract_baseline(data, baseline_mean)
+    log.append("baseline: corrected against 10 s pre-song silence")
+
+    _notch(data, fs, config.notch_hz, config.notch_bandwidth_hz)
+    log.append(f"notch: {config.notch_hz} Hz zero-phase IIR")
+
+    n_channels = data.shape[1]
+    with _step("rereference"):
+        _rereference(data, _reference_channels(n_channels, ChannelMask.all_good(n_channels)))
+    log.append(f"rereference: common average over {n_channels} channels")
+
+    with _step("bad_channels"):
+        mask = reject_bad_channels(data, config.rejection_zscore, fs)
+    for ch in sorted(mask.reasons):
+        log.append(
+            f"bad_channels: rejected channel {ch} ({', '.join(sorted(mask.reasons[ch]))})"
+        )
+    if not mask.reasons:
+        log.append("bad_channels: none rejected")
+
+    n_dropped = 0
+    if config.amplitude_reject_uv is not None:
+        peaks = np.array([np.abs(epoch).max() for epoch in data])
+        keep = ~(peaks > config.amplitude_reject_uv)
+        for i in np.flatnonzero(~keep):
+            n_dropped += 1
+            log.append(f"amplitude_reject: dropped song {song_id[i]} epoch {epoch_index[i]}")
+        # compact the kept epochs to the front, in place
+        arrays = (data, baseline_mean, song_id, epoch_index)
+        for to, at in enumerate(np.flatnonzero(keep)):
+            for array in arrays:
+                array[to] = array[at]
+        data, baseline_mean, song_id, epoch_index = (
+            array[: int(keep.sum())] for array in arrays
+        )
 
     return PipelineResult(
-        batch=EpochBatch(subject_id, data, baseline_mean, song_id, epoch_index, fs),
+        batch=EpochBatch(session.subject_id, data, baseline_mean, song_id, epoch_index, fs),
         channel_mask=mask,
         n_dropped_epochs=n_dropped,
         log=tuple(log),
-    )
-
-
-def run_pipeline(session: SessionRecording, config: PreprocessConfig) -> PipelineResult:
-    """Apply config.step_order to a session: capture_epochs copies every
-    epoch into one (n_epochs, n_channels, n_samples) float64 batch, and
-    clean_epochs applies each later step to that batch in place.
-    Deterministic."""
-    return clean_epochs(
-        session.subject_id,
-        session.sample_rate_hz,
-        capture_epochs(session, config),
-        config,
     )
 
 

@@ -494,8 +494,8 @@ def read_session(manifest_path: str | Path) -> SessionRecording:
     SessionReader.
 
     The samples are kept as stored, one read-only float32 array: they
-    round-trip exactly except for float32 quantization, and extract_segment
-    casts what it copies out to float64.
+    round-trip exactly except for float32 quantization, and a float64 cast
+    of any part of them is exact.
     """
     with SessionReader(manifest_path) as reader:
         samples = np.empty((reader.n_channels, reader.n_samples), dtype="<f4")

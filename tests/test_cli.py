@@ -1,6 +1,7 @@
 """End-to-end command-line runs on a downsized session corpus."""
 
 import ast
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eegsong.cli import ConfigError, _build_parser, load_run_config, main
+from eegsong.cli import STAGES, ConfigError, _build_parser, load_run_config, main
 from eegsong.dsp import _TILE
 from eegsong.preprocess import PreprocessConfig
 from eegsong.synth import GeneratorConfig
@@ -82,6 +83,17 @@ class TestPipelineArtifacts:
         ] == ["spectopo", "entropy"]
         session_meta = json.loads((out / "sessions.meta.json").read_text())
         assert session_meta["stage"] == "generate"
+
+    def test_sidecar_configs_round_trip(self, workspace, tmp_path):
+        """Any artifact can be regenerated from its own metadata: each
+        sidecar's config, passed back as --config, resolves to that config."""
+        _, _, out = workspace
+        for stage, (_, artifact, _) in STAGES.items():
+            recorded = json.loads((out / f"{artifact}.meta.json").read_text())["config"]
+            cfg_path = tmp_path / f"{stage}.json"
+            cfg_path.write_text(json.dumps(recorded))
+            config = load_run_config(_build_parser().parse_args([stage, "--config", str(cfg_path)]))
+            assert json.loads(json.dumps(dataclasses.asdict(config))) == recorded, stage
 
     def test_dataset_width_follows_selected_families(self, workspace):
         _, _, out = workspace
@@ -182,6 +194,17 @@ class TestSessionIngest:
         assert "marker out of range: rating_screen at sample 99999999" in err
         assert not (out / "epochs.npz").exists()
 
+    def test_session_of_another_subject_is_refused(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_CONFIG))
+        out = tmp_path / "run"
+        assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        manifest = out / "sessions" / "subject_2" / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("subject_id: 2", "subject_id: 1"))
+        assert main(["preprocess", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert "subject_2: manifest records subject 1" in capsys.readouterr().err
+        assert not (out / "epochs.npz").exists()
+
     def test_failure_on_a_later_subject_leaves_no_epochs_file(self, tmp_path, capsys):
         """Subject 1 is already written to the epochs archive when subject 2
         fails; neither epochs.npz nor its temporary file is left behind."""
@@ -228,18 +251,52 @@ class TestSessionIngest:
         assert not (out / "sessions").exists()
 
     @pytest.mark.parametrize(
-        "preprocess, flags, message",
+        "overrides, flags, message",
         [
-            ({"notch_hz": 0}, [], "notch_hz must be positive, got 0"),
-            ({"notch_hz": -5}, [], "notch_hz must be positive, got -5"),
-            ({"notch_hz": 200}, [], "notch_hz 200 is not below the Nyquist frequency (125.0 Hz)"),
-            ({"notch_bandwidth_hz": 130}, [], "notch_bandwidth_hz 130 is not below the Nyquist"),
-            ({"amplitude_reject_uv": -1}, [], "amplitude_reject_uv must be positive, got -1"),
+            ({"preprocess": {"notch_hz": 0}}, [], "notch_hz must be positive, got 0"),
+            ({"preprocess": {"notch_hz": -5}}, [], "notch_hz must be positive, got -5"),
+            (
+                {"preprocess": {"notch_hz": 200}}, [],
+                "notch_hz 200 is not below the Nyquist frequency (125.0 Hz)",
+            ),
+            (
+                {"preprocess": {"notch_bandwidth_hz": 130}}, [],
+                "notch_bandwidth_hz 130 is not below the Nyquist",
+            ),
+            (
+                {"preprocess": {"amplitude_reject_uv": -1}}, [],
+                "amplitude_reject_uv must be positive, got -1",
+            ),
             ({}, ["--epoch-seconds", "1"], "spectopo needs epochs of at least 2 s"),
             ({}, ["--channels", "3"], "bad_channels step needs at least 4 channels"),
             ({}, ["--test-fraction", "1.5"], "test_fraction must be in (0, 1), got 1.5"),
             # 20 s songs of 10 s epochs: 0.2 of 2 rounds to no test epoch
             ({}, ["--test-fraction", "0.2"], "test_fraction 0.2 holds out 0 of the 2 epochs of each song"),
+            (
+                {"generator": dict(SMALL_CONFIG["generator"], n_subjects=1.5)}, [],
+                "generator config key 'n_subjects' must be an integer, got 1.5",
+            ),
+            (
+                {"generator": dict(SMALL_CONFIG["generator"], n_channels=8.0)}, [],
+                "generator config key 'n_channels' must be an integer, got 8.0",
+            ),
+            (
+                {"preprocess": {"epoch_seconds": 2.5}}, [],
+                "preprocess config key 'epoch_seconds' must be an integer, got 2.5",
+            ),
+            (
+                {"model": {"n_clusters": True}}, [],
+                "model config key 'n_clusters' must be an integer or null, got True",
+            ),
+            (
+                {"generator": dict(SMALL_CONFIG["generator"], line_noise_amplitude_uv="5")}, [],
+                "generator config key 'line_noise_amplitude_uv' must be a number, got '5'",
+            ),
+            ({"seed": True}, [], "seed must be a non-negative integer, got True"),
+            (
+                {"preprocess": {"step_order": ["capture", "baseline"]}}, [],
+                "unknown preprocess config key 'step_order'",
+            ),
         ],
         ids=[
             "notch_zero",
@@ -251,13 +308,20 @@ class TestSessionIngest:
             "channels_below_rejection_minimum",
             "test_fraction_above_one",
             "test_fraction_empties_the_test_fold",
+            "fractional_subject_count",
+            "float_channel_count",
+            "fractional_epoch_seconds",
+            "boolean_cluster_count",
+            "string_line_noise_amplitude",
+            "boolean_seed",
+            "step_order_key",
         ],
     )
     def test_config_a_stage_cannot_run_is_refused_before_generate(
-        self, preprocess, flags, message, tmp_path, capsys
+        self, overrides, flags, message, tmp_path, capsys
     ):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(dict(SMALL_CONFIG, preprocess=preprocess)))
+        cfg_path.write_text(json.dumps(dict(SMALL_CONFIG, **overrides)))
         out = tmp_path / "run"
         assert main(["pipeline", "--config", str(cfg_path), *flags, "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -265,15 +329,11 @@ class TestSessionIngest:
         assert message in err
         assert not (out / "sessions").exists()
 
-    def test_stage_minimums_bind_only_selected_stages(self, tmp_path):
+    def test_stage_minimums_bind_only_selected_stages(self):
         def load(*argv):
             return load_run_config(_build_parser().parse_args(["generate", *argv]))
 
         assert load("--epoch-seconds", "1", "--features", "dfa,entropy").preprocess.epoch_seconds == 1
-        steps = ["capture", "baseline", "notch", "rereference"]
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"preprocess": {"step_order": steps}}))
-        assert load("--channels", "3", "--config", str(cfg_path)).generator.n_channels == 3
 
     @pytest.mark.parametrize("value", ["abc", [0.25], None])
     def test_non_numeric_test_fraction_names_key_and_value(self, value, tmp_path, capsys):

@@ -1,9 +1,9 @@
-"""Domain types: markers, sessions, epochs, masks, validation, extraction."""
+"""Domain types: markers, sessions, epochs, masks, validation."""
 
 import numpy as np
 import pytest
 
-from eegsong import EventMarker, PipelineError, SessionRecording, extract_segment, validate_session
+from eegsong import EventMarker, PipelineError, SessionRecording, validate_session
 from eegsong.core import BASELINE_SECONDS, ChannelMask, Epoch, MARKER_KINDS, atomic_write
 
 
@@ -148,53 +148,28 @@ class TestValidateSession:
 
 
 class TestExtractSegment:
-    def test_full_range_is_identity(self):
-        s = make_session(n_samples=200)
-        seg = extract_segment(s, 0, 200)
-        assert np.array_equal(seg, s.samples)
-
-    def test_single_column(self):
-        s = make_session(n_samples=200)
-        assert extract_segment(s, 199, 200).shape == (4, 1)
-
-    def test_out_of_range(self):
-        s = make_session(n_samples=100)
-        with pytest.raises(IndexError, match="out of range"):
-            extract_segment(s, 0, 101)
-        with pytest.raises(IndexError):
-            extract_segment(s, 50, 50)
-
-    def test_float32_session_segment_is_an_exact_float64_copy(self):
-        s = make_session(n_samples=100)
-        s32 = SessionRecording(1, 250, s.samples.astype(np.float32), (), {})
-        seg = extract_segment(s32, 10, 20)
-        assert seg.dtype == np.float64
-        assert np.array_equal(seg, s.samples[:, 10:20].astype(np.float32))
-        seg[:] = 1e9
-        assert not np.any(s32.samples == 1e9)
-
-    def test_copy_never_aliases(self):
-        s = make_session(n_samples=100)
-        before = s.samples.copy()
-        seg = extract_segment(s, 10, 20)
-        seg[:] = 1e9
-        assert np.array_equal(s.samples, before)
+    """Song segments sliced from session.samples between their markers."""
 
     def test_song_segment_column_count_at_250hz(self, tiny_session, tiny_config):
-        # song_end - song_start spans exactly song_seconds * fs columns
-        start = next(m.sample_index for m in tiny_session.markers if m.kind == "song_start")
-        expect = tiny_config.song_seconds * tiny_config.sample_rate_hz
-        seg = extract_segment(tiny_session, start, start + expect)
-        assert seg.shape[1] == expect
+        # song_end - song_start spans exactly song_seconds * fs columns of
+        # every song, which consecutive 10 s windows tile
+        fs = tiny_config.sample_rate_hz
+        starts = {m.song_id: m.sample_index for m in tiny_session.markers if m.kind == "song_start"}
+        ends = {m.song_id: m.sample_index for m in tiny_session.markers if m.kind == "song_end"}
+        assert sorted(starts) == sorted(ends) == list(range(1, tiny_config.n_songs + 1))
+        for song_id, start in starts.items():
+            song = tiny_session.samples[:, start : ends[song_id]]
+            assert song.shape[1] == tiny_config.song_seconds * fs
+            assert song.shape[1] % (10 * fs) == 0
 
     def test_nonoverlapping_windows_tile_the_segment(self, tiny_session):
         """Concatenating consecutive 10 s windows reproduces the segment."""
         fs = tiny_session.sample_rate_hz
         start = next(m.sample_index for m in tiny_session.markers if m.kind == "song_start")
         end = next(m.sample_index for m in tiny_session.markers if m.kind == "song_end")
-        whole = extract_segment(tiny_session, start, end)
+        whole = tiny_session.samples[:, start:end]
         win = 10 * fs
-        parts = [extract_segment(tiny_session, s0, s0 + win) for s0 in range(start, end, win)]
+        parts = [tiny_session.samples[:, s0 : s0 + win] for s0 in range(start, end, win)]
         assert np.array_equal(np.concatenate(parts, axis=1), whole)
 
 

@@ -7,10 +7,11 @@ import pytest
 from scipy import signal
 
 from eegsong import PreprocessConfig, dsp, run_pipeline
-from eegsong.core import EEG_BAND_EDGES
+from eegsong.core import EEG_BAND_EDGES, ChannelMask
 from eegsong.features.spectral import PSD_DB_FLOOR, spectopo_bandpower
 from eegsong.preprocess import (
     _rejection_measures,
+    average_rereference,
     baseline_correct,
     capture_music_epochs,
     notch_filter,
@@ -132,15 +133,17 @@ class TestNotch:
             notch_filter(x, FS)
 
     def test_run_pipeline_blocks_match_epoch_by_epoch(self, tiny_session):
-        # run_pipeline filters the whole batch in one call, in tiles of
-        # samples that do not divide the 2,500-sample epochs
-        config = PreprocessConfig(step_order=("capture", "baseline", "notch"))
+        # run_pipeline filters and re-references the whole batch in one call
+        # each, the notch in tiles of samples that do not divide the
+        # 2,500-sample epochs
+        config = PreprocessConfig()
         batched = run_pipeline(tiny_session, config).epochs
         epochs = capture_music_epochs(tiny_session, config.epoch_seconds)
-        assert len(epochs) == 8
+        assert len(epochs) == len(batched) == 8
         assert epochs[0].data.shape[-1] % dsp._TILE != 0
+        all_good = ChannelMask.all_good(tiny_session.n_channels)
         for got, ep in zip(batched, epochs):
-            expected = notch_filter(baseline_correct(ep).data, FS)
+            expected = average_rereference(notch_filter(baseline_correct(ep).data, FS), all_good)
             assert np.array_equal(got.data, expected)
 
 

@@ -11,9 +11,9 @@ from scipy import stats
 from conftest import LONG_SESSION_GENERATOR, TINY
 
 from eegsong import GeneratorConfig, generate_session
-from eegsong.core import BASELINE_SECONDS, extract_segment
+from eegsong.core import BASELINE_SECONDS
 from eegsong import synth
-from eegsong.preprocess import PreprocessConfig, _capture, capture_epochs
+from eegsong.preprocess import PreprocessConfig, _capture, run_pipeline
 from eegsong.synth import (
     BACKGROUND_RMS_UV,
     BAD_CHANNEL_SCALE_BASE,
@@ -382,7 +382,7 @@ def _whole_window_capture(session, epoch_seconds):
         s, e = m.sample_index, ends[m.song_id]
         n = (e - s) // epoch_len
         song = session.samples[:, s:e].reshape(session.n_channels, n, epoch_len)
-        baseline = extract_segment(session, s - baseline_len, s).mean(axis=1)
+        baseline = session.samples[:, s - baseline_len : s].astype(np.float64).mean(axis=1)
         parts.append((
             song.transpose(1, 0, 2).astype(np.float64),
             np.tile(baseline, (n, 1)),
@@ -409,6 +409,21 @@ class TestSessionReader:
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
             assert np.array_equal(got, ref)
+
+    def test_pipeline_on_the_file_equals_pipeline_on_read_session(self, tmp_path):
+        """The CLI's path (run_pipeline on an open SessionReader) and the
+        library's (run_pipeline on read_session) give the same result."""
+        manifest = write_session(generate_session(TINY, 1), tmp_path)
+        from_memory = run_pipeline(read_session(manifest), PreprocessConfig())
+        with SessionReader(manifest) as reader:
+            from_file = run_pipeline(reader, PreprocessConfig())
+        for name in ("data", "baseline_mean", "song_id", "epoch_index"):
+            assert np.array_equal(getattr(from_file.batch, name), getattr(from_memory.batch, name)), name
+        assert from_file.batch.subject_id == from_memory.batch.subject_id
+        assert np.array_equal(from_file.channel_mask.good, from_memory.channel_mask.good)
+        assert from_file.channel_mask.reasons == from_memory.channel_mask.reasons
+        assert from_file.n_dropped_epochs == from_memory.n_dropped_epochs
+        assert from_file.log == from_memory.log
 
     def test_reads_what_read_session_reads(self, tiny_session, tmp_path):
         manifest = write_session(tiny_session, tmp_path)
@@ -445,4 +460,4 @@ class TestSessionReader:
         with SessionReader(manifest) as reader:
             os.truncate(bin_path, bin_path.stat().st_size // 2)
             with pytest.raises(SessionFormatError, match=f"{bin_path}: short read"):
-                capture_epochs(reader, PreprocessConfig())
+                run_pipeline(reader, PreprocessConfig())
