@@ -12,46 +12,20 @@ import argparse
 import dataclasses
 import json
 import sys
-import typing
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .core import PipelineError, atomic_write, validate_session
-from .evaluation import (
-    DEFAULT_TEST_FRACTION,
-    EvalError,
-    apply_plan,
-    evaluate,
-    held_out_rows,
-    mark_plan_consumed,
-    read_plan,
-    read_report,
-    render_confusion,
-    split_dataset,
-    write_plan,
-    write_report,
+from .config import (
+    FEATURE_FAMILIES,
+    SECTION_FLAGS,
+    ConfigError,
+    RunConfig,
+    load_run_config,
 )
-from .features import FEATURE_FAMILIES, build_feature_matrix, read_dataset_csv, write_dataset_csv
-from .features.spectral import SPECTOPO_MIN_SECONDS
-from .models import MODEL_KINDS, ModelSpec, fit_dataset, load_model, save_model
-from .preprocess import (
-    MIN_REJECTION_CHANNELS,
-    EpochsReader,
-    EpochsWriter,
-    PreprocessConfig,
-    run_pipeline,
-    write_epochs,
-)
-from .synth import (
-    EVENTS_NAME,
-    MANIFEST_NAME,
-    SAMPLES_NAME,
-    GeneratorConfig,
-    SessionReader,
-    generate_session,
-    session_dir_name,
-    write_session,
-)
+from .core import PipelineError, atomic_write
+
+if TYPE_CHECKING:
+    from .preprocess import EpochsWriter
 
 SESSIONS_DIR = "sessions"
 EPOCHS_FILE = "epochs.npz"
@@ -62,174 +36,12 @@ REPORT_FILE = "report.txt"
 CONFUSION_FILE = "confusion.csv"
 
 
-class ConfigError(ValueError):
-    """Config file or override cannot be turned into a valid RunConfig."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int = 0
-    out_dir: str = "run"
-    features: tuple[str, ...] = FEATURE_FAMILIES
-    test_fraction: float = DEFAULT_TEST_FRACTION
-    generator: GeneratorConfig = field(default_factory=GeneratorConfig)
-    preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
-    model: ModelSpec = field(default_factory=lambda: ModelSpec(kind="knn"))
-
-    @property
-    def out(self) -> Path:
-        return Path(self.out_dir)
-
-
-_TOP_KEYS = ("seed", "out_dir", "features", "test_fraction", "generator", "preprocess", "model")
-_SECTIONS = {"generator": GeneratorConfig, "preprocess": PreprocessConfig, "model": ModelSpec}
-
-# flags that set one field of a config section: flag -> (section, field, type,
-# metavar, help)
-_SECTION_FLAGS = {
-    "--subjects": ("generator", "n_subjects", int, None, "number of synthetic subjects"),
-    "--channels": ("generator", "n_channels", int, None, "channels per synthetic session"),
-    "--epoch-seconds": (
-        "preprocess", "epoch_seconds", int, None,
-        "epoch length within each song; must divide the song length",
-    ),
-    "--model": ("model", "kind", str, "KIND", f"model kind ({', '.join(MODEL_KINDS)})"),
-}
-
-
-# JSON has one number type, so a count in a config file may come as 2.5, 8.0 or
-# true: a numeric field takes only its annotated type (never a bool), an int
-# where a float is meant, and null where None is
-_FIELD_VALUES = {
-    int: ((int,), "an integer"),
-    int | None: ((int, type(None)), "an integer or null"),
-    float: ((int, float), "a number"),
-    float | None: ((int, float, type(None)), "a number or null"),
-}
-
-
-def _section_kwargs(raw: dict, section: str) -> dict:
-    data = raw.get(section, {})
-    if not isinstance(data, dict):
-        raise ConfigError(f"config section {section!r} must be an object")
-    types = typing.get_type_hints(_SECTIONS[section])
-    for key, value in data.items():
-        if key not in types:
-            raise ConfigError(f"unknown {section} config key {key!r}")
-        if types[key] in _FIELD_VALUES:
-            allowed, kind = _FIELD_VALUES[types[key]]
-            if type(value) not in allowed:
-                raise ConfigError(f"{section} config key {key!r} must be {kind}, got {value!r}")
-    return dict(data)
-
-
-def load_run_config(args: argparse.Namespace) -> RunConfig:
-    raw: dict = {}
-    if args.config:
-        try:
-            raw = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{args.config}: not valid JSON ({exc})") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{args.config}: top level must be an object")
-    for key in raw:
-        if key not in _TOP_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
-
-    seed = raw.get("seed", 0) if args.seed is None else args.seed
-    if type(seed) is not int or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-
-    sections = {section: _section_kwargs(raw, section) for section in _SECTIONS}
-    # flag --seed overrides every section seed; otherwise the top-level seed
-    # fills in sections that did not set their own
-    for section in ("generator", "model"):
-        if args.seed is not None:
-            sections[section]["seed"] = seed
-        else:
-            sections[section].setdefault("seed", seed)
-    for flag, (section, key, *_) in _SECTION_FLAGS.items():
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if value is not None:
-            sections[section][key] = value
-    sections["model"].setdefault("kind", "knn")
-
-    features = raw.get("features", list(FEATURE_FAMILIES))
-    if args.features is not None:
-        features = [name.strip() for name in args.features.split(",") if name.strip()]
-    if not isinstance(features, (list, tuple)) or not features:
-        raise ConfigError("features must be a non-empty list")
-    unknown = set(features) - set(FEATURE_FAMILIES)
-    if unknown:
-        raise ConfigError(
-            f"unknown feature families {sorted(unknown)}; choose from {FEATURE_FAMILIES}"
-        )
-
-    test_fraction = raw.get("test_fraction", DEFAULT_TEST_FRACTION)
-    if args.test_fraction is not None:
-        test_fraction = args.test_fraction
-    try:
-        test_fraction = float(test_fraction)
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"test_fraction must be a number, got {test_fraction!r}"
-        ) from None
-    out_dir = raw.get("out_dir", "run") if args.out is None else args.out
-
-    try:
-        config = RunConfig(
-            seed=seed,
-            out_dir=str(out_dir),
-            features=tuple(features),
-            test_fraction=test_fraction,
-            **{section: cls(**sections[section]) for section, cls in _SECTIONS.items()},
-        )
-    except TypeError as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
-    song_seconds = config.generator.song_seconds
-    epoch_seconds = config.preprocess.epoch_seconds
-    if song_seconds % epoch_seconds != 0:
-        raise ConfigError(
-            f"epoch_seconds {epoch_seconds} does not divide the "
-            f"{song_seconds} s songs"
-        )
-    fraction = config.test_fraction
-    if not 0.0 < fraction < 1.0:
-        raise ConfigError(f"test_fraction must be in (0, 1), got {fraction}")
-    per_song = song_seconds // epoch_seconds
-    n_test = held_out_rows(fraction, per_song)
-    if n_test in (0, per_song):
-        raise ConfigError(
-            f"test_fraction {fraction} holds out {n_test} of the {per_song} "
-            "epochs of each song, leaving an empty fold"
-        )
-    nyquist_hz = config.generator.sample_rate_hz / 2
-    pre = config.preprocess
-    # a notch bandwidth at or above Nyquist puts a pole outside the unit circle
-    for name, hz in (("notch_hz", pre.notch_hz), ("notch_bandwidth_hz", pre.notch_bandwidth_hz)):
-        if hz >= nyquist_hz:
-            raise ConfigError(
-                f"{name} {hz} is not below the Nyquist frequency ({nyquist_hz} Hz) "
-                "of the sessions"
-            )
-    if "spectopo" in config.features and epoch_seconds < SPECTOPO_MIN_SECONDS:
-        raise ConfigError(
-            f"spectopo needs epochs of at least {SPECTOPO_MIN_SECONDS} s "
-            f"(its Welch windows are 1 s), got epoch_seconds {epoch_seconds}"
-        )
-    n_channels = config.generator.n_channels
-    if n_channels < MIN_REJECTION_CHANNELS:
-        raise ConfigError(
-            f"the bad_channels step needs at least {MIN_REJECTION_CHANNELS} "
-            f"channels, got n_channels {n_channels}"
-        )
-    return config
-
-
 def _sessions_mismatch(config: RunConfig) -> str | None:
     """Why the sessions under config.out cannot serve config, or None when they
     can: the sessions sidecar must record config's generator, and each of its
     subjects must have a manifest, samples and events file."""
+    from .synth import EVENTS_NAME, MANIFEST_NAME, SAMPLES_NAME, session_dir_name
+
     sessions_dir = config.out / SESSIONS_DIR
     if not sessions_dir.is_dir():
         return f"no session directory at {sessions_dir}; run `generate` first"
@@ -273,9 +85,12 @@ def _sessions_mismatch(config: RunConfig) -> str | None:
 
 # A stage's run function takes the config and the --force flag, which only
 # evaluate reads, writes the stage's artifact and returns its summary line.
+# Each imports what it runs, so a stage process loads only its own modules.
 
 
 def _generate(config: RunConfig, force: bool) -> str:
+    from .synth import generate_session, write_session
+
     sessions_dir = config.out / SESSIONS_DIR
     for subject_id in range(1, config.generator.n_subjects + 1):
         write_session(generate_session(config.generator, subject_id), sessions_dir)
@@ -287,6 +102,10 @@ def _preprocess_subject(config: RunConfig, subject_id: int, writer: EpochsWriter
     capture reads each song's channel rows from the samples file, so the
     session is never in memory whole, and nothing of the subject is kept
     once this returns."""
+    from .core import validate_session
+    from .preprocess import run_pipeline
+    from .synth import MANIFEST_NAME, SessionReader, session_dir_name
+
     manifest = config.out / SESSIONS_DIR / session_dir_name(subject_id) / MANIFEST_NAME
     with SessionReader(manifest) as session:
         violations = validate_session(session)
@@ -305,6 +124,8 @@ def _preprocess_subject(config: RunConfig, subject_id: int, writer: EpochsWriter
 def _preprocess(config: RunConfig, force: bool) -> str:
     """Preprocess every subject into epochs.npz, one subject in memory at a
     time: each subject's batch is written as soon as it is ready."""
+    from .preprocess import write_epochs
+
     mismatch = _sessions_mismatch(config)
     if mismatch:
         raise PipelineError(mismatch)
@@ -320,6 +141,9 @@ def _preprocess(config: RunConfig, force: bool) -> str:
 
 def _features(config: RunConfig, force: bool) -> str:
     """Featurize epochs.npz one epoch at a time."""
+    from .features import build_feature_matrix, write_dataset_csv
+    from .preprocess import EpochsReader
+
     with EpochsReader(config.out / EPOCHS_FILE) as reader:
         dataset = build_feature_matrix(
             reader.epochs(), config.features, ratings=reader.ratings
@@ -330,6 +154,9 @@ def _features(config: RunConfig, force: bool) -> str:
 
 
 def _split(config: RunConfig, force: bool) -> str:
+    from .evaluation import split_dataset, write_plan
+    from .features import read_dataset_csv
+
     dataset = read_dataset_csv(config.out / DATASET_FILE)
     _, test, plan = split_dataset(dataset, config.test_fraction, config.seed)
     path = config.out / PLAN_FILE
@@ -338,6 +165,10 @@ def _split(config: RunConfig, force: bool) -> str:
 
 
 def _train(config: RunConfig, force: bool) -> str:
+    from .evaluation import apply_plan, read_plan
+    from .features import read_dataset_csv
+    from .models import fit_dataset, save_model
+
     dataset = read_dataset_csv(config.out / DATASET_FILE)
     train, _ = apply_plan(dataset, read_plan(config.out / PLAN_FILE))
     path = config.out / MODEL_FILE
@@ -346,6 +177,17 @@ def _train(config: RunConfig, force: bool) -> str:
 
 
 def _evaluate(config: RunConfig, force: bool) -> str:
+    from .evaluation import (
+        EvalError,
+        apply_plan,
+        evaluate,
+        mark_plan_consumed,
+        read_plan,
+        write_report,
+    )
+    from .features import read_dataset_csv
+    from .models import load_model
+
     plan_path = config.out / PLAN_FILE
     plan = read_plan(plan_path)
     if plan.consumed and not force:
@@ -364,6 +206,8 @@ def _evaluate(config: RunConfig, force: bool) -> str:
 
 
 def _report(config: RunConfig, force: bool) -> str:
+    from .evaluation import read_report, render_confusion
+
     report, _ = read_report(config.out / REPORT_FILE)
     csv_path, pgm_path = render_confusion(report, config.out)
     return f"wrote {csv_path} and {pgm_path}"
@@ -404,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--features", metavar="LIST", help=f"comma-separated subset of {','.join(FEATURE_FAMILIES)}"
     )
     common.add_argument("--test-fraction", type=float, dest="test_fraction", help="held-out fraction")
-    for flag, (_, _, kind, metavar, help_text) in _SECTION_FLAGS.items():
+    for flag, (_, _, kind, metavar, help_text) in SECTION_FLAGS.items():
         common.add_argument(flag, type=kind, metavar=metavar, help=help_text)
 
     parser = argparse.ArgumentParser(

@@ -4,6 +4,9 @@ report with confusion matrix, rating prediction, and report rendering.
 The test set is sampled once per (subject, song) stratum and the plan is
 written to disk with a consumed flag, so re-evaluating the same held-out rows
 is an explicit, forced action rather than an accident.
+
+Only the functions that fit or predict import the models package, so
+splitting, plan and report files and rendering run without it.
 """
 
 from __future__ import annotations
@@ -11,14 +14,18 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .config import DEFAULT_TEST_FRACTION, held_out_rows
 from .core import atomic_write
-from .features.dataset import Dataset
-from .models import ModelSpec, TrainedModel, fit_dataset, predict_labels
 
-DEFAULT_TEST_FRACTION = 1.0 / 3.0
+if TYPE_CHECKING:
+    from .config import ModelSpec
+    from .features.dataset import Dataset
+    from .models import TrainedModel
+
 PGM_CELL_PIXELS = 32
 
 
@@ -67,12 +74,6 @@ class RatingEvalResult:
     report: EvalReport
     mae: float
     excluded_classes: tuple[int, ...]  # ratings never seen during training
-
-
-def held_out_rows(test_fraction: float, n_rows: int) -> int:
-    """Test rows that split_dataset takes from a stratum of n_rows rows:
-    test_fraction * n_rows, rounded half up."""
-    return int(np.floor(test_fraction * n_rows + 0.5))
 
 
 def split_dataset(
@@ -163,6 +164,8 @@ def report_from_predictions(
 def evaluate(model: TrainedModel, test: Dataset) -> EvalReport:
     if test.n_rows == 0:
         raise EvalError("cannot evaluate an empty test set")
+    from .models import predict_labels
+
     predicted = predict_labels(model, test.X)
     class_labels = np.unique(np.concatenate([test.labels, model.classes]))
     return report_from_predictions(test.labels, predicted, test.subject_id, class_labels)
@@ -185,6 +188,8 @@ def evaluate_ratings(
         raise EvalError(f"rating target must be enjoyment or familiarity, got {target!r}")
     if np.any((ratings < 1) | (ratings > 5)):
         raise EvalError(f"{target} ratings outside 1..5; dataset lacks rating metadata")
+    from .models import fit_dataset, predict_labels
+
     relabeled = dataset.relabeled(ratings)
     train, test, _ = split_dataset(relabeled, test_fraction, seed)
     model = fit_dataset(spec, train)

@@ -2,8 +2,8 @@
 wavelet energies, DFA, entropy), each mapping a (..., samples) array to its
 named columns, and the assembly of those columns into a dataset."""
 
+from ..config import FEATURE_FAMILIES
 from .dataset import (
-    FEATURE_FAMILIES,
     Dataset,
     build_feature_matrix,
     read_dataset_csv,

@@ -1,8 +1,10 @@
 """Flatten epochs into a labeled feature matrix and serialize it as CSV.
 
 Each feature family is one function from a (..., samples) array and its
-sample rate to {column name: (...) array}; FAMILIES maps family names to
-them.  Column order is frozen: channel-major, column names alphabetical
+sample rate to {column name: (...) array}; FAMILIES names each family's
+module and function, and a family's module is imported the first time a
+feature matrix selects it, so reading or writing a dataset CSV imports none
+of them.  Column order is frozen: channel-major, column names alphabetical
 within each channel, names "ch<i>_<column>". The CSV header is the feature
 names followed by song_id,subject_id,epoch_index,enjoyment,familiarity;
 floats are written with enough digits to round-trip float64 exactly.
@@ -13,23 +15,21 @@ from __future__ import annotations
 import csv
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
 
+from ..config import FEATURE_FAMILIES
 from ..core import Epoch, atomic_write
-from .dfa import dfa_features
-from .entropy import entropy_features
-from .spectral import spectopo_bandpower
-from .wavelet import wavedec_bandpower
 
+# family -> (module under eegsong.features, its extractor function)
 FAMILIES = {
-    "spectopo": spectopo_bandpower,
-    "wavedec": wavedec_bandpower,
-    "dfa": dfa_features,
-    "entropy": entropy_features,
+    "spectopo": ("spectral", "spectopo_bandpower"),
+    "wavedec": ("wavelet", "wavedec_bandpower"),
+    "dfa": ("dfa", "dfa_features"),
+    "entropy": ("entropy", "entropy_features"),
 }
-FEATURE_FAMILIES = tuple(FAMILIES)
 
 META_COLUMNS = ("song_id", "subject_id", "epoch_index", "enjoyment", "familiarity")
 
@@ -114,6 +114,10 @@ def build_feature_matrix(
             f"choose from {FEATURE_FAMILIES}"
         )
     ratings = ratings or {}
+    extractors = []
+    for family in selection:
+        module, function = FAMILIES[family]
+        extractors.append(getattr(import_module(f".{module}", __package__), function))
 
     rows = []
     meta = []  # (song_id, subject_id, epoch_index, enjoyment, familiarity)
@@ -123,8 +127,8 @@ def build_feature_matrix(
     for epoch in epochs:
         pos = len(rows)
         per_channel: dict[str, np.ndarray] = {}
-        for family in selection:
-            per_channel.update(FAMILIES[family](epoch.data, epoch.sample_rate_hz))
+        for extract in extractors:
+            per_channel.update(extract(epoch.data, epoch.sample_rate_hz))
         feature_order = sorted(per_channel)
         if layout is None:
             layout = (epoch.n_channels, feature_order)
@@ -172,20 +176,15 @@ def build_feature_matrix(
 
 
 def write_dataset_csv(dataset: Dataset, path: str | Path) -> None:
+    """The bytes csv.writer writes for the header and, per row, each feature
+    as "%.17g" and each meta column as an int.  No such field needs quoting,
+    so each row is formatted with one % over a format string made once."""
+    row_format = ",".join(["%.17g"] * dataset.width + ["%d"] * len(META_COLUMNS)) + "\r\n"
+    meta = np.stack([getattr(dataset, name) for name in META_COLUMNS], axis=1).tolist()
     with atomic_write(path) as tmp, open(tmp, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(list(dataset.feature_names) + list(META_COLUMNS))
-        for i in range(dataset.n_rows):
-            writer.writerow(
-                ["%.17g" % v for v in dataset.X[i]]
-                + [
-                    int(dataset.song_id[i]),
-                    int(dataset.subject_id[i]),
-                    int(dataset.epoch_index[i]),
-                    int(dataset.enjoyment[i]),
-                    int(dataset.familiarity[i]),
-                ]
-            )
+        csv.writer(f).writerow(list(dataset.feature_names) + list(META_COLUMNS))
+        for values, ints in zip(dataset.X.tolist(), meta):
+            f.write(row_format % (*values, *ints))
 
 
 def read_dataset_csv(path: str | Path) -> Dataset:

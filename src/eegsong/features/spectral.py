@@ -16,15 +16,12 @@ from __future__ import annotations
 import numpy as np
 
 from .. import dsp
+from ..config import SPECTOPO_MIN_SECONDS
 from ..core import EEG_BAND_EDGES
 
 # Floor under the linear mean PSD before taking dB, so an all-zero channel
 # yields a finite sentinel (-300 dB) instead of -inf.
 PSD_DB_FLOOR = 1e-30
-
-# Shortest signal, in 1 s Welch windows, that spectopo averages over; the run
-# config refuses shorter epochs when spectopo is selected.
-SPECTOPO_MIN_SECONDS = 2
 
 
 def spectopo_bandpower(data: np.ndarray, sample_rate_hz: float) -> dict[str, np.ndarray]:

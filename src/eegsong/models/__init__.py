@@ -1,14 +1,15 @@
 """Classifier and clustering implementations with a single fit/predict surface.
 
-Every kind is one (fit, scores) pair in KINDS.  fit(Xs, y_idx, n_columns,
-spec) takes the standardized training rows, their class indices, the number
-of score columns and the ModelSpec, and returns exactly the arrays that
-model.npz stores, training curves included.  scores(params, Xs, n_columns)
-gives one row of non-negative scores per input row, summing to 1.  A
-TrainedModel's classes name the score columns, so every kind predicts
-classes[argmax(scores)]: supervised kinds have one column per training class,
-clustering kinds one per cluster, named by the cluster's majority training
-label.
+Every kind is one (fit, scores) pair, named in KINDS by its module and
+function names; a kind's module is imported the first time that kind is
+fitted or scored.  fit(Xs, y_idx, n_columns, spec) takes the standardized
+training rows, their class indices, the number of score columns and the
+ModelSpec, and returns exactly the arrays that model.npz stores, training
+curves included.  scores(params, Xs, n_columns) gives one row of
+non-negative scores per input row, summing to 1.  A TrainedModel's classes
+name the score columns, so every kind predicts classes[argmax(scores)]:
+supervised kinds have one column per training class, clustering kinds one
+per cluster, named by the cluster's majority training label.
 
 All kinds standardize features using statistics captured from the training
 rows at fit time, break every tie toward the smallest column index, and draw
@@ -18,16 +19,13 @@ set) pair always yields the same trained model and the same predictions.
 
 from __future__ import annotations
 
+from importlib import import_module
+
 import numpy as np
 
-from .bayes import fit_gnb, gnb_scores
-from .clustering import fit_gmm, fit_kmeans, gmm_scores, kmeans_scores
+from ..config import CLUSTERING_KINDS, MODEL_KINDS, SUPERVISED_KINDS, ModelSpec
 from .common import (
-    CLUSTERING_KINDS,
-    MODEL_KINDS,
-    SUPERVISED_KINDS,
     FitError,
-    ModelSpec,
     PredictError,
     TrainedModel,
     apply_standardization,
@@ -36,9 +34,6 @@ from .common import (
     majority_label,
 )
 from .io import load_model, save_model
-from .neighbors import fit_knn, knn_scores
-from .neural import fit_mlp, mlp_scores
-from .trees import fit_gboost, fit_tree, gboost_scores, tree_scores
 
 __all__ = [
     "CLUSTERING_KINDS",
@@ -57,15 +52,23 @@ __all__ = [
     "save_model",
 ]
 
+# kind -> (module under eegsong.models, its fit function, its scores function)
 KINDS = {
-    "knn": (fit_knn, knn_scores),
-    "tree": (fit_tree, tree_scores),
-    "gboost": (fit_gboost, gboost_scores),
-    "gnb": (fit_gnb, gnb_scores),
-    "mlp": (fit_mlp, mlp_scores),
-    "kmeans": (fit_kmeans, kmeans_scores),
-    "gmm": (fit_gmm, gmm_scores),
+    "knn": ("neighbors", "fit_knn", "knn_scores"),
+    "tree": ("trees", "fit_tree", "tree_scores"),
+    "gboost": ("trees", "fit_gboost", "gboost_scores"),
+    "gnb": ("bayes", "fit_gnb", "gnb_scores"),
+    "mlp": ("neural", "fit_mlp", "mlp_scores"),
+    "kmeans": ("clustering", "fit_kmeans", "kmeans_scores"),
+    "gmm": ("clustering", "fit_gmm", "gmm_scores"),
 }
+
+
+def _kind_functions(kind: str):
+    """The (fit, scores) pair of kind, importing its module."""
+    module_name, fit_name, scores_name = KINDS[kind]
+    module = import_module(f".{module_name}", __name__)
+    return getattr(module, fit_name), getattr(module, scores_name)
 
 
 def fit(spec: ModelSpec, X: np.ndarray, labels: np.ndarray) -> TrainedModel:
@@ -92,7 +95,7 @@ def fit(spec: ModelSpec, X: np.ndarray, labels: np.ndarray) -> TrainedModel:
     n_columns = classes.shape[0]
     if spec.kind in CLUSTERING_KINDS and spec.n_clusters is not None:
         n_columns = spec.n_clusters
-    fit_kind, scores = KINDS[spec.kind]
+    fit_kind, scores = _kind_functions(spec.kind)
     params = fit_kind(Xs, y_idx, n_columns, spec)
     if spec.kind in CLUSTERING_KINDS:
         # name each cluster by the majority label of the training rows it
@@ -118,7 +121,7 @@ def fit_dataset(spec: ModelSpec, dataset) -> TrainedModel:
 def predict_proba(model: TrainedModel, rows: np.ndarray) -> np.ndarray:
     """One score column per entry of model.classes; each row sums to 1."""
     Xs = check_rows(model, rows)
-    return KINDS[model.kind][1](model.params, Xs, model.classes.shape[0])
+    return _kind_functions(model.kind)[1](model.params, Xs, model.classes.shape[0])
 
 
 def predict_labels(model: TrainedModel, rows: np.ndarray) -> np.ndarray:

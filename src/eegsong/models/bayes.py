@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import ModelSpec, diag_gaussian_log_pdf, normalize_log_scores
+from ..config import ModelSpec
+from .common import diag_gaussian_log_pdf, normalize_log_scores
 
 GNB_VAR_FLOOR = 1e-9
 

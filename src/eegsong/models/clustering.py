@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..config import ModelSpec
 from .common import (
     FitError,
-    ModelSpec,
     diag_gaussian_log_pdf,
     logsumexp,
     normalize_log_scores,

@@ -1,4 +1,4 @@
-"""Shared model plumbing: spec, trained-model container, standardization, and
+"""Shared model plumbing: trained-model container, standardization, and
 the two numeric kernels the model kinds share.
 
 sq_distances and logsumexp reproduce the arithmetic of scipy's
@@ -15,10 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SUPERVISED_KINDS = ("knn", "tree", "gboost", "gnb", "mlp")
-CLUSTERING_KINDS = ("kmeans", "gmm")
-MODEL_KINDS = SUPERVISED_KINDS + CLUSTERING_KINDS
-
 
 class FitError(ValueError):
     """Training preconditions violated (bad data or degenerate hyperparameters)."""
@@ -26,46 +22,6 @@ class FitError(ValueError):
 
 class PredictError(ValueError):
     """Prediction input does not match the trained model."""
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    kind: str
-    knn_k: int = 5
-    tree_max_depth: int = 8
-    tree_min_leaf: int = 2
-    gboost_rounds: int = 100
-    gboost_depth: int = 2
-    gboost_learning_rate: float = 0.1
-    mlp_hidden: int = 64
-    mlp_epochs: int = 200
-    mlp_learning_rate: float = 0.01
-    mlp_batch: int = 32
-    n_clusters: int | None = None  # kmeans/gmm; None = number of training classes
-    gmm_var_floor: float = 1e-6
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}; choose from {MODEL_KINDS}")
-        positives = (
-            "knn_k",
-            "tree_max_depth",
-            "tree_min_leaf",
-            "gboost_rounds",
-            "gboost_depth",
-            "mlp_hidden",
-            "mlp_epochs",
-            "mlp_batch",
-        )
-        for name in positives:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("gboost_learning_rate", "mlp_learning_rate", "gmm_var_floor"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.n_clusters is not None and self.n_clusters <= 0:
-            raise ValueError("n_clusters must be positive")
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import FitError, ModelSpec, distance_tiles, sq_distances
+from ..config import ModelSpec
+from .common import FitError, distance_tiles, sq_distances
 
 
 def fit_knn(

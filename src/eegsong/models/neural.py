@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import ModelSpec, mean_cross_entropy, one_hot, softmax
+from ..config import ModelSpec
+from .common import mean_cross_entropy, one_hot, softmax
 
 
 def init_mlp(

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import FitError, ModelSpec, PredictError, mean_cross_entropy, one_hot, softmax
+from ..config import ModelSpec
+from .common import FitError, PredictError, mean_cross_entropy, one_hot, softmax
 
 LEAF = -1
 Forest = dict[str, np.ndarray]

@@ -38,10 +38,12 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import dsp
+from .config import MIN_REJECTION_CHANNELS, PreprocessConfig
 from .core import (
     BASELINE_SECONDS,
     EEG_BAND_EDGES,
@@ -54,38 +56,9 @@ from .core import (
     atomic_write,
     read_archive,
 )
-from .synth import SessionReader
 
-# Fewest channels whose cross-channel z-scores bad-channel rejection takes;
-# the run config refuses fewer.
-MIN_REJECTION_CHANNELS = 4
-
-
-@dataclass(frozen=True)
-class PreprocessConfig:
-    epoch_seconds: int = 10
-    notch_hz: float = 50.0
-    notch_bandwidth_hz: float = 2.0
-    rejection_zscore: float = 5.0
-    amplitude_reject_uv: float | None = None
-
-    def __post_init__(self):
-        # divisibility by the song length is checked where the song is known
-        if self.epoch_seconds <= 0:
-            raise ValueError(
-                f"epoch_seconds must be positive, got {self.epoch_seconds}"
-            )
-        # notch_hz against Nyquist is checked where the sample rate is known
-        if self.notch_hz <= 0:
-            raise ValueError(f"notch_hz must be positive, got {self.notch_hz}")
-        if self.notch_bandwidth_hz <= 0:
-            raise ValueError("notch_bandwidth_hz must be positive")
-        if self.amplitude_reject_uv is not None and self.amplitude_reject_uv <= 0:
-            raise ValueError(
-                f"amplitude_reject_uv must be positive, got {self.amplitude_reject_uv}"
-            )
-        if self.rejection_zscore <= 0:
-            raise ValueError("rejection_zscore must be positive")
+if TYPE_CHECKING:
+    from .synth import SessionReader
 
 
 @dataclass(frozen=True)

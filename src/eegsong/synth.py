@@ -32,19 +32,12 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    BASELINE_SECONDS,
-    EEG_BAND_EDGES,
-    EXPECTED_SAMPLE_RATES,
-    EventMarker,
-    SessionRecording,
-    atomic_write,
-)
+from .config import GeneratorConfig
+from .core import EEG_BAND_EDGES, EventMarker, SessionRecording, atomic_write
 
 # Baseline amplitude of the 1/f background, microvolts RMS per channel.
 BACKGROUND_RMS_UV = 10.0
@@ -72,72 +65,6 @@ class SessionFormatError(ValueError):
     """On-disk session data is missing, truncated, or malformed."""
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
-    n_subjects: int = 20
-    n_songs: int = 12
-    song_seconds: int = 120
-    inter_song_silence_seconds: int = 10
-    lead_silence_seconds: int = 120
-    trail_silence_seconds: int = 120
-    sample_rate_hz: int = 250
-    n_channels: int = 32
-    line_noise_amplitude_uv: float = 5.0
-    n_bad_channels: int = 2
-    class_separation: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        for name in (
-            "n_subjects",
-            "n_songs",
-            "song_seconds",
-            "inter_song_silence_seconds",
-            "lead_silence_seconds",
-            "trail_silence_seconds",
-            "sample_rate_hz",
-            "n_channels",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        # validate_session refuses any other rate at ingest
-        if self.sample_rate_hz not in EXPECTED_SAMPLE_RATES:
-            raise ValueError(
-                f"sample_rate_hz must be one of {EXPECTED_SAMPLE_RATES}, "
-                f"got {self.sample_rate_hz}"
-            )
-        # Each song's baseline is the BASELINE_SECONDS just before its onset;
-        # a shorter silence would reach back into the previous song (or before
-        # the recording starts).
-        for name in ("lead_silence_seconds", "inter_song_silence_seconds"):
-            if getattr(self, name) < BASELINE_SECONDS:
-                raise ValueError(
-                    f"{name} must be >= the {BASELINE_SECONDS} s pre-song "
-                    f"baseline, got {getattr(self, name)}"
-                )
-        if self.class_separation < 0:
-            raise ValueError("class_separation must be >= 0")
-        if self.n_bad_channels < 0:
-            raise ValueError("n_bad_channels must be >= 0")
-        if self.n_bad_channels >= self.n_channels:
-            raise ValueError("n_bad_channels must leave at least one clean channel")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-
-    @property
-    def session_seconds(self) -> int:
-        return (
-            self.lead_silence_seconds
-            + self.n_songs * self.song_seconds
-            + (self.n_songs - 1) * self.inter_song_silence_seconds
-            + self.trail_silence_seconds
-        )
-
-    @property
-    def session_samples(self) -> int:
-        return self.session_seconds * self.sample_rate_hz
-
-
 def song_band_profile(song_id: int, n_songs: int) -> np.ndarray:
     """Distinct 5-band amplitude profile for a song: a fixed permutation of a
     base ramp, spread evenly through the 120 permutations of 5 elements."""
@@ -151,6 +78,7 @@ def _pink_noise(
     n_channels: int,
     n_samples: int,
     sample_rate_hz: float,
+    skip: frozenset[int] = frozenset(),
 ) -> np.ndarray:
     """1/f noise via spectral shaping: white noise, scale DFT bins by 1/sqrt(f),
     invert. Bins below BACKGROUND_HIGHPASS_HZ are zeroed so distant windows of
@@ -163,15 +91,20 @@ def _pink_noise(
     same arithmetic as in a whole-array transform, so the output is the same
     bit for bit.  Row by row costs numpy's FFT its batching of several rows
     in SIMD lanes: about 0.05 s more per 32-channel, 202,500-sample session
-    (0.43 s against 0.38 s on one AVX-512 core)."""
+    (0.43 s against 0.38 s on one AVX-512 core).
+
+    The rows in skip are left as their white-noise draws: the caller
+    overwrites them, and the draws keep the stream in step."""
     x = np.empty((n_channels, n_samples))
     k = np.arange(n_samples // 2 + 1, dtype=np.float64)
     k[0] = 1.0
     root_k = np.sqrt(k)
     highpass = np.fft.rfftfreq(n_samples, d=1.0 / sample_rate_hz) < BACKGROUND_HIGHPASS_HZ
     spec = np.empty(k.shape, dtype=np.complex128)
-    for row in x:
+    for ch, row in enumerate(x):
         rng.standard_normal(out=row)
+        if ch in skip:
+            continue
         np.fft.rfft(row, out=spec)
         spec /= root_k
         spec[highpass] = 0.0
@@ -193,6 +126,7 @@ def _add_signature(
     gains: np.ndarray,
     sample_rate_hz: int,
     profile: np.ndarray,
+    skip: frozenset[int],
 ) -> None:
     """Add to each channel row of song, a (n_channels, n_samples) view of the
     session, band-limited noise whose per-band amplitudes follow the profile:
@@ -203,14 +137,17 @@ def _add_signature(
     are one row and its spectrum.  The draws take the generator's stream in
     the order of one (n_channels, n_samples) draw, and each row sees the same
     arithmetic as in a whole-array transform, so the session is the same bit
-    for bit."""
+    for bit.  The rows in skip, which the caller overwrites, only take their
+    draws."""
     n_samples = song.shape[1]
     freqs = np.fft.rfftfreq(n_samples, d=1.0 / sample_rate_hz)
     envelope = _band_envelope(freqs, profile)
     x = np.empty(n_samples)
     spec = np.empty(freqs.shape, dtype=np.complex128)
-    for row, gain in zip(song, gains):
+    for ch, (row, gain) in enumerate(zip(song, gains)):
         rng.standard_normal(out=x)
+        if ch in skip:
+            continue
         np.fft.rfft(x, out=spec)
         spec *= envelope
         np.fft.irfft(spec, n=n_samples, out=x)
@@ -236,15 +173,21 @@ def generate_session(config: GeneratorConfig, subject_id: int) -> SessionRecordi
     song_gains = rng.uniform(0.5, 1.5, config.n_songs)
     familiarity = rng.integers(1, 6, config.n_songs)
 
+    # The bad channels' rows are overwritten at the end: building their signal
+    # only draws its normals, which keeps the frozen draw order.
+    bad = frozenset(bad_channels.tolist())
+
     # Scaled in place, and the mains line and the song signatures added one
     # channel at a time, so no second channels x samples array is made here.
-    samples = _pink_noise(rng, config.n_channels, n_total, fs)
+    samples = _pink_noise(rng, config.n_channels, n_total, fs, bad)
     samples *= BACKGROUND_RMS_UV
 
     line_phases = rng.uniform(0.0, 2.0 * np.pi, config.n_channels)
     mains = 2.0 * np.pi * 50.0 * (np.arange(n_total) / fs)
     line = np.empty(n_total)
-    for row, phase in zip(samples, line_phases):
+    for ch, (row, phase) in enumerate(zip(samples, line_phases)):
+        if ch in bad:
+            continue
         np.add(mains, phase, out=line)
         np.sin(line, out=line)
         line *= config.line_noise_amplitude_uv
@@ -266,6 +209,7 @@ def generate_session(config: GeneratorConfig, subject_id: int) -> SessionRecordi
             amp,
             fs,
             song_band_profile(s, config.n_songs),
+            bad,
         )
 
         end = pos + song_len

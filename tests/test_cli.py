@@ -329,6 +329,35 @@ class TestSessionIngest:
         assert message in err
         assert not (out / "sessions").exists()
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            (
+                "features", ["spectopo", 3, "x"],
+                "features must be a non-empty list of family names, got ['spectopo', 3, 'x']",
+            ),
+            (
+                "features", [["spectopo"]],
+                "features must be a non-empty list of family names, got [['spectopo']]",
+            ),
+            ("out_dir", None, "out_dir must be a string, got None"),
+        ],
+        ids=["mixed_feature_types", "nested_feature_list", "null_out_dir"],
+    )
+    def test_top_level_value_of_the_wrong_type_is_refused(
+        self, key, value, message, tmp_path, monkeypatch, capsys
+    ):
+        # no --out, so out_dir comes from the config; a run directory would
+        # appear under the working directory
+        cfg = dict(SMALL_CONFIG, out_dir=str(tmp_path / "run"))
+        cfg[key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_stage_minimums_bind_only_selected_stages(self):
         def load(*argv):
             return load_run_config(_build_parser().parse_args(["generate", *argv]))

@@ -1,9 +1,12 @@
 """Feature matrix assembly and its CSV serialization."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
-from eegsong import build_feature_matrix, read_dataset_csv, write_dataset_csv
+from eegsong import Dataset, build_feature_matrix, read_dataset_csv, write_dataset_csv
 from eegsong.core import Epoch
 from eegsong.features import FEATURE_FAMILIES
 from eegsong.features.dfa import dfa
@@ -175,6 +178,40 @@ class TestCsv:
         assert np.array_equal(back.X, ds.X)  # %.17g round-trips float64 exactly
         for field in ("labels", "song_id", "subject_id", "epoch_index", "enjoyment", "familiarity"):
             assert np.array_equal(getattr(back, field), getattr(ds, field))
+
+    def test_bytes_are_those_of_csv_writer(self, tmp_path):
+        """Each row formatted at once gives csv.writer's bytes for "%.17g"
+        features and int meta columns, at the edges of float64 too."""
+        X = np.array(
+            [
+                [-0.0, 0.0, 5e-324, -2.225073858507201e-308, 1.7976931348623157e308],
+                [-1.7976931348623157e308, 1e-300, 123456789012345678.0, 0.1, -1.0 / 3.0],
+                [1e16, 2.5e-310, -4.9406564584124654e-324, 1e22, 7.0],
+            ]
+        )
+        meta = {
+            "song_id": [1, 12, 0],
+            "subject_id": [-3, 7, 999],
+            "epoch_index": [0, 1, 2],
+            "enjoyment": [5, 1, 3],
+            "familiarity": [2, 4, 1],
+        }
+        ds = Dataset(
+            X=X,
+            feature_names=tuple(f"f{j}" for j in range(X.shape[1])),
+            labels=np.array(meta["song_id"]),
+            **{name: np.array(values) for name, values in meta.items()},
+        )
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(list(ds.feature_names) + list(meta))
+        for i in range(ds.n_rows):
+            writer.writerow(["%.17g" % v for v in X[i]] + [values[i] for values in meta.values()])
+        path = tmp_path / "ds.csv"
+        write_dataset_csv(ds, path)
+        assert path.read_bytes() == expected.getvalue().encode()
+        back = read_dataset_csv(path).X
+        assert np.array_equal(back, X) and np.array_equal(np.signbit(back), np.signbit(X))
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -100,6 +100,59 @@ def test_pink_noise_matches_one_whole_array_transform(n_channels, n_samples):
     assert by_row.bit_generator.state == whole.bit_generator.state
 
 
+def _every_row_in_full(config, subject_id):
+    """generate_session's samples with every channel's signal built whole
+    before the bad channels' rows are overwritten, and the generator it
+    drew from."""
+    fs, n_total = config.sample_rate_hz, config.session_samples
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, subject_id]))
+    channel_gains = rng.uniform(0.8, 1.2, config.n_channels)
+    bad_channels = np.sort(rng.choice(config.n_channels, size=config.n_bad_channels, replace=False))
+    song_gains = rng.uniform(0.5, 1.5, config.n_songs)
+    rng.integers(1, 6, config.n_songs)
+    samples = _whole_array_pink_noise(rng, config.n_channels, n_total, fs) * BACKGROUND_RMS_UV
+    phases = rng.uniform(0.0, 2.0 * np.pi, config.n_channels)
+    mains = 2.0 * np.pi * 50.0 * (np.arange(n_total) / fs)
+    samples += np.sin(mains[None, :] + phases[:, None]) * config.line_noise_amplitude_uv
+    song_len = config.song_seconds * fs
+    for s in range(1, config.n_songs + 1):
+        start = (config.lead_silence_seconds + (s - 1) * (
+            config.song_seconds + config.inter_song_silence_seconds
+        )) * fs
+        white = rng.standard_normal((config.n_channels, song_len))
+        freqs = np.fft.rfftfreq(song_len, d=1.0 / fs)
+        spec = np.fft.rfft(white, axis=1) * synth._band_envelope(
+            freqs, song_band_profile(s, config.n_songs)
+        )
+        x = np.fft.irfft(spec, n=song_len, axis=1)
+        std = x.std(axis=1, keepdims=True)
+        x /= np.where(std != 0, std, 1.0)
+        amp = synth.SIGNATURE_RMS_UV * config.class_separation * song_gains[s - 1] * channel_gains
+        samples[:, start : start + song_len] += x * amp[:, None]
+    for k, ch in enumerate(bad_channels):
+        scale = BACKGROUND_RMS_UV * BAD_CHANNEL_SCALE_BASE * 4.0**k
+        samples[ch] = scale * rng.standard_normal(n_total)
+    return samples, rng
+
+
+@pytest.mark.parametrize("n_bad_channels", [1, 3])
+def test_bad_channel_rows_skip_only_work_that_is_overwritten(n_bad_channels, monkeypatch):
+    """The bad channels' rows only take their draws before they are
+    overwritten: the session and the generator's final state are those of
+    building every row in full."""
+    config = dataclasses.replace(TINY, n_bad_channels=n_bad_channels)
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda seed: made.append(default_rng(seed)) or made[-1]
+    )
+    session = generate_session(config, subject_id=2)
+    monkeypatch.undo()
+    full, full_rng = _every_row_in_full(config, 2)
+    assert np.array_equal(session.samples, full)
+    assert made[0].bit_generator.state == full_rng.bit_generator.state
+
+
 def test_subjects_differ(tiny_session, tiny_session_2):
     assert not np.array_equal(tiny_session.samples, tiny_session_2.samples)
 
