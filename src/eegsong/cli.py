@@ -118,7 +118,6 @@ def _preprocess_subject(config: RunConfig, subject_id: int, writer: EpochsWriter
         result = run_pipeline(session, config.preprocess)
     writer.add(result.batch)
     writer.masks[subject_id] = result.channel_mask
-    writer.n_dropped_epochs += result.n_dropped_epochs
 
 
 def _preprocess(config: RunConfig, force: bool) -> str:
@@ -133,10 +132,7 @@ def _preprocess(config: RunConfig, force: bool) -> str:
     with write_epochs(path) as writer:
         for subject_id in range(1, config.generator.n_subjects + 1):
             _preprocess_subject(config, subject_id, writer)
-    return (
-        f"{writer.n_epochs} epochs from {len(writer.masks)} subjects"
-        f" ({writer.n_dropped_epochs} dropped) -> {path}"
-    )
+    return f"{writer.n_epochs} epochs from {len(writer.masks)} subjects -> {path}"
 
 
 def _features(config: RunConfig, force: bool) -> str:

@@ -120,7 +120,6 @@ class PreprocessConfig:
     notch_hz: float = 50.0
     notch_bandwidth_hz: float = 2.0
     rejection_zscore: float = 5.0
-    amplitude_reject_uv: float | None = None
 
     def __post_init__(self):
         # divisibility by the song length is checked where the song is known
@@ -133,10 +132,6 @@ class PreprocessConfig:
             raise ValueError(f"notch_hz must be positive, got {self.notch_hz}")
         if self.notch_bandwidth_hz <= 0:
             raise ValueError("notch_bandwidth_hz must be positive")
-        if self.amplitude_reject_uv is not None and self.amplitude_reject_uv <= 0:
-            raise ValueError(
-                f"amplitude_reject_uv must be positive, got {self.amplitude_reject_uv}"
-            )
         if self.rejection_zscore <= 0:
             raise ValueError("rejection_zscore must be positive")
 
@@ -219,7 +214,6 @@ _FIELD_VALUES = {
     int: ((int,), "an integer"),
     int | None: ((int, type(None)), "an integer or null"),
     float: ((int, float), "a number"),
-    float | None: ((int, float, type(None)), "a number or null"),
 }
 
 

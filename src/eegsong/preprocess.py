@@ -1,12 +1,11 @@
 """Preprocessing: epoch capture, baseline correction, mains notch, average
-re-referencing, statistical bad-channel rejection, optional amplitude-based
-epoch rejection.
+re-referencing and statistical bad-channel rejection.
 
 run_pipeline runs the steps in one fixed order: capture, baseline, notch,
-rereference, bad_channels, then amplitude_reject when amplitude_reject_uv is
-set.  It re-references before rejecting bad channels, as the original
-acquisition pipeline does, so a bad channel pollutes the common average; the
-order is part of the method, not a setting.
+rereference, then bad_channels; every captured epoch is kept.  It
+re-references before rejecting bad channels, as the original acquisition
+pipeline does, so a bad channel pollutes the common average; the order is
+part of the method, not a setting.
 
 run_pipeline holds one subject's epochs as one (n_epochs, n_channels,
 n_samples) float64 batch, the layout of MNE-Python's Epochs.get_data(): capture
@@ -65,7 +64,6 @@ if TYPE_CHECKING:
 class PipelineResult:
     batch: EpochBatch
     channel_mask: ChannelMask
-    n_dropped_epochs: int
     log: tuple[str, ...] = ()
 
     @property
@@ -90,6 +88,8 @@ def _capture(
 
     starts = {m.song_id: m.sample_index for m in session.markers if m.kind == "song_start"}
     ends = {m.song_id: m.sample_index for m in session.markers if m.kind == "song_end"}
+    if not starts:
+        raise PipelineError("the session has no song_start marker, so no epochs")
     missing = sorted(set(starts) - set(ends))
     if missing:
         raise PipelineError(f"no song_end marker for songs {missing}")
@@ -321,8 +321,8 @@ def run_pipeline(
 ) -> PipelineResult:
     """Preprocess one subject's session: capture copies every epoch into one
     (n_epochs, n_channels, n_samples) float64 batch, and baseline, notch,
-    rereference, bad_channels and amplitude_reject (when amplitude_reject_uv
-    is set) follow in that order, each on the batch in place.  The notch and
+    rereference and bad_channels follow in that order, each on the batch in
+    place; bad_channels flags channels and drops no epoch.  The notch and
     the re-reference each take the whole batch in one call.  session is a
     SessionRecording or an open SessionReader, whose rows are read from disk
     as they are cast.  Deterministic."""
@@ -351,26 +351,9 @@ def run_pipeline(
     if not mask.reasons:
         log.append("bad_channels: none rejected")
 
-    n_dropped = 0
-    if config.amplitude_reject_uv is not None:
-        peaks = np.array([np.abs(epoch).max() for epoch in data])
-        keep = ~(peaks > config.amplitude_reject_uv)
-        for i in np.flatnonzero(~keep):
-            n_dropped += 1
-            log.append(f"amplitude_reject: dropped song {song_id[i]} epoch {epoch_index[i]}")
-        # compact the kept epochs to the front, in place
-        arrays = (data, baseline_mean, song_id, epoch_index)
-        for to, at in enumerate(np.flatnonzero(keep)):
-            for array in arrays:
-                array[to] = array[at]
-        data, baseline_mean, song_id, epoch_index = (
-            array[: int(keep.sum())] for array in arrays
-        )
-
     return PipelineResult(
         batch=EpochBatch(session.subject_id, data, baseline_mean, song_id, epoch_index, fs),
         channel_mask=mask,
-        n_dropped_epochs=n_dropped,
         log=tuple(log),
     )
 
@@ -379,7 +362,7 @@ def run_pipeline(
 # member, as soon as that subject is preprocessed.
 EPOCHS_FORMAT_VERSION = 3
 _EPOCHS_ARRAYS = (
-    "sample_rate_hz", "n_dropped_epochs", "baseline_mean", "subject_id",
+    "sample_rate_hz", "baseline_mean", "subject_id",
     "song_id", "epoch_index", "mask_subjects", "mask_good", "mask_reasons",
     "rating_keys", "rating_values",
 )
@@ -394,7 +377,6 @@ class EpochsFile:
     masks: dict[int, ChannelMask]
     ratings: dict[tuple[int, int], tuple[int, int]]  # (subject, song) -> (enj, fam)
     sample_rate_hz: int
-    n_dropped_epochs: int = 0
 
 
 def _write_member(archive: zipfile.ZipFile, name: str, array) -> None:
@@ -414,8 +396,8 @@ def _write_member(archive: zipfile.ZipFile, name: str, array) -> None:
 class EpochsWriter:
     """An epochs archive being written one subject at a time (see
     write_epochs).  add writes a subject's batch at once; the caller fills in
-    masks, ratings and n_dropped_epochs, which are written with the small
-    per-epoch arrays when the archive is finished."""
+    masks and ratings, which are written with the small per-epoch arrays when
+    the archive is finished."""
 
     def __init__(self, archive: zipfile.ZipFile):
         self._archive = archive
@@ -425,7 +407,6 @@ class EpochsWriter:
         }
         self.masks: dict[int, ChannelMask] = {}
         self.ratings: dict[tuple[int, int], tuple[int, int]] = {}
-        self.n_dropped_epochs = 0
         self.n_epochs = 0
 
     def add(self, batch: EpochBatch) -> None:
@@ -440,7 +421,7 @@ class EpochsWriter:
                 f"{self._layout[1:]} at {self._layout[0]} Hz"
             )
         if not len(batch.data):
-            return
+            raise PipelineError(f"subject {batch.subject_id} has no epochs to write")
         _write_member(self._archive, f"data_{batch.subject_id}", batch.data)
         n = batch.data.shape[0]
         self.n_epochs += n
@@ -465,7 +446,6 @@ class EpochsWriter:
         payload = {
             "format_version": np.asarray(EPOCHS_FORMAT_VERSION),
             "sample_rate_hz": np.asarray(sample_rate_hz),
-            "n_dropped_epochs": np.asarray(self.n_dropped_epochs),
             **{name: np.concatenate(parts) for name, parts in self._per_epoch.items()},
             "mask_subjects": np.asarray(subjects, dtype=np.int64),
             "mask_good": np.stack([np.asarray(self.masks[s].good) for s in subjects])
@@ -517,7 +497,6 @@ def save_epochs(path, epochs_file: EpochsFile):
             )
         writer.masks.update(epochs_file.masks)
         writer.ratings.update(epochs_file.ratings)
-        writer.n_dropped_epochs = epochs_file.n_dropped_epochs
     return Path(path)
 
 
@@ -539,16 +518,22 @@ class EpochsReader:
     def _read_header(self) -> None:
         archive = self._archive
         self.sample_rate_hz = int(archive["sample_rate_hz"])
-        self.n_dropped_epochs = int(archive["n_dropped_epochs"])
         self._per_epoch = {
             name: archive[name]
             for name in ("baseline_mean", "subject_id", "song_id", "epoch_index")
         }
         self._subjects = tuple(dict.fromkeys(self._per_epoch["subject_id"].tolist()))
         archive.require(f"data_{sid}" for sid in self._subjects)
+        mask_subjects = archive["mask_subjects"]
+        masked, with_epochs = sorted(mask_subjects.tolist()), sorted(self._subjects)
+        if masked != with_epochs:
+            raise PipelineError(
+                f"{archive.path}: channel masks for subjects {masked} but epochs "
+                f"for subjects {with_epochs}"
+            )
         mask_good, mask_reasons = archive["mask_good"], archive["mask_reasons"]
         self.masks = {}
-        for sid, good, flags in zip(archive["mask_subjects"], mask_good, mask_reasons):
+        for sid, good, flags in zip(mask_subjects, mask_good, mask_reasons):
             reasons = {}
             for ch in range(flags.shape[0]):
                 tripped = frozenset(
@@ -628,5 +613,4 @@ def load_epochs(path) -> EpochsFile:
             masks=reader.masks,
             ratings=reader.ratings,
             sample_rate_hz=reader.sample_rate_hz,
-            n_dropped_epochs=reader.n_dropped_epochs,
         )

@@ -8,12 +8,14 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eegsong.cli import STAGES, ConfigError, _build_parser, load_run_config, main
+from eegsong.config import _FIELD_VALUES, ModelSpec
 from eegsong.dsp import _TILE
 from eegsong.preprocess import PreprocessConfig
 from eegsong.synth import GeneratorConfig
@@ -264,8 +266,8 @@ class TestSessionIngest:
                 "notch_bandwidth_hz 130 is not below the Nyquist",
             ),
             (
-                {"preprocess": {"amplitude_reject_uv": -1}}, [],
-                "amplitude_reject_uv must be positive, got -1",
+                {"preprocess": {"amplitude_reject_uv": 100.0}}, [],
+                "unknown preprocess config key 'amplitude_reject_uv'",
             ),
             ({}, ["--epoch-seconds", "1"], "spectopo needs epochs of at least 2 s"),
             ({}, ["--channels", "3"], "bad_channels step needs at least 4 channels"),
@@ -303,7 +305,7 @@ class TestSessionIngest:
             "notch_negative",
             "notch_above_nyquist",
             "notch_band_above_nyquist",
-            "amplitude_negative",
+            "amplitude_reject_uv_key",
             "epoch_below_spectopo_minimum",
             "channels_below_rejection_minimum",
             "test_fraction_above_one",
@@ -357,6 +359,14 @@ class TestSessionIngest:
         assert main(["generate", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_every_numeric_section_field_is_type_checked(self):
+        """A section field's annotation must be str or have a row in the
+        table of JSON value types, or load_run_config would take any value
+        for it unchecked."""
+        for cls in (GeneratorConfig, PreprocessConfig, ModelSpec):
+            for name, annotation in typing.get_type_hints(cls).items():
+                assert annotation is str or annotation in _FIELD_VALUES, (cls.__name__, name)
 
     def test_stage_minimums_bind_only_selected_stages(self):
         def load(*argv):

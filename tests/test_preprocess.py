@@ -12,7 +12,14 @@ import pytest
 from scipy import signal
 
 from eegsong import GeneratorConfig, PipelineError, PreprocessConfig, dsp, generate_session
-from eegsong.core import EEG_BAND_EDGES, REJECTION_MEASURES, ChannelMask, Epoch
+from eegsong.core import (
+    EEG_BAND_EDGES,
+    REJECTION_MEASURES,
+    ChannelMask,
+    Epoch,
+    EpochBatch,
+    validate_session,
+)
 from eegsong.preprocess import (
     EpochsFile,
     EpochsReader,
@@ -27,6 +34,7 @@ from eegsong.preprocess import (
     reject_bad_channels,
     run_pipeline,
     save_epochs,
+    write_epochs,
 )
 
 FS = 250
@@ -49,13 +57,10 @@ class TestConfig:
             with pytest.raises(ValueError, match="epoch_seconds must be positive"):
                 PreprocessConfig(epoch_seconds=bad)
 
-    def test_notch_and_amplitude_thresholds_must_be_positive(self):
-        PreprocessConfig(amplitude_reject_uv=None)
+    def test_notch_must_be_positive(self):
         for bad in (0, -5):
             with pytest.raises(ValueError, match="notch_hz must be positive"):
                 PreprocessConfig(notch_hz=bad)
-            with pytest.raises(ValueError, match="amplitude_reject_uv must be positive"):
-                PreprocessConfig(amplitude_reject_uv=bad)
 
 
 class TestCapture:
@@ -364,10 +369,9 @@ class TestRejectBadChannels:
 
 
 class TestRunPipeline:
-    def test_epoch_count_when_amplitude_reject_off(self, tiny_pipeline, tiny_config):
+    def test_every_captured_epoch_is_kept(self, tiny_pipeline, tiny_config):
         per_song = tiny_config.song_seconds // 10
         assert len(tiny_pipeline.epochs) == tiny_config.n_songs * per_song
-        assert tiny_pipeline.n_dropped_epochs == 0
 
     def test_planted_bad_channel_flagged_at_default_scale(self):
         cfg = GeneratorConfig(
@@ -388,18 +392,6 @@ class TestRunPipeline:
         planted = set(np.argsort(rms_all)[-cfg.n_bad_channels :].tolist())
         assert flagged <= planted
 
-    def test_amplitude_reject_drops_and_counts(self, tiny_session):
-        base = run_pipeline(tiny_session, PreprocessConfig())
-        peaks = sorted(np.abs(e.data).max() for e in base.epochs)
-        threshold = peaks[len(peaks) // 2]  # median peak: drop roughly half
-        res = run_pipeline(
-            tiny_session, PreprocessConfig(amplitude_reject_uv=threshold)
-        )
-        expect_dropped = sum(1 for p in peaks if p > threshold)
-        assert res.n_dropped_epochs == expect_dropped
-        assert len(res.epochs) == len(base.epochs) - expect_dropped
-        assert any("amplitude_reject: dropped" in line for line in res.log)
-
     def test_step_failure_names_the_step(self, tiny_session):
         cfg = PreprocessConfig(rejection_zscore=0.0001)
         with pytest.raises(PipelineError, match="step 'bad_channels' failed"):
@@ -412,6 +404,17 @@ class TestRunPipeline:
         one_channel = dataclasses.replace(tiny_session, samples=tiny_session.samples[:1])
         with pytest.raises(PipelineError, match="step 'rereference' failed: .* at least 2 good"):
             run_pipeline(one_channel, PreprocessConfig())
+
+    def test_session_without_songs_is_refused_at_capture(self, tiny_session):
+        # valid as a session: no songs and no ratings break no invariant
+        songless = dataclasses.replace(
+            tiny_session,
+            markers=[m for m in tiny_session.markers if m.song_id is None],
+            ratings={},
+        )
+        assert validate_session(songless) == []
+        with pytest.raises(PipelineError, match="step 'capture' failed: .* no song_start marker"):
+            run_pipeline(songless, PreprocessConfig())
 
     def test_log_records_each_step(self, tiny_pipeline):
         # one or more lines per step, in the fixed order
@@ -429,7 +432,6 @@ class TestEpochsFile:
             masks={session.subject_id: pipeline.channel_mask},
             ratings=ratings,
             sample_rate_hz=session.sample_rate_hz,
-            n_dropped_epochs=pipeline.n_dropped_epochs,
         )
 
     def test_round_trip(self, tiny_pipeline, tiny_session, tmp_path):
@@ -448,7 +450,6 @@ class TestEpochsFile:
             assert np.array_equal(a.baseline_mean, b.baseline_mean)
         assert back.ratings == ef.ratings
         assert back.sample_rate_hz == ef.sample_rate_hz
-        assert back.n_dropped_epochs == ef.n_dropped_epochs
         assert set(back.masks) == set(ef.masks)
         sid = tiny_session.subject_id
         assert np.array_equal(back.masks[sid].good, ef.masks[sid].good)
@@ -546,6 +547,32 @@ class TestEpochsFile:
             ),
         )
         return path
+
+    def test_refuses_masks_of_a_subject_without_epochs(self, two_subject_file):
+        """An archive in which subject 2 has a mask and ratings but no epochs
+        is partial and refused, naming the path and the subjects."""
+        path = two_subject_file
+        with np.load(path) as archive:
+            payload = dict(archive)
+        del payload["data_2"]
+        keep = payload["subject_id"] == 1
+        for name in ("baseline_mean", "subject_id", "song_id", "epoch_index"):
+            payload[name] = payload[name][keep]
+        np.savez(path, **payload)
+        message = f"{path}: channel masks for subjects [1, 2] but epochs for subjects [1]"
+        with pytest.raises(PipelineError, match=re.escape(message)):
+            load_epochs(path)
+
+    def test_writer_refuses_an_empty_batch(self, tmp_path):
+        path = tmp_path / "epochs.npz"
+        empty = EpochBatch(
+            3, np.zeros((0, 8, 2500)), np.zeros((0, 8)),
+            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), FS,
+        )
+        with pytest.raises(PipelineError, match="subject 3 has no epochs to write"):
+            with write_epochs(path) as writer:
+                writer.add(empty)
+        assert not path.exists()
 
     def test_streamed_epochs_equal_each_member(self, two_subject_file):
         with EpochsReader(two_subject_file) as reader:

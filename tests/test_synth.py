@@ -475,7 +475,6 @@ class TestSessionReader:
         assert from_file.batch.subject_id == from_memory.batch.subject_id
         assert np.array_equal(from_file.channel_mask.good, from_memory.channel_mask.good)
         assert from_file.channel_mask.reasons == from_memory.channel_mask.reasons
-        assert from_file.n_dropped_epochs == from_memory.n_dropped_epochs
         assert from_file.log == from_memory.log
 
     def test_reads_what_read_session_reads(self, tiny_session, tmp_path):
