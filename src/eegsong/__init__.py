@@ -2,8 +2,8 @@
 
 Generates protocol-shaped multichannel listening sessions, preprocesses them
 into epochs, extracts spectral / wavelet / fluctuation / entropy features, and
-trains and evaluates a suite of from-scratch classifiers and clusterers with a
-consumable held-out split.
+trains and evaluates a suite of from-scratch classifiers and clusterers on a
+stratified held-out split.
 
 Importing the package imports none of its modules: each name below is
 imported from its module on first access, so a process that runs one stage

@@ -17,7 +17,7 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core import BASELINE_SECONDS, EXPECTED_SAMPLE_RATES
+from .core import BASELINE_SECONDS, EEG_BAND_EDGES, EXPECTED_SAMPLE_RATES
 
 # Feature families, in the order features.dataset.FAMILIES maps them.
 FEATURE_FAMILIES = ("spectopo", "wavedec", "dfa", "entropy")
@@ -36,6 +36,9 @@ SPECTOPO_MIN_SECONDS = 2
 # Fewest channels whose cross-channel z-scores bad-channel rejection takes;
 # the run config refuses fewer.
 MIN_REJECTION_CHANNELS = 4
+
+# Most songs with distinct signatures: one ordering each of the 5 EEG bands.
+MAX_SONGS = math.factorial(len(EEG_BAND_EDGES))
 
 
 def held_out_rows(test_fraction: float, n_rows: int) -> int:
@@ -91,6 +94,10 @@ class GeneratorConfig:
                     f"{name} must be >= the {BASELINE_SECONDS} s pre-song "
                     f"baseline, got {getattr(self, name)}"
                 )
+        if self.n_songs > MAX_SONGS:
+            raise ValueError(
+                f"n_songs must be at most {MAX_SONGS} (one per band order), got {self.n_songs}"
+            )
         if self.class_separation < 0:
             raise ValueError("class_separation must be >= 0")
         if self.n_bad_channels < 0:
@@ -179,19 +186,14 @@ class ModelSpec:
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
-    out_dir: str = "run"
     features: tuple[str, ...] = FEATURE_FAMILIES
     test_fraction: float = DEFAULT_TEST_FRACTION
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
     model: ModelSpec = field(default_factory=lambda: ModelSpec(kind="knn"))
 
-    @property
-    def out(self) -> Path:
-        return Path(self.out_dir)
 
-
-_TOP_KEYS = ("seed", "out_dir", "features", "test_fraction", "generator", "preprocess", "model")
+_TOP_KEYS = ("seed", "features", "test_fraction", "generator", "preprocess", "model")
 _SECTIONS = {"generator": GeneratorConfig, "preprocess": PreprocessConfig, "model": ModelSpec}
 
 # flags that set one field of a config section: flag -> (section, field, type,
@@ -285,14 +287,10 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         test_fraction = args.test_fraction
     if type(test_fraction) not in (int, float):
         raise ConfigError(f"test_fraction must be a number, got {test_fraction!r}")
-    out_dir = raw.get("out_dir", "run") if args.out is None else args.out
-    if type(out_dir) is not str:
-        raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
 
     try:
         config = RunConfig(
             seed=seed,
-            out_dir=out_dir,
             features=tuple(features),
             test_fraction=float(test_fraction),
             **{section: cls(**sections[section]) for section, cls in _SECTIONS.items()},

@@ -54,7 +54,8 @@ class PipelineError(Exception):
 class Archive:
     """A checked .npz archive, open for reading one array at a time."""
 
-    def __init__(self, npz, path, what: str, error: type[Exception]):
+    def __init__(self, fh, npz, path, what: str, error: type[Exception]):
+        self._fh = fh
         self._npz = npz
         self.path = path
         self.what = what
@@ -93,6 +94,7 @@ class Archive:
 
     def close(self) -> None:
         self._npz.close()
+        self._fh.close()
 
     def __enter__(self) -> Archive:
         return self
@@ -108,21 +110,23 @@ def read_archive(
     a context manager).  Raises error, naming path, when the file is not a
     readable archive, was written in another format version, or lacks one of
     names; reading an array that turns out damaged raises it too."""
+    # opened here: np.load(path) leaves a refused archive's file to the collector
+    fh = open(path, "rb")
     try:
-        npz = np.load(path, allow_pickle=False)
-    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise error(f"{path}: not a readable {what} archive ({exc})") from exc
-    if not isinstance(npz, np.lib.npyio.NpzFile):
-        raise error(f"{path}: not a readable {what} archive (a bare array)")
-    archive = Archive(npz, path, what, error)
-    try:
+        try:
+            npz = np.load(fh, allow_pickle=False)
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise error(f"{path}: not a readable {what} archive ({exc})") from exc
+        if not isinstance(npz, np.lib.npyio.NpzFile):
+            raise error(f"{path}: not a readable {what} archive (a bare array)")
+        archive = Archive(fh, npz, path, what, error)
         if "format_version" in archive.files:
             found = int(archive["format_version"])
             if found != version:
                 raise error(f"{path}: unsupported {what} format version {found}")
         archive.require(("format_version", *names))
-    except error:
-        archive.close()
+    except BaseException:
+        fh.close()
         raise
     return archive
 

@@ -1,9 +1,9 @@
-"""Held-out evaluation: stratified split with a consumable plan, accuracy
+"""Held-out evaluation: stratified split with an on-disk plan, accuracy
 report with confusion matrix, rating prediction, and report rendering.
 
 The test set is sampled once per (subject, song) stratum and the plan is
-written to disk with a consumed flag, so re-evaluating the same held-out rows
-is an explicit, forced action rather than an accident.
+written to disk, so train and evaluate read the same folds; the report that
+scoring the test fold writes records that the fold is spent.
 
 Only the functions that fit or predict import the models package, so
 splitting, plan and report files and rendering run without it.
@@ -12,7 +12,7 @@ splitting, plan and report files and rendering run without it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -44,7 +44,6 @@ class SplitPlan:
     n_rows: int
     test_indices: np.ndarray  # sorted row indices of the held-out fold
     strata: tuple[tuple[int, int, int], ...] = ()  # (subject, song, n_test)
-    consumed: bool = False
 
     @property
     def train_indices(self) -> np.ndarray:
@@ -226,7 +225,6 @@ def write_plan(plan: SplitPlan, path: str | Path) -> Path:
         "# split-plan",
         f"# test_fraction: {plan.test_fraction!r}",
         f"# seed: {plan.seed}",
-        f"# consumed: {int(plan.consumed)}",
         "row_index,fold",
     ]
     for i in range(plan.n_rows):
@@ -276,16 +274,9 @@ def read_plan(path: str | Path) -> SplitPlan:
             seed=int(header["seed"]),
             n_rows=n_rows,
             test_indices=np.asarray(test_indices, dtype=np.int64),
-            consumed=bool(int(header.get("consumed", "0"))),
         )
     except KeyError as exc:
         raise SplitError(f"{path}: plan header missing {exc.args[0]}") from exc
-
-
-def mark_plan_consumed(path: str | Path) -> None:
-    path = Path(path)
-    plan = read_plan(path)
-    write_plan(replace(plan, consumed=True), path)
 
 
 # --- report files -------------------------------------------------------------

@@ -405,12 +405,15 @@ class EpochsWriter:
         self._per_epoch: dict[str, list[np.ndarray]] = {
             name: [] for name in ("baseline_mean", "subject_id", "song_id", "epoch_index")
         }
+        self._subjects: list[int] = []
         self.masks: dict[int, ChannelMask] = {}
         self.ratings: dict[tuple[int, int], tuple[int, int]] = {}
         self.n_epochs = 0
 
     def add(self, batch: EpochBatch) -> None:
-        """Write one subject's epochs; add each subject once."""
+        """Write one subject's epochs; each subject may be added once."""
+        if batch.subject_id in self._subjects:
+            raise PipelineError(f"subject {batch.subject_id} was already added")
         layout = (batch.sample_rate_hz, *batch.data.shape[1:])
         if self._layout is None:
             self._layout = layout
@@ -423,6 +426,7 @@ class EpochsWriter:
         if not len(batch.data):
             raise PipelineError(f"subject {batch.subject_id} has no epochs to write")
         _write_member(self._archive, f"data_{batch.subject_id}", batch.data)
+        self._subjects.append(batch.subject_id)
         n = batch.data.shape[0]
         self.n_epochs += n
         self._per_epoch["baseline_mean"].append(batch.baseline_mean)
@@ -435,6 +439,11 @@ class EpochsWriter:
             raise PipelineError("refusing to save an empty epoch collection")
         sample_rate_hz, n_channels, _ = self._layout
         subjects = sorted(self.masks)
+        if subjects != sorted(self._subjects):
+            raise PipelineError(
+                f"channel masks for subjects {subjects} but epochs for subjects "
+                f"{sorted(self._subjects)}"
+            )
         reason_flags = np.zeros(
             (len(subjects), n_channels, len(REJECTION_MEASURES)), dtype=bool
         )
@@ -448,9 +457,7 @@ class EpochsWriter:
             "sample_rate_hz": np.asarray(sample_rate_hz),
             **{name: np.concatenate(parts) for name, parts in self._per_epoch.items()},
             "mask_subjects": np.asarray(subjects, dtype=np.int64),
-            "mask_good": np.stack([np.asarray(self.masks[s].good) for s in subjects])
-            if subjects
-            else np.zeros((0, n_channels), dtype=bool),
+            "mask_good": np.stack([np.asarray(self.masks[s].good) for s in subjects]),
             "mask_reasons": reason_flags,
             "rating_keys": np.asarray(rating_keys, dtype=np.int64).reshape(-1, 2),
             "rating_values": np.asarray(

@@ -49,8 +49,6 @@ ARTIFACTS = (
     "confusion.pgm",
 )
 
-TEXT_ARTIFACTS = ("dataset.csv", "plan.csv", "report.txt", "confusion.csv", "confusion.pgm")
-
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -77,8 +75,9 @@ class TestPipelineArtifacts:
     def test_sidecars_embed_stage_seed_and_config(self, workspace):
         _, _, out = workspace
         meta = json.loads((out / "dataset.csv.meta.json").read_text())
+        assert sorted(meta) == ["config", "stage"]
         assert meta["stage"] == "features"
-        assert meta["seed"] == 3
+        assert meta["config"]["seed"] == 3
         assert meta["config"]["generator"]["n_subjects"] == 2
         assert meta["config"]["features"] == ["entropy", "spectopo"] or meta["config"][
             "features"
@@ -111,12 +110,82 @@ class TestPipelineArtifacts:
         assert 0.0 <= float(overall[0].split(":")[1]) <= 100.0
 
 
+def _snapshot(run_dir: Path) -> dict[str, tuple[int, int]]:
+    """Each file under run_dir, by relative path: its inode and mtime, which
+    change when a stage writes the file (atomic_write replaces it)."""
+    return {
+        str(p.relative_to(run_dir)): (p.stat().st_ino, p.stat().st_mtime_ns)
+        for p in sorted(run_dir.rglob("*"))
+        if p.is_file()
+    }
+
+
+def _contents(run_dir: Path) -> dict[str, bytes]:
+    return {
+        str(p.relative_to(run_dir)): p.read_bytes()
+        for p in sorted(run_dir.rglob("*"))
+        if p.is_file()
+    }
+
+
 class TestHeldOutDiscipline:
     def test_consumed_plan_refuses_reevaluation(self, workspace, capsys):
         _, cfg_path, out = workspace
         code = main(["evaluate", "--config", str(cfg_path), "--out", str(out)])
         assert code == 1
-        assert "already consumed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{out / 'report.txt'} exists" in err
+        assert "Pass --force" in err
+
+    def test_second_pipeline_is_refused_before_any_stage(self, workspace, capsys):
+        _, cfg_path, out = workspace
+        before, contents = _snapshot(out), _contents(out)
+        code = main(["pipeline", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "report.txt" in captured.err
+        assert "[generate]" not in captured.out
+        assert _snapshot(out) == before
+        assert _contents(out) == contents
+
+    @pytest.mark.parametrize("stage", list(STAGES))
+    def test_a_rerun_stage_rewrites_only_its_artifact(self, stage, workspace, capsys):
+        """Re-running one stage in a finished run directory writes its own
+        artifact and sidecar and nothing else, with the same bytes."""
+        _, cfg_path, out = workspace
+        artifact = STAGES[stage][1]
+        before, contents = _snapshot(out), _contents(out)
+        force = ["--force"] if stage == "evaluate" else []
+        assert main([stage, "--config", str(cfg_path), "--out", str(out), *force]) == 0
+        capsys.readouterr()
+        after = _snapshot(out)
+        assert after.keys() == before.keys()
+        rewritten = {name for name in after if after[name] != before[name]}
+        # the artifact, its sidecar and, for a directory, what it holds
+        owned = {name for name in after if name.startswith(artifact)}
+        if stage == "report":
+            owned.add("confusion.pgm")  # written beside confusion.csv
+        assert rewritten == owned
+        assert _contents(out) == contents
+
+    def test_a_sidecar_config_does_not_name_the_run_directory(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        """split run from its own sidecar's config, elsewhere and without
+        --out, writes under ./run and leaves the original plan untouched."""
+        _, _, out = workspace
+        cfg_path = tmp_path / "plan.json"
+        cfg_path.write_text(
+            json.dumps(json.loads((out / "plan.csv.meta.json").read_text())["config"])
+        )
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / "dataset.csv").write_bytes((out / "dataset.csv").read_bytes())
+        before, plan = _snapshot(out), (out / "plan.csv").read_bytes()
+        monkeypatch.chdir(tmp_path)
+        assert main(["split", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        assert _snapshot(out) == before
+        assert (tmp_path / "run" / "plan.csv").read_bytes() == plan
 
     def test_force_overrides_the_refusal(self, workspace, capsys):
         _, cfg_path, out = workspace
@@ -126,7 +195,7 @@ class TestHeldOutDiscipline:
 
     def test_rerun_reuses_sessions_and_resplits(self, workspace, capsys):
         _, cfg_path, out = workspace
-        code = main(["pipeline", "--config", str(cfg_path), "--out", str(out)])
+        code = main(["pipeline", "--config", str(cfg_path), "--out", str(out), "--force"])
         assert code == 0
         assert "reusing sessions" in capsys.readouterr().out
 
@@ -137,7 +206,7 @@ class TestHeldOutDiscipline:
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 0
         capsys.readouterr()
         (out / "sessions" / "subject_2" / "samples.f32").unlink()
-        code = main(["pipeline", "--config", str(cfg_path), "--out", str(out)])
+        code = main(["pipeline", "--config", str(cfg_path), "--out", str(out), "--force"])
         assert code == 0
         assert "[generate] wrote" in capsys.readouterr().out
 
@@ -299,6 +368,7 @@ class TestSessionIngest:
                 {"preprocess": {"step_order": ["capture", "baseline"]}}, [],
                 "unknown preprocess config key 'step_order'",
             ),
+            ({"out_dir": "elsewhere"}, [], "unknown config key 'out_dir'"),
         ],
         ids=[
             "notch_zero",
@@ -317,6 +387,7 @@ class TestSessionIngest:
             "string_line_noise_amplitude",
             "boolean_seed",
             "step_order_key",
+            "out_dir",
         ],
     )
     def test_config_a_stage_cannot_run_is_refused_before_generate(
@@ -342,17 +413,14 @@ class TestSessionIngest:
                 "features", [["spectopo"]],
                 "features must be a non-empty list of family names, got [['spectopo']]",
             ),
-            ("out_dir", None, "out_dir must be a string, got None"),
         ],
-        ids=["mixed_feature_types", "nested_feature_list", "null_out_dir"],
+        ids=["mixed_feature_types", "nested_feature_list"],
     )
     def test_top_level_value_of_the_wrong_type_is_refused(
         self, key, value, message, tmp_path, monkeypatch, capsys
     ):
-        # no --out, so out_dir comes from the config; a run directory would
-        # appear under the working directory
-        cfg = dict(SMALL_CONFIG, out_dir=str(tmp_path / "run"))
-        cfg[key] = value
+        # no --out, so the run directory would appear as ./run
+        cfg = dict(SMALL_CONFIG, **{key: value})
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         monkeypatch.chdir(tmp_path)
@@ -388,17 +456,16 @@ class TestSessionIngest:
 
 class TestDeterminism:
     def test_same_config_same_bytes(self, workspace):
+        """Two runs into directories whose paths differ in length are equal
+        file for file: sessions, archives, text artifacts and sidecars."""
         root, cfg_path, out_a = workspace
-        out_b = root / "run_b"
+        out_b = root / "a_run_directory_with_a_longer_path" / "run_b"
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(out_b)]) == 0
-        for name in TEXT_ARTIFACTS:
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
-        for sub in ("subject_1", "subject_2"):
-            a_dir, b_dir = out_a / "sessions" / sub, out_b / "sessions" / sub
-            a_files = sorted(p.name for p in a_dir.iterdir())
-            assert a_files == sorted(p.name for p in b_dir.iterdir())
-            for name in a_files:
-                assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes(), name
+        a, b = _contents(out_a), _contents(out_b)
+        assert sorted(a) == sorted(b)
+        for name in (*ARTIFACTS, "sessions/subject_1/samples.f32", "sessions.meta.json"):
+            assert name in a, name
+        assert [name for name in a if a[name] != b[name]] == []
 
     def test_seed_flag_reaches_every_stage(self, tmp_path, capsys):
         cfg = dict(SMALL_CONFIG, generator=dict(SMALL_CONFIG["generator"], n_subjects=1))
@@ -408,7 +475,7 @@ class TestDeterminism:
         code = main(["generate", "--config", str(cfg_path), "--seed", "7", "--out", str(out)])
         assert code == 0
         meta = json.loads((out / "sessions.meta.json").read_text())
-        assert meta["seed"] == 7
+        assert meta["config"]["seed"] == 7
         assert meta["config"]["generator"]["seed"] == 7
         assert meta["config"]["model"]["seed"] == 7
 
@@ -620,9 +687,10 @@ def test_signal_stages_load_no_scipy(tmp_path):
         "from eegsong.models import MODEL_KINDS\n"
         "for stage in ('generate', 'preprocess', 'features'):\n"
         f"    assert main([stage, {common}]) == 0\n"
-        "for kind in MODEL_KINDS:\n"
+        "for i, kind in enumerate(MODEL_KINDS):\n"
         "    for stage in ('split', 'train', 'evaluate', 'report'):\n"
-        f"        assert main([stage, {common}, '--model', kind]) == 0, (stage, kind)\n"
+        "        force = ['--force'] if stage == 'evaluate' and i else []\n"
+        f"        assert main([stage, {common}, '--model', kind, *force]) == 0, (stage, kind)\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     proc = subprocess.run(

@@ -13,7 +13,6 @@ from eegsong.evaluation import (
     apply_plan,
     evaluate,
     evaluate_ratings,
-    mark_plan_consumed,
     read_plan,
     read_report,
     render_confusion,
@@ -213,15 +212,7 @@ class TestPlanFiles:
         assert back.test_fraction == plan.test_fraction
         assert back.seed == plan.seed
         assert back.n_rows == plan.n_rows
-        assert not back.consumed
         assert np.array_equal(back.test_indices, plan.test_indices)
-
-    def test_consumed_flag_round_trip(self, tmp_path):
-        ds = toy_dataset(GRID)
-        _, _, plan = split_dataset(ds, 1 / 3, seed=6)
-        path = write_plan(plan, tmp_path / "plan.csv")
-        mark_plan_consumed(path)
-        assert read_plan(path).consumed is True
 
     def test_out_of_order_rows_rejected(self, tmp_path):
         ds = toy_dataset(GRID)
@@ -236,7 +227,7 @@ class TestPlanFiles:
     def test_bad_fold_token_rejected(self, tmp_path):
         path = tmp_path / "plan.csv"
         path.write_text(
-            "# split-plan\n# test_fraction: 0.5\n# seed: 0\n# consumed: 0\n"
+            "# split-plan\n# test_fraction: 0.5\n# seed: 0\n"
             "row_index,fold\n0,train\n1,validation\n"
         )
         with pytest.raises(SplitError, match="bad fold 'validation'"):

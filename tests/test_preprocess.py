@@ -563,6 +563,31 @@ class TestEpochsFile:
         with pytest.raises(PipelineError, match=re.escape(message)):
             load_epochs(path)
 
+    def test_writer_refuses_masks_of_a_subject_without_epochs(
+        self, tiny_pipeline, tiny_session, tmp_path
+    ):
+        """save_epochs cannot write an archive that load_epochs would refuse."""
+        sid = tiny_session.subject_id
+        ef = dataclasses.replace(
+            self.make_file(tiny_pipeline, tiny_session),
+            masks={sid: tiny_pipeline.channel_mask, sid + 1: tiny_pipeline.channel_mask},
+        )
+        path = tmp_path / "epochs.npz"
+        message = f"channel masks for subjects [{sid}, {sid + 1}] but epochs for subjects [{sid}]"
+        with pytest.raises(PipelineError, match=re.escape(message)):
+            save_epochs(path, ef)
+        assert not path.exists()
+
+    def test_writer_refuses_a_subject_added_twice(self, tiny_pipeline, tiny_session, tmp_path):
+        path = tmp_path / "epochs.npz"
+        sid = tiny_session.subject_id
+        with pytest.raises(PipelineError, match=f"subject {sid} was already added"):
+            with write_epochs(path) as writer:
+                writer.add(tiny_pipeline.batch)
+                writer.masks[sid] = tiny_pipeline.channel_mask
+                writer.add(tiny_pipeline.batch)
+        assert not path.exists()
+
     def test_writer_refuses_an_empty_batch(self, tmp_path):
         path = tmp_path / "epochs.npz"
         empty = EpochBatch(

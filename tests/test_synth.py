@@ -50,6 +50,13 @@ def test_config_validation():
         GeneratorConfig(seed=-1)
 
 
+@pytest.mark.parametrize("n_songs", [121, 200])
+def test_more_songs_than_band_profiles_rejected(n_songs):
+    # past 5! = 120 songs, song_band_profile would give every song one profile
+    with pytest.raises(ValueError, match=f"n_songs must be at most 120.*got {n_songs}"):
+        GeneratorConfig(n_songs=n_songs)
+
+
 def test_sample_rate_outside_expected_rates_rejected():
     # validate_session would refuse the sessions at ingest
     with pytest.raises(ValueError, match="sample_rate_hz must be one of"):
@@ -204,6 +211,12 @@ def test_song_band_profiles_distinct_permutations():
         assert sorted(p) == base  # every profile is a permutation of one base
     as_tuples = {tuple(p) for p in profiles}
     assert len(as_tuples) == 12  # and all twelve are distinct
+
+
+def test_most_songs_get_distinct_band_profiles():
+    n_songs = GeneratorConfig(n_songs=120).n_songs
+    profiles = {tuple(song_band_profile(s, n_songs)) for s in range(1, n_songs + 1)}
+    assert len(profiles) == 120
 
 
 def test_bad_channels_planted_with_graded_variance():
