@@ -41,8 +41,16 @@ CONFUSION_FILE = "confusion.csv"
 def _sessions_mismatch(config: RunConfig, out: Path) -> str | None:
     """Why the sessions under out cannot serve config, or None when they can:
     the sessions sidecar must record config's generator, and each of its
-    subjects must have a manifest, samples and events file."""
-    from .synth import EVENTS_NAME, MANIFEST_NAME, SAMPLES_NAME, session_dir_name
+    subjects must have a manifest, samples and events file, the manifest
+    written by this GENERATOR_VERSION."""
+    from .synth import (
+        EVENTS_NAME,
+        MANIFEST_NAME,
+        SAMPLES_NAME,
+        SessionFormatError,
+        parse_manifest,
+        session_dir_name,
+    )
 
     sessions_dir = out / SESSIONS_DIR
     if not sessions_dir.is_dir():
@@ -82,6 +90,11 @@ def _sessions_mismatch(config: RunConfig, out: Path) -> str | None:
             f"{sessions_dir}: sessions of subjects {missing} of the {n_subjects} "
             "are missing; run `generate` again"
         )
+    for subject_id in range(1, n_subjects + 1):
+        try:
+            parse_manifest(sessions_dir / session_dir_name(subject_id) / MANIFEST_NAME)
+        except SessionFormatError as exc:
+            return str(exc)
     return None
 
 

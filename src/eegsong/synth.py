@@ -12,20 +12,35 @@ that gain, so enjoyment is positively (Kendall) associated with signature
 strength by construction. A few channels are replaced outright by
 high-variance noise so bad-channel rejection has something to find.
 
-All randomness comes from numpy's PCG64 generator seeded from
-(config.seed, subject_id), so identical inputs produce bit-identical sessions.
+Random streams: every draw comes from a numpy PCG64 generator seeded from
+``seeds = SeedSequence([config.seed, subject_id])``, so identical inputs
+produce bit-identical sessions.
+
+- The subject stream ``default_rng(seeds)`` draws the channel gains, the bad
+  channels, the song gains, familiarity and the mains phases, in that order.
+- ``row_seeds = seeds.spawn(n_channels)``: row r's 1/f background, or a bad
+  row's white noise, comes from ``default_rng(row_seeds[r])``.
+- Song s's signature on row r comes from
+  ``default_rng(row_seeds[r].spawn(n_songs)[s - 1])``.
+
+So each row is built whole, and one song's signature on one row can be made
+alone.  A new kind of draw takes a new child stream, never more draws from an
+existing one, so sessions that do not use it stay bit-identical.  A change to
+what an existing stream draws changes every session: raise
+GENERATOR_VERSION, which the manifest records and SessionReader checks.
 
 On-disk layout (per subject): ``subject_<id>/manifest.txt`` (plain-text
-key: value header plus rating lines), ``subject_<id>/samples.f32``
+key: value header, generator_version first, plus rating lines),
+``subject_<id>/samples.f32``
 (channel-major little-endian float32), ``subject_<id>/events.csv``.
 SessionReader opens a session, manifest and events, and reads its samples
 one channel row's span at a time into a reused buffer, so preprocess holds
 no session-sized array.  read_session reads every row through it into one
 float32 array, as stored: half the bytes of the generated float64 session.
 
-generate_session makes one float64 session array and builds every part of
-the signal into it one channel row at a time, so it holds that one session
-copy and a few row-sized temporaries.
+generate_session makes one float64 session array and builds each channel
+row whole into it, one row after another, so it holds that one session copy
+and a few row-sized scratch arrays.
 """
 
 from __future__ import annotations
@@ -38,6 +53,10 @@ import numpy as np
 
 from .config import GeneratorConfig
 from .core import EEG_BAND_EDGES, EventMarker, SessionRecording, atomic_write
+
+# The stream layout and signal model that sessions are written with; see the
+# module docstring.  Sessions that record another version are refused.
+GENERATOR_VERSION = 2
 
 # Baseline amplitude of the 1/f background, microvolts RMS per channel.
 BACKGROUND_RMS_UV = 10.0
@@ -73,44 +92,15 @@ def song_band_profile(song_id: int, n_songs: int) -> np.ndarray:
     return _SIGNATURE_BASE_PROFILE[list(perms[idx])]
 
 
-def _pink_noise(
-    rng: np.random.Generator,
-    n_channels: int,
-    n_samples: int,
-    sample_rate_hz: float,
-    skip: frozenset[int] = frozenset(),
-) -> np.ndarray:
-    """1/f noise via spectral shaping: white noise, scale DFT bins by 1/sqrt(f),
-    invert. Bins below BACKGROUND_HIGHPASS_HZ are zeroed so distant windows of
-    the same recording are uncorrelated. Normalized to unit RMS per channel.
-
-    Made one channel at a time in place in the (n_channels, n_samples)
-    result, so the only other arrays are one channel's spectrum and one
-    row-sized temporary.  Row by row, the draws take the generator's stream
-    in the order of one (n_channels, n_samples) draw, and each row sees the
-    same arithmetic as in a whole-array transform, so the output is the same
-    bit for bit.  Row by row costs numpy's FFT its batching of several rows
-    in SIMD lanes: about 0.05 s more per 32-channel, 202,500-sample session
-    (0.43 s against 0.38 s on one AVX-512 core).
-
-    The rows in skip are left as their white-noise draws: the caller
-    overwrites them, and the draws keep the stream in step."""
-    x = np.empty((n_channels, n_samples))
-    k = np.arange(n_samples // 2 + 1, dtype=np.float64)
-    k[0] = 1.0
-    root_k = np.sqrt(k)
-    highpass = np.fft.rfftfreq(n_samples, d=1.0 / sample_rate_hz) < BACKGROUND_HIGHPASS_HZ
-    spec = np.empty(k.shape, dtype=np.complex128)
-    for ch, row in enumerate(x):
-        rng.standard_normal(out=row)
-        if ch in skip:
-            continue
-        np.fft.rfft(row, out=spec)
-        spec /= root_k
-        spec[highpass] = 0.0
-        np.fft.irfft(spec, n=n_samples, out=row)
-        row /= row.std()
-    return x
+def _pink_gain(n_samples: int, sample_rate_hz: int) -> np.ndarray:
+    """Per-bin gain of the 1/f background: 1/sqrt(k) at DFT bin k, so power
+    falls as 1/f, and 0 below BACKGROUND_HIGHPASS_HZ, so distant windows of
+    the same recording are uncorrelated."""
+    gain = np.zeros(n_samples // 2 + 1)
+    freqs = np.fft.rfftfreq(n_samples, d=1.0 / sample_rate_hz)
+    k = np.flatnonzero(freqs >= BACKGROUND_HIGHPASS_HZ)
+    gain[k] = 1.0 / np.sqrt(k)
+    return gain
 
 
 def _band_envelope(freqs: np.ndarray, profile: np.ndarray) -> np.ndarray:
@@ -120,41 +110,18 @@ def _band_envelope(freqs: np.ndarray, profile: np.ndarray) -> np.ndarray:
     return env
 
 
-def _add_signature(
-    rng: np.random.Generator,
-    song: np.ndarray,
-    gains: np.ndarray,
-    sample_rate_hz: int,
-    profile: np.ndarray,
-    skip: frozenset[int],
+def _shaped_noise(
+    rng: np.random.Generator, out: np.ndarray, gain: np.ndarray, spec: np.ndarray
 ) -> None:
-    """Add to each channel row of song, a (n_channels, n_samples) view of the
-    session, band-limited noise whose per-band amplitudes follow the profile:
-    an independent realization per channel, scaled to unit RMS and then by
-    that channel's gain.
-
-    Made one channel at a time, as _pink_noise is, so the only other arrays
-    are one row and its spectrum.  The draws take the generator's stream in
-    the order of one (n_channels, n_samples) draw, and each row sees the same
-    arithmetic as in a whole-array transform, so the session is the same bit
-    for bit.  The rows in skip, which the caller overwrites, only take their
-    draws."""
-    n_samples = song.shape[1]
-    freqs = np.fft.rfftfreq(n_samples, d=1.0 / sample_rate_hz)
-    envelope = _band_envelope(freqs, profile)
-    x = np.empty(n_samples)
-    spec = np.empty(freqs.shape, dtype=np.complex128)
-    for ch, (row, gain) in enumerate(zip(song, gains)):
-        rng.standard_normal(out=x)
-        if ch in skip:
-            continue
-        np.fft.rfft(x, out=spec)
-        spec *= envelope
-        np.fft.irfft(spec, n=n_samples, out=x)
-        std = x.std()
-        x /= std if std != 0 else 1.0
-        x *= gain
-        row += x
+    """Fill out with white noise from rng shaped by a per-bin gain: its rfft
+    into spec (len(gain) complex bins) times gain, transformed back into out
+    and scaled to unit RMS.  Both gains are 0 at bin 0, so the mean is 0."""
+    rng.standard_normal(out=out)
+    np.fft.rfft(out, out=spec)
+    spec *= gain
+    np.fft.irfft(spec, n=out.size, out=out)
+    std = out.std()
+    out /= std if std != 0 else 1.0
 
 
 def generate_session(config: GeneratorConfig, subject_id: int) -> SessionRecording:
@@ -163,36 +130,16 @@ def generate_session(config: GeneratorConfig, subject_id: int) -> SessionRecordi
         raise ValueError("subject_id must be non-negative")
     fs = config.sample_rate_hz
     n_total = config.session_samples
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, subject_id]))
-
-    # Draw order is frozen: changing it silently changes every session.
+    seeds = np.random.SeedSequence([config.seed, subject_id])
+    rng = np.random.default_rng(seeds)
     channel_gains = rng.uniform(0.8, 1.2, config.n_channels)
     bad_channels = np.sort(
         rng.choice(config.n_channels, size=config.n_bad_channels, replace=False)
     )
     song_gains = rng.uniform(0.5, 1.5, config.n_songs)
     familiarity = rng.integers(1, 6, config.n_songs)
-
-    # The bad channels' rows are overwritten at the end: building their signal
-    # only draws its normals, which keeps the frozen draw order.
-    bad = frozenset(bad_channels.tolist())
-
-    # Scaled in place, and the mains line and the song signatures added one
-    # channel at a time, so no second channels x samples array is made here.
-    samples = _pink_noise(rng, config.n_channels, n_total, fs, bad)
-    samples *= BACKGROUND_RMS_UV
-
     line_phases = rng.uniform(0.0, 2.0 * np.pi, config.n_channels)
-    mains = 2.0 * np.pi * 50.0 * (np.arange(n_total) / fs)
-    line = np.empty(n_total)
-    for ch, (row, phase) in enumerate(zip(samples, line_phases)):
-        if ch in bad:
-            continue
-        np.add(mains, phase, out=line)
-        np.sin(line, out=line)
-        line *= config.line_noise_amplitude_uv
-        row += line
-    del mains, line
+    row_seeds = seeds.spawn(config.n_channels)
 
     markers: list[EventMarker] = [
         EventMarker("beep_single", 0),
@@ -201,18 +148,10 @@ def generate_session(config: GeneratorConfig, subject_id: int) -> SessionRecordi
     song_len = config.song_seconds * fs
     gap_len = config.inter_song_silence_seconds * fs
     pos = config.lead_silence_seconds * fs
+    song_starts = []
     for s in range(1, config.n_songs + 1):
-        amp = SIGNATURE_RMS_UV * config.class_separation * song_gains[s - 1] * channel_gains
-        _add_signature(
-            rng,
-            samples[:, pos : pos + song_len],
-            amp,
-            fs,
-            song_band_profile(s, config.n_songs),
-            bad,
-        )
-
         end = pos + song_len
+        song_starts.append(pos)
         markers.append(EventMarker("song_start", pos, song_id=s))
         markers.append(EventMarker("song_end", end, song_id=s))
         markers.append(EventMarker("beep_double", end))
@@ -220,9 +159,41 @@ def generate_session(config: GeneratorConfig, subject_id: int) -> SessionRecordi
         markers.append(EventMarker("silence_start", end))
         pos = end + (gap_len if s < config.n_songs else 0)
 
-    for k, ch in enumerate(bad_channels):
-        scale = BACKGROUND_RMS_UV * BAD_CHANNEL_SCALE_BASE * 4.0**k
-        samples[ch] = scale * rng.standard_normal(n_total)
+    bad_scales = {
+        int(ch): BACKGROUND_RMS_UV * BAD_CHANNEL_SCALE_BASE * 4.0**k
+        for k, ch in enumerate(bad_channels)
+    }
+    pink = _pink_gain(n_total, fs)
+    song_freqs = np.fft.rfftfreq(song_len, d=1.0 / fs)
+    envelopes = [
+        _band_envelope(song_freqs, song_band_profile(s, config.n_songs))
+        for s in range(1, config.n_songs + 1)
+    ]
+    mains = 2.0 * np.pi * 50.0 * (np.arange(n_total) / fs)
+    # Scratch that every row reuses.
+    line = np.empty(n_total)
+    spec = np.empty(pink.shape, dtype=np.complex128)
+    signature = np.empty(song_len)
+    song_spec = np.empty(song_freqs.shape, dtype=np.complex128)
+
+    samples = np.empty((config.n_channels, n_total))
+    for ch, (row, row_seed) in enumerate(zip(samples, row_seeds)):
+        row_rng = np.random.default_rng(row_seed)
+        if ch in bad_scales:
+            row_rng.standard_normal(out=row)
+            row *= bad_scales[ch]
+            continue
+        _shaped_noise(row_rng, row, pink, spec)
+        row *= BACKGROUND_RMS_UV
+        np.add(mains, line_phases[ch], out=line)
+        np.sin(line, out=line)
+        line *= config.line_noise_amplitude_uv
+        row += line
+        song_seeds = row_seed.spawn(config.n_songs)
+        for start, envelope, gain, song_seed in zip(song_starts, envelopes, song_gains, song_seeds):
+            _shaped_noise(np.random.default_rng(song_seed), signature, envelope, song_spec)
+            signature *= SIGNATURE_RMS_UV * config.class_separation * gain * channel_gains[ch]
+            row[start : start + song_len] += signature
 
     # Enjoyment = within-subject quantile of the signature gain (1-5).
     order = np.argsort(song_gains)
@@ -263,6 +234,7 @@ def write_session(session: SessionRecording, directory: str | Path) -> Path:
     root.mkdir(parents=True, exist_ok=True)
 
     lines = [
+        f"generator_version: {GENERATOR_VERSION}",
         f"subject_id: {session.subject_id}",
         f"sample_rate_hz: {session.sample_rate_hz}",
         f"n_channels: {session.n_channels}",
@@ -290,7 +262,10 @@ def write_session(session: SessionRecording, directory: str | Path) -> Path:
     return manifest
 
 
-def _parse_manifest(path: Path) -> tuple[dict[str, int], dict[int, tuple[int, int]]]:
+def parse_manifest(path: Path) -> tuple[dict[str, int], dict[int, tuple[int, int]]]:
+    """The header and ratings of a manifest written by write_session; a
+    SessionFormatError for a malformed one or one that another
+    GENERATOR_VERSION wrote."""
     header: dict[str, int] = {}
     ratings: dict[int, tuple[int, int]] = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
@@ -318,6 +293,13 @@ def _parse_manifest(path: Path) -> tuple[dict[str, int], dict[int, tuple[int, in
                 ) from None
         else:
             raise SessionFormatError(f"{path}:{lineno}: unparseable line {line!r}")
+    version = header.get("generator_version")
+    if version != GENERATOR_VERSION:
+        made_by = "no generator_version" if version is None else f"generator_version {version}"
+        raise SessionFormatError(
+            f"{path}: written with {made_by}, but this generator is version "
+            f"{GENERATOR_VERSION}; run `generate` again"
+        )
     for key in ("subject_id", "sample_rate_hz", "n_channels", "n_samples"):
         if key not in header:
             raise SessionFormatError(f"{path}: missing manifest key {key!r}")
@@ -365,7 +347,7 @@ class SessionReader:
         if not manifest_path.exists():
             raise FileNotFoundError(manifest_path)
         root = manifest_path.parent
-        header, self.ratings = _parse_manifest(manifest_path)
+        header, self.ratings = parse_manifest(manifest_path)
         self.subject_id = header["subject_id"]
         self.sample_rate_hz = header["sample_rate_hz"]
         self.n_channels = header["n_channels"]

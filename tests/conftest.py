@@ -58,8 +58,8 @@ MEMORY_GENERATOR = {
 # 32 channels, six 60 s songs between 240 s silences: an 890 s session whose
 # float64 copy (57.0 MB) outweighs the float32 one and the batch of 36
 # ten-second epochs (23.0 MB) together, so a second whole-session copy shows,
-# and whose songs are long enough for song-sized temporaries (3.84 MB for one
-# song's channels) to show too.
+# and whose rows are long enough (1.78 MB of float64 each) for a few more
+# row-sized scratch arrays than generate's to show too.
 LONG_SESSION_GENERATOR = dict(
     MEMORY_GENERATOR,
     n_subjects=1,

@@ -210,6 +210,21 @@ class TestHeldOutDiscipline:
         assert code == 0
         assert "[generate] wrote" in capsys.readouterr().out
 
+    def test_rerun_regenerates_sessions_of_another_generator_version(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_CONFIG))
+        out = tmp_path / "run"
+        argv = ["--config", str(cfg_path), "--out", str(out)]
+        assert main(["pipeline", *argv]) == 0
+        capsys.readouterr()
+        manifest = out / "sessions" / "subject_2" / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("generator_version: 2\n", ""))
+        assert main(["preprocess", *argv]) == 1
+        assert "run `generate` again" in capsys.readouterr().err
+        assert main(["pipeline", *argv, "--force"]) == 0
+        assert "[generate] wrote" in capsys.readouterr().out
+        assert manifest.read_text().startswith("generator_version: 2\n")
+
 
 class TestSessionIngest:
     def test_stale_subjects_are_not_read(self, tmp_path, capsys):
@@ -617,8 +632,8 @@ def _long_session_bytes() -> dict[str, int]:
         "epoch": gen.n_channels * epoch_len * 8,
         # each epoch's (C,) baseline offset, subject, song and index
         "per_epoch": n_epochs * (gen.n_channels + 3) * 8,
-        # per-sample index arrays (the 1/sqrt(k) weights, the mains phase)
-        # and the interpreter's own allocations
+        # the rest of generate's row-sized scratch (the 1/f gain, the mains
+        # phase and the mains line) and the interpreter's own allocations
         "slack": 4 * row + 1_000_000,
     }
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +12,7 @@ from scipy import stats
 from conftest import LONG_SESSION_GENERATOR, TINY
 
 from eegsong import GeneratorConfig, generate_session
-from eegsong.core import BASELINE_SECONDS
+from eegsong.core import BASELINE_SECONDS, EEG_BAND_EDGES
 from eegsong import synth
 from eegsong.preprocess import PreprocessConfig, _capture, run_pipeline
 from eegsong.synth import (
@@ -80,84 +81,51 @@ def test_determinism_bitwise(tiny_config):
     assert a.ratings == b.ratings
 
 
-def _whole_array_pink_noise(rng, n_channels, n_samples, sample_rate_hz):
-    """The background as one (n_channels, n_samples) draw and transform."""
-    white = rng.standard_normal((n_channels, n_samples))
-    spec = np.fft.rfft(white, axis=1)
-    k = np.arange(spec.shape[1], dtype=np.float64)
-    k[0] = 1.0
-    spec /= np.sqrt(k)
-    freqs = np.fft.rfftfreq(n_samples, d=1.0 / sample_rate_hz)
-    spec[:, freqs < synth.BACKGROUND_HIGHPASS_HZ] = 0.0
-    x = np.fft.irfft(spec, n=n_samples, axis=1)
-    x /= x.std(axis=1, keepdims=True)
-    return x
-
-
-@pytest.mark.parametrize("n_samples", [5000, 5001])
-@pytest.mark.parametrize("n_channels", [1, 3, 32])
-def test_pink_noise_matches_one_whole_array_transform(n_channels, n_samples):
-    # row by row, the draws and the arithmetic of each row are those of
-    # one whole-array transform; the generator ends in the same state too
-    by_row, whole = np.random.default_rng(4), np.random.default_rng(4)
-    assert np.array_equal(
-        synth._pink_noise(by_row, n_channels, n_samples, 250),
-        _whole_array_pink_noise(whole, n_channels, n_samples, 250),
-    )
-    assert by_row.bit_generator.state == whole.bit_generator.state
-
-
-def _every_row_in_full(config, subject_id):
-    """generate_session's samples with every channel's signal built whole
-    before the bad channels' rows are overwritten, and the generator it
-    drew from."""
+def test_each_row_is_built_from_its_own_stream():
+    """The subject draws, a good row and the bad row of a TINY session,
+    rebuilt from the documented stream layout: the subject stream, one
+    child stream per row, and one grandchild per (row, song)."""
+    config, subject_id = TINY, 2
     fs, n_total = config.sample_rate_hz, config.session_samples
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, subject_id]))
-    channel_gains = rng.uniform(0.8, 1.2, config.n_channels)
-    bad_channels = np.sort(rng.choice(config.n_channels, size=config.n_bad_channels, replace=False))
-    song_gains = rng.uniform(0.5, 1.5, config.n_songs)
-    rng.integers(1, 6, config.n_songs)
-    samples = _whole_array_pink_noise(rng, config.n_channels, n_total, fs) * BACKGROUND_RMS_UV
-    phases = rng.uniform(0.0, 2.0 * np.pi, config.n_channels)
-    mains = 2.0 * np.pi * 50.0 * (np.arange(n_total) / fs)
-    samples += np.sin(mains[None, :] + phases[:, None]) * config.line_noise_amplitude_uv
     song_len = config.song_seconds * fs
-    for s in range(1, config.n_songs + 1):
+    session = generate_session(config, subject_id)
+
+    seeds = np.random.SeedSequence([config.seed, subject_id])
+    rng = np.random.default_rng(seeds)
+    channel_gains = rng.uniform(0.8, 1.2, config.n_channels)
+    (bad,) = rng.choice(config.n_channels, size=config.n_bad_channels, replace=False)
+    song_gains = rng.uniform(0.5, 1.5, config.n_songs)
+    familiarity = rng.integers(1, 6, config.n_songs)
+    line_phases = rng.uniform(0.0, 2.0 * np.pi, config.n_channels)
+    row_seeds = seeds.spawn(config.n_channels)
+    assert [session.ratings[s][1] for s in range(1, config.n_songs + 1)] == familiarity.tolist()
+
+    def shaped(seed, n, gain):
+        spec = np.fft.rfft(np.random.default_rng(seed).standard_normal(n)) * gain
+        x = np.fft.irfft(spec, n=n)
+        return x / x.std()
+
+    bad_row = np.random.default_rng(row_seeds[bad]).standard_normal(n_total)
+    assert np.array_equal(session.samples[bad], bad_row * (BACKGROUND_RMS_UV * BAD_CHANNEL_SCALE_BASE))
+
+    good = 1 if bad == 0 else 0
+    freqs = np.fft.rfftfreq(n_total, d=1.0 / fs)
+    k = np.arange(freqs.size)
+    pink = np.where(freqs >= synth.BACKGROUND_HIGHPASS_HZ, 1.0 / np.sqrt(np.maximum(k, 1)), 0.0)
+    row = shaped(row_seeds[good], n_total, pink) * BACKGROUND_RMS_UV
+    mains = 2.0 * np.pi * 50.0 * (np.arange(n_total) / fs)
+    row += np.sin(mains + line_phases[good]) * config.line_noise_amplitude_uv
+    song_freqs = np.fft.rfftfreq(song_len, d=1.0 / fs)
+    for s, song_seed in enumerate(row_seeds[good].spawn(config.n_songs), start=1):
+        envelope = np.zeros(song_freqs.size)
+        for (_, lo, hi), amp in zip(EEG_BAND_EDGES, song_band_profile(s, config.n_songs)):
+            envelope[(song_freqs >= lo) & (song_freqs < hi)] = amp
         start = (config.lead_silence_seconds + (s - 1) * (
             config.song_seconds + config.inter_song_silence_seconds
         )) * fs
-        white = rng.standard_normal((config.n_channels, song_len))
-        freqs = np.fft.rfftfreq(song_len, d=1.0 / fs)
-        spec = np.fft.rfft(white, axis=1) * synth._band_envelope(
-            freqs, song_band_profile(s, config.n_songs)
-        )
-        x = np.fft.irfft(spec, n=song_len, axis=1)
-        std = x.std(axis=1, keepdims=True)
-        x /= np.where(std != 0, std, 1.0)
-        amp = synth.SIGNATURE_RMS_UV * config.class_separation * song_gains[s - 1] * channel_gains
-        samples[:, start : start + song_len] += x * amp[:, None]
-    for k, ch in enumerate(bad_channels):
-        scale = BACKGROUND_RMS_UV * BAD_CHANNEL_SCALE_BASE * 4.0**k
-        samples[ch] = scale * rng.standard_normal(n_total)
-    return samples, rng
-
-
-@pytest.mark.parametrize("n_bad_channels", [1, 3])
-def test_bad_channel_rows_skip_only_work_that_is_overwritten(n_bad_channels, monkeypatch):
-    """The bad channels' rows only take their draws before they are
-    overwritten: the session and the generator's final state are those of
-    building every row in full."""
-    config = dataclasses.replace(TINY, n_bad_channels=n_bad_channels)
-    made = []
-    default_rng = np.random.default_rng
-    monkeypatch.setattr(
-        np.random, "default_rng", lambda seed: made.append(default_rng(seed)) or made[-1]
-    )
-    session = generate_session(config, subject_id=2)
-    monkeypatch.undo()
-    full, full_rng = _every_row_in_full(config, 2)
-    assert np.array_equal(session.samples, full)
-    assert made[0].bit_generator.state == full_rng.bit_generator.state
+        amp = synth.SIGNATURE_RMS_UV * config.class_separation * song_gains[s - 1] * channel_gains[good]
+        row[start : start + song_len] += shaped(song_seed, song_len, envelope) * amp
+    assert np.array_equal(session.samples[good], row)
 
 
 def test_subjects_differ(tiny_session, tiny_session_2):
@@ -393,6 +361,17 @@ class TestOnDiskFormat:
         manifest.write_text(text + "\n")
         with pytest.raises(SessionFormatError, match="n_samples"):
             read_session(manifest)
+
+    @pytest.mark.parametrize("version_line", ["", "generator_version: 1\n"], ids=["none", "other"])
+    def test_manifest_of_another_generator_version_is_refused(
+        self, version_line, tiny_session, tmp_path
+    ):
+        manifest = write_session(tiny_session, tmp_path)
+        lines = manifest.read_text().splitlines(keepends=True)
+        assert lines[0] == f"generator_version: {synth.GENERATOR_VERSION}\n"
+        manifest.write_text(version_line + "".join(lines[1:]))
+        with pytest.raises(SessionFormatError, match=f"^{re.escape(str(manifest))}: .*run `generate` again"):
+            SessionReader(manifest)
 
     def test_bad_events_header(self, tiny_session, tmp_path):
         manifest = write_session(tiny_session, tmp_path)
