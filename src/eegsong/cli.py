@@ -104,11 +104,11 @@ def _sessions_mismatch(config: RunConfig, out: Path) -> str | None:
 
 
 def _generate(config: RunConfig, out: Path) -> str:
-    from .synth import generate_session, write_session
+    from .synth import write_generated_session
 
     sessions_dir = out / SESSIONS_DIR
     for subject_id in range(1, config.generator.n_subjects + 1):
-        write_session(generate_session(config.generator, subject_id), sessions_dir)
+        write_generated_session(config.generator, subject_id, sessions_dir)
     return f"wrote {config.generator.n_subjects} sessions under {sessions_dir}"
 
 

@@ -241,12 +241,12 @@ def _rejection_measures(segment: np.ndarray, sample_rate_hz: float) -> dict[str,
     excess kurtosis and the EEG-span power of its row.  segment is channels x
     samples, or an (E, C, S) epoch batch, whose channel c is then its
     epochs' rows c end to end.  The measures are taken one channel at a time
-    on buffers kept from channel to channel: the row, its mean-centred copy
-    and one scratch row."""
+    on two buffers kept from channel to channel: the row, which is centred in
+    place once its spectrum is taken, and one scratch row."""
     segment = np.asarray(segment)
     n_channels = segment.shape[-2]
     n = segment[..., 0, :].size
-    row, centered, scratch = np.empty((3, n))
+    row, scratch = np.empty((2, n))
     # row as the shape of one channel's slice of segment, to copy it in
     row_in = row.reshape(segment[..., 0, :].shape)
     # the spectrum measure: total power over the span of EEG_BAND_EDGES, from
@@ -261,7 +261,9 @@ def _rejection_measures(segment: np.ndarray, sample_rate_hz: float) -> dict[str,
     measures = {name: np.empty(n_channels) for name in REJECTION_MEASURES}
     for ch in range(n_channels):
         row_in[...] = segment[..., ch, :]
-        np.subtract(row, row.mean(), out=centered)
+        _, psd = dsp.welch(row, sample_rate_hz, nperseg, detrend=True)
+        measures["spectrum"][ch] = psd[band].sum() * df
+        centered = np.subtract(row, row.mean(), out=row)
         measures["probability"][ch] = np.abs(centered, out=scratch).mean()
         # excess kurtosis: the fourth central moment over the squared second
         squared = np.multiply(centered, centered, out=scratch)
@@ -269,8 +271,6 @@ def _rejection_measures(segment: np.ndarray, sample_rate_hz: float) -> dict[str,
         m4 = np.multiply(squared, squared, out=scratch).mean()
         m2 = 1.0 if m2 == 0 else m2
         measures["kurtosis"][ch] = m4 / (m2 * m2) - 3.0
-        _, psd = dsp.welch(row, sample_rate_hz, nperseg, detrend=True)
-        measures["spectrum"][ch] = psd[band].sum() * df
     return measures
 
 

@@ -38,15 +38,18 @@ one channel row's span at a time into a reused buffer, so preprocess holds
 no session-sized array.  read_session reads every row through it into one
 float32 array, as stored: half the bytes of the generated float64 session.
 
-generate_session makes one float64 session array and builds each channel
-row whole into it, one row after another, so it holds that one session copy
-and a few row-sized scratch arrays.
+write_generated_session, which the generate stage runs, builds each channel
+row whole into one reused float64 row and writes it to samples.f32 at once,
+cast into one reused float32 row, so it holds no session-sized array: only
+that row and a few row-sized scratch arrays.  generate_session builds the same
+rows into one float64 session array, for callers that want it in memory.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -124,8 +127,13 @@ def _shaped_noise(
     out /= std if std != 0 else 1.0
 
 
-def generate_session(config: GeneratorConfig, subject_id: int) -> SessionRecording:
-    """Generate one subject's session. Pure in (config, subject_id)."""
+def _session_rows(
+    config: GeneratorConfig, subject_id: int
+) -> tuple[tuple[EventMarker, ...], dict[int, tuple[int, int]], Iterator[np.ndarray]]:
+    """One subject's session as its markers, its ratings and an iterator that
+    builds its channel rows in order, each whole into one float64 row buffer
+    that the next row overwrites.  The subject stream is drawn here; the row
+    buffer and the row-sized scratch are made on the first row."""
     if subject_id < 0:
         raise ValueError("subject_id must be non-negative")
     fs = config.sample_rate_hz
@@ -159,57 +167,68 @@ def generate_session(config: GeneratorConfig, subject_id: int) -> SessionRecordi
         markers.append(EventMarker("silence_start", end))
         pos = end + (gap_len if s < config.n_songs else 0)
 
-    bad_scales = {
-        int(ch): BACKGROUND_RMS_UV * BAD_CHANNEL_SCALE_BASE * 4.0**k
-        for k, ch in enumerate(bad_channels)
-    }
-    pink = _pink_gain(n_total, fs)
-    song_freqs = np.fft.rfftfreq(song_len, d=1.0 / fs)
-    envelopes = [
-        _band_envelope(song_freqs, song_band_profile(s, config.n_songs))
-        for s in range(1, config.n_songs + 1)
-    ]
-    mains = 2.0 * np.pi * 50.0 * (np.arange(n_total) / fs)
-    # Scratch that every row reuses.
-    line = np.empty(n_total)
-    spec = np.empty(pink.shape, dtype=np.complex128)
-    signature = np.empty(song_len)
-    song_spec = np.empty(song_freqs.shape, dtype=np.complex128)
-
-    samples = np.empty((config.n_channels, n_total))
-    for ch, (row, row_seed) in enumerate(zip(samples, row_seeds)):
-        row_rng = np.random.default_rng(row_seed)
-        if ch in bad_scales:
-            row_rng.standard_normal(out=row)
-            row *= bad_scales[ch]
-            continue
-        _shaped_noise(row_rng, row, pink, spec)
-        row *= BACKGROUND_RMS_UV
-        np.add(mains, line_phases[ch], out=line)
-        np.sin(line, out=line)
-        line *= config.line_noise_amplitude_uv
-        row += line
-        song_seeds = row_seed.spawn(config.n_songs)
-        for start, envelope, gain, song_seed in zip(song_starts, envelopes, song_gains, song_seeds):
-            _shaped_noise(np.random.default_rng(song_seed), signature, envelope, song_spec)
-            signature *= SIGNATURE_RMS_UV * config.class_separation * gain * channel_gains[ch]
-            row[start : start + song_len] += signature
-
     # Enjoyment = within-subject quantile of the signature gain (1-5).
     order = np.argsort(song_gains)
     rank = np.empty(config.n_songs, dtype=np.int64)
     rank[order] = np.arange(config.n_songs)
     enjoyment = 1 + (rank * 5) // config.n_songs
-
     ratings = {
         s: (int(enjoyment[s - 1]), int(familiarity[s - 1]))
         for s in range(1, config.n_songs + 1)
     }
+
+    def rows() -> Iterator[np.ndarray]:
+        bad_scales = {
+            int(ch): BACKGROUND_RMS_UV * BAD_CHANNEL_SCALE_BASE * 4.0**k
+            for k, ch in enumerate(bad_channels)
+        }
+        pink = _pink_gain(n_total, fs)
+        song_freqs = np.fft.rfftfreq(song_len, d=1.0 / fs)
+        envelopes = [
+            _band_envelope(song_freqs, song_band_profile(s, config.n_songs))
+            for s in range(1, config.n_songs + 1)
+        ]
+        mains = 2.0 * np.pi * 50.0 * (np.arange(n_total) / fs)
+        # The row and the scratch that every row reuses.
+        row = np.empty(n_total)
+        line = np.empty(n_total)
+        spec = np.empty(pink.shape, dtype=np.complex128)
+        signature = np.empty(song_len)
+        song_spec = np.empty(song_freqs.shape, dtype=np.complex128)
+        for ch, row_seed in enumerate(row_seeds):
+            row_rng = np.random.default_rng(row_seed)
+            if ch in bad_scales:
+                row_rng.standard_normal(out=row)
+                row *= bad_scales[ch]
+                yield row
+                continue
+            _shaped_noise(row_rng, row, pink, spec)
+            row *= BACKGROUND_RMS_UV
+            np.add(mains, line_phases[ch], out=line)
+            np.sin(line, out=line)
+            line *= config.line_noise_amplitude_uv
+            row += line
+            song_seeds = row_seed.spawn(config.n_songs)
+            for start, envelope, gain, song_seed in zip(song_starts, envelopes, song_gains, song_seeds):
+                _shaped_noise(np.random.default_rng(song_seed), signature, envelope, song_spec)
+                signature *= SIGNATURE_RMS_UV * config.class_separation * gain * channel_gains[ch]
+                row[start : start + song_len] += signature
+            yield row
+
+    return tuple(markers), ratings, rows()
+
+
+def generate_session(config: GeneratorConfig, subject_id: int) -> SessionRecording:
+    """Generate one subject's session in memory. Pure in (config, subject_id)."""
+    markers, ratings, rows = _session_rows(config, subject_id)
+    samples = np.empty((config.n_channels, config.session_samples))
+    for out, row in zip(samples, rows):
+        out[...] = row
     return SessionRecording(
         subject_id=subject_id,
-        sample_rate_hz=fs,
+        sample_rate_hz=config.sample_rate_hz,
         samples=samples,
-        markers=tuple(markers),
+        markers=markers,
         ratings=ratings,
     )
 
@@ -227,39 +246,85 @@ def session_dir_name(subject_id: int) -> str:
     return f"subject_{subject_id}"
 
 
-def write_session(session: SessionRecording, directory: str | Path) -> Path:
-    """Write manifest + raw float32 samples + events CSV, each through
-    core.atomic_write; returns manifest path."""
-    root = Path(directory) / session_dir_name(session.subject_id)
+def _write_session_files(
+    directory: str | Path,
+    subject_id: int,
+    sample_rate_hz: int,
+    shape: tuple[int, int],
+    ratings: dict[int, tuple[int, int]],
+    rows: Iterable[np.ndarray],
+    markers: Iterable[EventMarker],
+) -> Path:
+    """Write manifest.txt, then samples.f32 from rows, the shape's channel
+    rows in order, then events.csv, each through core.atomic_write; returns
+    the manifest path.  Each row is cast into one reused float32 buffer and
+    written before the next is taken, so a failing row leaves no samples
+    file."""
+    root = Path(directory) / session_dir_name(subject_id)
     root.mkdir(parents=True, exist_ok=True)
+    n_channels, n_samples = shape
 
     lines = [
         f"generator_version: {GENERATOR_VERSION}",
-        f"subject_id: {session.subject_id}",
-        f"sample_rate_hz: {session.sample_rate_hz}",
-        f"n_channels: {session.n_channels}",
-        f"n_samples: {session.n_samples}",
+        f"subject_id: {subject_id}",
+        f"sample_rate_hz: {sample_rate_hz}",
+        f"n_channels: {n_channels}",
+        f"n_samples: {n_samples}",
     ]
-    for song in sorted(session.ratings):
-        enjoy, familiar = session.ratings[song]
+    for song in sorted(ratings):
+        enjoy, familiar = ratings[song]
         lines.append(f"rating,{song},{enjoy},{familiar}")
     manifest = root / MANIFEST_NAME
     with atomic_write(manifest) as tmp:
         tmp.write_text("\n".join(lines) + "\n")
 
-    # one channel row's float32 cast at a time, not a float32 copy of the session
+    cast = np.empty(n_samples, dtype="<f4")
     with atomic_write(root / SAMPLES_NAME) as tmp, open(tmp, "wb") as f:
-        for row in session.samples:
-            row.astype("<f4").tofile(f)
+        for row in rows:
+            np.copyto(cast, row)
+            cast.tofile(f)
 
     with atomic_write(root / EVENTS_NAME) as tmp, open(tmp, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["sample_index", "kind", "song_id"])
-        for m in session.markers:
+        for m in markers:
             writer.writerow(
                 [m.sample_index, m.kind, "" if m.song_id is None else m.song_id]
             )
     return manifest
+
+
+def write_session(session: SessionRecording, directory: str | Path) -> Path:
+    """Write a session held in memory as manifest, raw float32 samples and
+    events CSV; returns the manifest path."""
+    return _write_session_files(
+        directory,
+        session.subject_id,
+        session.sample_rate_hz,
+        session.samples.shape,
+        session.ratings,
+        session.samples,
+        session.markers,
+    )
+
+
+def write_generated_session(
+    config: GeneratorConfig, subject_id: int, directory: str | Path
+) -> Path:
+    """Generate one subject's session straight to disk, each channel row
+    written as soon as it is built: the same files as
+    write_session(generate_session(config, subject_id), directory), without
+    the session in memory.  Returns the manifest path."""
+    markers, ratings, rows = _session_rows(config, subject_id)
+    return _write_session_files(
+        directory,
+        subject_id,
+        config.sample_rate_hz,
+        (config.n_channels, config.session_samples),
+        ratings,
+        rows,
+        markers,
+    )
 
 
 def parse_manifest(path: Path) -> tuple[dict[str, int], dict[int, tuple[int, int]]]:

@@ -624,28 +624,30 @@ def _long_session_bytes() -> dict[str, int]:
     epoch_len = PreprocessConfig().epoch_seconds * gen.sample_rate_hz
     n_epochs = gen.n_songs * gen.song_seconds * gen.sample_rate_hz // epoch_len
     return {
-        "session": gen.n_channels * row,
         # one channel's spectrum and row-sized temporaries
         "rows": 2 * row,
+        # the float32 row that generate casts each built row into to write it
+        "cast": gen.session_samples * 4,
         "batch": n_epochs * gen.n_channels * epoch_len * 8,
         "tile": _TILE * 3 * n_epochs * gen.n_channels * 8,
         "epoch": gen.n_channels * epoch_len * 8,
         # each epoch's (C,) baseline offset, subject, song and index
         "per_epoch": n_epochs * (gen.n_channels + 3) * 8,
-        # the rest of generate's row-sized scratch (the 1/f gain, the mains
-        # phase and the mains line) and the interpreter's own allocations
+        # the rest of generate's row-sized scratch (the row it builds, the 1/f
+        # gain, the mains phase and the mains line) and the interpreter's own
+        # allocations
         "slack": 4 * row + 1_000_000,
     }
 
 
-def test_signal_stages_hold_one_session_copy(tmp_path, capsys):
-    """Beside the float64 session, generate holds a few one-channel rows;
-    preprocess holds the float64 batch, the notch's tile scratch and a few
-    rows, reading the session from disk row by row rather than whole; and
+def test_signal_stages_hold_no_session_sized_array(tmp_path, capsys):
+    """generate holds a few one-channel rows, writing each row as it is
+    built; preprocess holds the float64 batch, the notch's tile scratch and a
+    few rows, reading the session from disk row by row rather than whole; and
     features holds one epoch at a time beside the per-epoch arrays."""
     size = _long_session_bytes()
     budgets = {
-        "generate": size["session"] + size["rows"] + size["slack"],
+        "generate": size["rows"] + size["cast"] + size["slack"],
         "preprocess": size["batch"] + size["tile"] + size["rows"] + size["slack"],
         "features": size["epoch"] + size["per_epoch"] + size["slack"],
     }
@@ -658,12 +660,13 @@ def test_signal_stages_hold_one_session_copy(tmp_path, capsys):
     assert over == {}
 
 
-def test_pipeline_process_holds_one_session_copy(tmp_path, capsys):
-    """One `pipeline` process, every stage in turn, peaks under the float64
-    session plus a few rows and slack: no stage holds a second session-sized
-    array beside the largest it must."""
+def test_pipeline_process_peaks_within_the_preprocess_budget(tmp_path, capsys):
+    """One `pipeline` process, every stage in turn, peaks under preprocess's
+    budget of the float64 batch, the notch's tile scratch, a few rows and
+    slack: generate, which builds a session, holds no session-sized array,
+    and no stage holds a second batch-sized one."""
     size = _long_session_bytes()
-    budget = size["session"] + size["rows"] + size["slack"]
+    budget = size["batch"] + size["tile"] + size["rows"] + size["slack"]
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(dict(SMALL_CONFIG, generator=LONG_SESSION_GENERATOR)))
     peak = _traced_peak(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "run")])

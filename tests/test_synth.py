@@ -3,6 +3,7 @@
 import dataclasses
 import os
 import re
+import shutil
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +14,8 @@ from conftest import LONG_SESSION_GENERATOR, TINY
 
 from eegsong import GeneratorConfig, generate_session
 from eegsong.core import BASELINE_SECONDS, EEG_BAND_EDGES
-from eegsong import synth
+from eegsong import cli, synth
+from eegsong.config import RunConfig
 from eegsong.preprocess import PreprocessConfig, _capture, run_pipeline
 from eegsong.synth import (
     BACKGROUND_RMS_UV,
@@ -411,6 +413,49 @@ class TestOnDiskFormat:
             assert (rewritten / name).read_bytes() == (clean / name).read_bytes(), name
             if name != "events.csv":
                 assert (fresh / name).read_bytes() == (clean / name).read_bytes(), name
+
+
+class TestStreamingWriter:
+    @pytest.mark.parametrize(
+        "config",
+        [TINY, GeneratorConfig(**LONG_SESSION_GENERATOR)],
+        ids=["tiny", "long_session"],
+    )
+    def test_writes_the_files_of_the_in_memory_path(self, config, tmp_path):
+        # both configs plant a bad row, which the builder makes differently
+        streamed = synth.write_generated_session(config, 1, tmp_path / "streamed").parent
+        written = write_session(generate_session(config, 1), tmp_path / "written").parent
+        for name in ("manifest.txt", "samples.f32", "events.csv"):
+            assert (streamed / name).read_bytes() == (written / name).read_bytes(), name
+
+    def test_a_row_failing_part_way_leaves_no_samples_file(self, tmp_path, monkeypatch, capsys):
+        """A row builder that raises after its first rows leaves the
+        manifest but no samples.f32 and no temporary file, so the run's
+        sessions show that subject as missing."""
+        config = RunConfig(generator=TINY)
+        cli.run_stage("generate", config, tmp_path)
+        capsys.readouterr()
+        sessions_dir = tmp_path / cli.SESSIONS_DIR
+        shutil.rmtree(sessions_dir / session_dir_name(1))
+        real_rows = synth._session_rows
+
+        def failing_rows(config, subject_id):
+            markers, ratings, rows = real_rows(config, subject_id)
+
+            def first_rows():
+                for k, row in enumerate(rows):
+                    if k == 3:
+                        raise OSError("disk full")
+                    yield row
+
+            return markers, ratings, first_rows()
+
+        monkeypatch.setattr(synth, "_session_rows", failing_rows)
+        with pytest.raises(OSError, match="disk full"):
+            synth.write_generated_session(TINY, 1, sessions_dir)
+        assert [p.name for p in (sessions_dir / session_dir_name(1)).iterdir()] == ["manifest.txt"]
+        mismatch = cli._sessions_mismatch(config, tmp_path)
+        assert "sessions of subjects [1] of the 2 are missing" in mismatch
 
 
 def _whole_window_capture(session, epoch_seconds):
