@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .config import DEFAULT_TEST_FRACTION, held_out_rows
-from .core import atomic_write
+from .core import atomic_write, sorted_unique
 
 if TYPE_CHECKING:
     from .config import ModelSpec
@@ -87,7 +87,7 @@ def split_dataset(
         raise SplitError(f"test_fraction must be in (0, 1), got {test_fraction}")
     rng = np.random.default_rng(seed)
     pairs = np.stack([dataset.subject_id, dataset.song_id], axis=1)
-    unique_pairs = np.unique(pairs, axis=0)
+    unique_pairs = sorted_unique(pairs, axis=0)
     test_parts = []
     strata = []
     for subject, song in unique_pairs:
@@ -132,7 +132,7 @@ def report_from_predictions(
     if true_labels.shape[0] == 0:
         raise EvalError("cannot evaluate an empty test set")
     if class_labels is None:
-        class_labels = np.unique(np.concatenate([true_labels, predicted]))
+        class_labels = sorted_unique(np.concatenate([true_labels, predicted]))
     class_labels = np.asarray(class_labels)
     n_classes = class_labels.shape[0]
     t = np.searchsorted(class_labels, true_labels)
@@ -144,7 +144,7 @@ def report_from_predictions(
         per_class = 100.0 * np.diag(confusion) / row_sums
     per_class = np.where(row_sums == 0, np.nan, per_class)
     overall = 100.0 * np.trace(confusion) / true_labels.shape[0]
-    subject_ids = np.unique(subjects)
+    subject_ids = sorted_unique(subjects)
     per_subject = np.empty(subject_ids.shape[0])
     for i, sid in enumerate(subject_ids):
         member = subjects == sid
@@ -166,7 +166,7 @@ def evaluate(model: TrainedModel, test: Dataset) -> EvalReport:
     from .models import predict_labels
 
     predicted = predict_labels(model, test.X)
-    class_labels = np.unique(np.concatenate([test.labels, model.classes]))
+    class_labels = sorted_unique(np.concatenate([test.labels, model.classes]))
     return report_from_predictions(test.labels, predicted, test.subject_id, class_labels)
 
 
@@ -193,9 +193,9 @@ def evaluate_ratings(
     train, test, _ = split_dataset(relabeled, test_fraction, seed)
     model = fit_dataset(spec, train)
     predicted = predict_labels(model, test.X)
-    train_classes = set(np.unique(train.labels).tolist())
+    train_classes = set(sorted_unique(train.labels).tolist())
     excluded = tuple(
-        int(c) for c in np.unique(test.labels) if int(c) not in train_classes
+        int(c) for c in sorted_unique(test.labels) if int(c) not in train_classes
     )
     if excluded:
         warnings.warn(
@@ -207,7 +207,7 @@ def evaluate_ratings(
         test.labels,
         predicted,
         test.subject_id,
-        np.unique(np.concatenate([test.labels, train.labels, predicted])),
+        sorted_unique(np.concatenate([test.labels, train.labels, predicted])),
     )
     mae = float(np.mean(np.abs(predicted.astype(float) - test.labels.astype(float))))
     return RatingEvalResult(

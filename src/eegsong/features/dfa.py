@@ -29,6 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..core import sorted_unique
+
 DEFAULT_N_BOX_SIZES = 12
 MIN_BOX_SIZE = 4
 
@@ -62,7 +64,7 @@ def default_box_sizes(n_samples: int) -> np.ndarray:
             f"signal of {n_samples} samples too short for DFA "
             f"(needs >= {4 * MIN_BOX_SIZE})"
         )
-    sizes = np.unique(
+    sizes = sorted_unique(
         np.round(
             np.exp(np.linspace(np.log(MIN_BOX_SIZE), np.log(largest), DEFAULT_N_BOX_SIZES))
         ).astype(int)

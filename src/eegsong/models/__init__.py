@@ -24,6 +24,7 @@ from importlib import import_module
 import numpy as np
 
 from ..config import CLUSTERING_KINDS, MODEL_KINDS, SUPERVISED_KINDS, ModelSpec
+from ..core import sorted_unique
 from .common import (
     FitError,
     PredictError,
@@ -84,7 +85,7 @@ def fit(spec: ModelSpec, X: np.ndarray, labels: np.ndarray) -> TrainedModel:
         bad = int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0])
         raise FitError(f"non-finite feature values in training row {bad}")
 
-    classes = np.unique(labels)
+    classes = sorted_unique(labels)
     if spec.kind in SUPERVISED_KINDS and classes.shape[0] < 2:
         raise FitError(
             f"supervised fit needs at least two classes, got {classes.shape[0]}"

@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import ModelSpec
+from ..core import sorted_unique
 from .common import FitError, PredictError, mean_cross_entropy, one_hot, softmax
 
 LEAF = -1
@@ -199,7 +200,7 @@ def _newton_leaf_values(
     """Overwrite the tree's leaf means with the one-step Newton estimate for
     the softmax cross-entropy objective: (K-1)/K * sum(r) / sum(|r|(1-|r|))."""
     scale = (n_classes - 1) / n_classes
-    for leaf in np.unique(leaf_ids):
+    for leaf in sorted_unique(leaf_ids):
         r = residual[leaf_ids == leaf]
         denom = float(np.sum(np.abs(r) * (1.0 - np.abs(r))))
         tree["value"][leaf] = 0.0 if denom < 1e-150 else scale * float(r.sum()) / denom

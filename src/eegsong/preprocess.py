@@ -5,7 +5,10 @@ run_pipeline runs the steps in one fixed order: capture, baseline, notch,
 rereference, then bad_channels; every captured epoch is kept.  It
 re-references before rejecting bad channels, as the original acquisition
 pipeline does, so a bad channel pollutes the common average; the order is
-part of the method, not a setting.
+part of the method, not a setting.  Last, once the masks are computed from
+the float64 batch, it rounds the batch to float32 values, the precision of
+the float32 session it was read from, so the epochs keep the same bits
+whether a stage takes them from run_pipeline or from the epochs archive.
 
 run_pipeline holds one subject's epochs as one (n_epochs, n_channels,
 n_samples) float64 batch, the layout of MNE-Python's Epochs.get_data(): capture
@@ -14,8 +17,9 @@ at a time, and each later step rewrites it in place.  Capture takes its rows
 from an in-memory session or from an open synth.SessionReader, which reads
 each song's channel rows from disk into one reused buffer; a subject read that
 way costs the batch and a few row-sized buffers, and no session-sized array.
-The epochs archive is written one subject's batch at a time, each batch from
-its own buffer, and EpochsReader reads it back one epoch at a time.
+The epochs archive stores each subject's batch as one float32 member, written
+one epoch at a time through one reused float32 epoch, and EpochsReader reads
+it back one epoch at a time into a float64 Epoch.
 
 The mains filter is a zero-phase second-order IIR notch, not a sliding-window
 sinusoid regression; same intent (kill the 50 Hz line), far simpler, and its
@@ -37,7 +41,7 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import IO, TYPE_CHECKING
 
 import numpy as np
 
@@ -323,9 +327,12 @@ def run_pipeline(
     (n_epochs, n_channels, n_samples) float64 batch, and baseline, notch,
     rereference and bad_channels follow in that order, each on the batch in
     place; bad_channels flags channels and drops no epoch.  The notch and
-    the re-reference each take the whole batch in one call.  session is a
-    SessionRecording or an open SessionReader, whose rows are read from disk
-    as they are cast.  Deterministic."""
+    the re-reference each take the whole batch in one call.  Last, after
+    bad_channels has computed the mask, the batch is rounded in place to
+    float32 values, one epoch at a time through one float32 epoch: it stays
+    a float64 array, and the epochs archive stores it as float32 without
+    loss.  session is a SessionRecording or an open SessionReader, whose rows
+    are read from disk as they are cast.  Deterministic."""
     fs = session.sample_rate_hz
     with _step("capture"):
         data, baseline_mean, song_id, epoch_index = _capture(session, config.epoch_seconds)
@@ -351,6 +358,11 @@ def run_pipeline(
     if not mask.reasons:
         log.append("bad_channels: none rejected")
 
+    rounded = np.empty(data.shape[1:], dtype=np.float32)
+    for epoch in data:
+        rounded[...] = epoch
+        epoch[...] = rounded
+
     return PipelineResult(
         batch=EpochBatch(session.subject_id, data, baseline_mean, song_id, epoch_index, fs),
         channel_mask=mask,
@@ -359,8 +371,10 @@ def run_pipeline(
 
 
 # Version 3 writes each subject's (E, C, S) batch as its own data_<subject>
-# member, as soon as that subject is preprocessed.
-EPOCHS_FORMAT_VERSION = 3
+# member, as soon as that subject is preprocessed; version 4 stores those
+# members as little-endian float32.
+EPOCHS_FORMAT_VERSION = 4
+_EPOCH_DTYPE = np.dtype("<f4")
 _EPOCHS_ARRAYS = (
     "sample_rate_hz", "baseline_mean", "subject_id",
     "song_id", "epoch_index", "mask_subjects", "mask_good", "mask_reasons",
@@ -379,6 +393,25 @@ class EpochsFile:
     sample_rate_hz: int
 
 
+@contextmanager
+def _open_member(
+    archive: zipfile.ZipFile, name: str, dtype: np.dtype, shape: tuple[int, ...]
+) -> Iterator[IO[bytes]]:
+    """The archive member name.npy open for writing, its .npy 1.0 header of
+    a C-ordered array of dtype and shape written; the block writes the
+    array's bytes."""
+    with archive.open(name + ".npy", "w", force_zip64=True) as fh:
+        np.lib.format.write_array_header_1_0(
+            fh,
+            {
+                "descr": np.lib.format.dtype_to_descr(dtype),
+                "fortran_order": False,
+                "shape": shape,
+            },
+        )
+        yield fh
+
+
 def _write_member(archive: zipfile.ZipFile, name: str, array) -> None:
     """One array as the archive member name.npy, byte for byte as np.savez
     writes a C-ordered array: the .npy 1.0 header, then the array's own
@@ -386,10 +419,7 @@ def _write_member(archive: zipfile.ZipFile, name: str, array) -> None:
     array = np.asarray(array)
     if not array.flags.c_contiguous:
         array = array.copy(order="C")
-    with archive.open(name + ".npy", "w", force_zip64=True) as fh:
-        np.lib.format.write_array_header_1_0(
-            fh, np.lib.format.header_data_from_array_1_0(array)
-        )
+    with _open_member(archive, name, array.dtype, array.shape) as fh:
         fh.write(array.reshape(-1).view(np.uint8))
 
 
@@ -411,7 +441,9 @@ class EpochsWriter:
         self.n_epochs = 0
 
     def add(self, batch: EpochBatch) -> None:
-        """Write one subject's epochs; each subject may be added once."""
+        """Write one subject's epochs as float32, one epoch at a time; each
+        subject may be added once, and every value must be float32-exact, as
+        run_pipeline leaves it."""
         if batch.subject_id in self._subjects:
             raise PipelineError(f"subject {batch.subject_id} was already added")
         layout = (batch.sample_rate_hz, *batch.data.shape[1:])
@@ -425,7 +457,18 @@ class EpochsWriter:
             )
         if not len(batch.data):
             raise PipelineError(f"subject {batch.subject_id} has no epochs to write")
-        _write_member(self._archive, f"data_{batch.subject_id}", batch.data)
+        cast = np.empty(batch.data.shape[1:], dtype=_EPOCH_DTYPE)
+        with _open_member(
+            self._archive, f"data_{batch.subject_id}", _EPOCH_DTYPE, batch.data.shape
+        ) as fh:
+            for i, epoch in enumerate(batch.data):
+                cast[...] = epoch
+                if not np.array_equal(cast, epoch):
+                    raise PipelineError(
+                        f"subject {batch.subject_id} epoch {i} holds values that "
+                        "float32 cannot store exactly"
+                    )
+                fh.write(cast.reshape(-1).view(np.uint8))
         self._subjects.append(batch.subject_id)
         n = batch.data.shape[0]
         self.n_epochs += n
@@ -470,7 +513,7 @@ class EpochsWriter:
 
 @contextmanager
 def write_epochs(path) -> Iterator[EpochsWriter]:
-    """An EpochsWriter onto the epochs archive at path (format 3).  The
+    """An EpochsWriter onto the epochs archive at path (format 4).  The
     archive goes to a temporary file that replaces path when the block
     completes; if the block or the final write raises, path is untouched."""
     path = Path(path)
@@ -484,7 +527,7 @@ def write_epochs(path) -> Iterator[EpochsWriter]:
 def save_epochs(path, epochs_file: EpochsFile):
     """Write pooled epochs as an epochs archive, one batch per subject in the
     order the subjects first appear.  Every epoch must share one channel
-    count and epoch length."""
+    count and epoch length, and hold float32 values, as run_pipeline's do."""
     epochs = epochs_file.epochs
     shapes = {ep.data.shape for ep in epochs}
     if len(shapes) > 1:
@@ -558,10 +601,11 @@ class EpochsReader:
 
     def _stream(self, subject_id: int) -> Iterator[Epoch]:
         """One subject's epochs, each read from its data_<subject> member
-        into a fresh array as it is reached.  The member's .npy header must
-        be the version 1.0 one that _write_member writes, of a C-ordered
-        float64 (epochs, channels, samples) array that matches the per-epoch
-        arrays; the member is read to its end, so zipfile checks its CRC."""
+        into one reused float32 epoch as it is reached, which Epoch copies to
+        float64.  The member's .npy header must be the version 1.0 one that
+        EpochsWriter writes, of a C-ordered little-endian float32 (epochs,
+        channels, samples) array that matches the per-epoch arrays; the
+        member is read to its end, so zipfile checks its CRC."""
         path, name = self._archive.path, f"data_{subject_id}"
         rows = np.flatnonzero(self._per_epoch["subject_id"] == subject_id)
         n_channels = self._per_epoch["baseline_mean"].shape[1]
@@ -570,18 +614,18 @@ class EpochsReader:
             if version != (1, 0):
                 raise PipelineError(f"{path}: {name} has .npy format version {version}")
             shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
-            if dtype != np.float64 or fortran_order:
+            if dtype != _EPOCH_DTYPE or fortran_order:
                 raise PipelineError(
                     f"{path}: {name} holds {dtype} in "
-                    f"{'Fortran' if fortran_order else 'C'} order, not C-ordered float64"
+                    f"{'Fortran' if fortran_order else 'C'} order, not C-ordered <f4"
                 )
             if len(shape) != 3 or shape[:2] != (rows.size, n_channels):
                 raise PipelineError(
                     f"{path}: {name} has shape {shape}, the per-epoch arrays "
                     f"({rows.size}, {n_channels}, samples)"
                 )
+            data = np.empty(shape[1:], dtype=_EPOCH_DTYPE)
             for i in rows:
-                data = np.empty(shape[1:])
                 if fh.readinto(memoryview(data.view(np.uint8))) != data.nbytes:
                     raise PipelineError(f"{path}: {name} ends inside its epochs")
                 yield Epoch(

@@ -15,12 +15,13 @@ import numpy as np
 import pytest
 
 from eegsong.cli import STAGES, ConfigError, _build_parser, load_run_config, main
-from eegsong.config import _FIELD_VALUES, ModelSpec
+from eegsong.config import _FIELD_VALUES, FEATURE_FAMILIES, ModelSpec
 from eegsong.dsp import _TILE
-from eegsong.preprocess import PreprocessConfig
-from eegsong.synth import GeneratorConfig
+from eegsong.features import build_feature_matrix
+from eegsong.preprocess import EpochsReader, PreprocessConfig, run_pipeline
+from eegsong.synth import MANIFEST_NAME, GeneratorConfig, read_session, session_dir_name
 
-from conftest import LONG_SESSION_GENERATOR, MEMORY_GENERATOR
+from conftest import LONG_SESSION_GENERATOR, MEMORY_GENERATOR, TINY
 
 SMALL_CONFIG = {
     "seed": 3,
@@ -672,6 +673,30 @@ def test_pipeline_process_peaks_within_the_preprocess_budget(tmp_path, capsys):
     peak = _traced_peak(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
     capsys.readouterr()
     assert peak < budget, (peak, budget)
+
+
+def test_features_from_the_epochs_file_equal_the_in_memory_ones(tmp_path, capsys):
+    """The CLI's file path (run_pipeline, epochs.npz, EpochsReader) and the
+    in-memory path (run_pipeline's epochs) build the same feature matrix,
+    bit for bit: run_pipeline rounds the batch to the float32 values that
+    the archive stores."""
+    generator = dataclasses.asdict(TINY)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": TINY.seed, "generator": generator}))
+    out = tmp_path / "run"
+    argv = ["--config", str(cfg_path), "--out", str(out)]
+    assert main(["generate", *argv]) == 0
+    assert main(["preprocess", *argv]) == 0
+    capsys.readouterr()
+    with EpochsReader(out / "epochs.npz") as reader:
+        from_file = build_feature_matrix(reader.epochs(), FEATURE_FAMILIES)
+    in_memory = []
+    for subject_id in range(1, TINY.n_subjects + 1):
+        session = read_session(out / "sessions" / session_dir_name(subject_id) / MANIFEST_NAME)
+        in_memory.extend(run_pipeline(session, PreprocessConfig()).epochs)
+    expected = build_feature_matrix(in_memory, FEATURE_FAMILIES)
+    assert from_file.feature_names == expected.feature_names
+    assert np.array_equal(from_file.X, expected.X)
 
 
 def test_cli_import_loads_no_scipy():

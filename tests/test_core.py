@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from eegsong import EventMarker, PipelineError, SessionRecording, validate_session
-from eegsong.core import BASELINE_SECONDS, ChannelMask, Epoch, MARKER_KINDS, atomic_write
+from eegsong.core import (
+    BASELINE_SECONDS,
+    MARKER_KINDS,
+    ChannelMask,
+    Epoch,
+    atomic_write,
+    sorted_unique,
+)
 
 
 def make_session(n_channels=4, n_samples=1000, markers=(), ratings=None, fs=250):
@@ -192,3 +199,34 @@ class TestAtomicWrite:
                 raise RuntimeError("disk on fire")
         assert path.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+
+
+class TestSortedUnique:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([], dtype=np.int64),
+            np.array([7]),
+            np.random.default_rng(1).integers(-5, 6, size=200),
+            np.random.default_rng(2).integers(0, 4, size=(30, 5)),
+            np.array([3.0, -1.5, 3.0, 0.25]),
+        ],
+        ids=["empty", "one", "labels", "2-D flattened", "float"],
+    )
+    def test_equals_np_unique(self, values):
+        got = sorted_unique(values)
+        expected = np.unique(values)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("shape", [(0, 2), (1, 2), (300, 2), (50, 3)])
+    def test_rows_equal_np_unique_along_axis_0(self, shape):
+        pairs = np.random.default_rng(3).integers(-3, 4, size=shape)
+        got = sorted_unique(pairs, axis=0)
+        expected = np.unique(pairs, axis=0)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
+    def test_refuses_other_axes(self):
+        with pytest.raises(ValueError, match="axis"):
+            sorted_unique(np.zeros((2, 2)), axis=1)

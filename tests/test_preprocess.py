@@ -416,6 +416,11 @@ class TestRunPipeline:
         with pytest.raises(PipelineError, match="step 'capture' failed: .* no song_start marker"):
             run_pipeline(songless, PreprocessConfig())
 
+    def test_batch_holds_float32_values(self, tiny_pipeline):
+        data = tiny_pipeline.batch.data
+        assert data.dtype == np.float64
+        assert np.array_equal(data, data.astype(np.float32))
+
     def test_log_records_each_step(self, tiny_pipeline):
         # one or more lines per step, in the fixed order
         steps = [line.split(":")[0] for line in tiny_pipeline.log]
@@ -485,6 +490,19 @@ class TestEpochsFile:
         payload["data"] = payload.pop(f"data_{tiny_session.subject_id}")
         np.savez(path, **payload)
         with pytest.raises(PipelineError, match="unsupported epochs format version 2"):
+            load_epochs(path)
+
+    def test_refuses_version_3(self, tiny_pipeline, tiny_session, tmp_path):
+        """A version-3 file (float64 data members) is not read."""
+        path = tmp_path / "epochs.npz"
+        save_epochs(path, self.make_file(tiny_pipeline, tiny_session))
+        with np.load(path) as archive:
+            payload = dict(archive)
+        payload["format_version"] = np.asarray(3)
+        name = f"data_{tiny_session.subject_id}"
+        payload[name] = payload[name].astype(np.float64)
+        np.savez(path, **payload)
+        with pytest.raises(PipelineError, match="unsupported epochs format version 3"):
             load_epochs(path)
 
     def test_refuses_truncated_archive_by_path(self, tiny_pipeline, tiny_session, tmp_path):
@@ -599,6 +617,35 @@ class TestEpochsFile:
                 writer.add(empty)
         assert not path.exists()
 
+    def test_writer_refuses_a_value_float32_cannot_hold(self, tiny_pipeline, tmp_path):
+        batch = tiny_pipeline.batch
+        data = batch.data.copy()
+        # one float64 step off a float32 value
+        data[1, 2, 3] = np.nextafter(data[1, 2, 3], np.inf)
+        path = tmp_path / "epochs.npz"
+        message = f"subject {batch.subject_id} epoch 1 holds values that float32 cannot store exactly"
+        with pytest.raises(PipelineError, match=message):
+            with write_epochs(path) as writer:
+                writer.add(dataclasses.replace(batch, data=data))
+                writer.masks[batch.subject_id] = tiny_pipeline.channel_mask
+        assert list(tmp_path.iterdir()) == []
+
+    def test_data_members_are_little_endian_float32(self, two_subject_file, tiny_config):
+        """Each data_<subject> member is a .npy 1.0 header and 4 bytes for
+        each of the subject's E x C x S samples."""
+        n_epochs = tiny_config.n_songs * tiny_config.song_seconds // PreprocessConfig().epoch_seconds
+        n_samples = PreprocessConfig().epoch_seconds * tiny_config.sample_rate_hz
+        with zipfile.ZipFile(two_subject_file) as archive:
+            for sid in (1, 2):
+                info = archive.getinfo(f"data_{sid}.npy")
+                with archive.open(info) as fh:
+                    version = np.lib.format.read_magic(fh)
+                    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+                    header_bytes = fh.tell()
+                assert (version, fortran_order, dtype.str) == ((1, 0), False, "<f4")
+                assert shape == (n_epochs, tiny_config.n_channels, n_samples)
+                assert info.file_size == header_bytes + 4 * n_epochs * tiny_config.n_channels * n_samples
+
     def test_streamed_epochs_equal_each_member(self, two_subject_file):
         with EpochsReader(two_subject_file) as reader:
             streamed = list(reader.epochs())
@@ -636,10 +683,10 @@ class TestEpochsFile:
             (lambda data: data[:-1], r"has shape \(\d+, 8, 2500\), the per-epoch arrays"),
             (lambda data: data[:, :-1], r"has shape \(\d+, 7, 2500\), the per-epoch arrays"),
             (lambda data: data[0], "has shape"),
-            (lambda data: data.astype(np.float32), "holds float32 in C order"),
-            (np.asfortranarray, "holds float64 in Fortran order"),
+            (lambda data: data.astype(np.float64), "holds float64 in C order"),
+            (np.asfortranarray, "holds float32 in Fortran order"),
         ],
-        ids=["epochs", "channels", "2-D", "float32", "fortran"],
+        ids=["epochs", "channels", "2-D", "float64", "fortran"],
     )
     def test_data_member_at_odds_with_the_per_epoch_arrays_is_refused(
         self, two_subject_file, damage, message
