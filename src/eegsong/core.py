@@ -4,11 +4,11 @@ write and the sorted-unique helper that every stage uses.
 
 All types are immutable after construction (frozen dataclasses; numpy arrays
 are flagged read-only), so they can be shared freely across workers.
-Signal values are microvolts, held as float64 in memory, except that a session
-read whole from disk keeps its float32 samples (see SessionRecording).  The
-preprocessed epochs hold float32 values in float64 arrays: preprocess rounds
-them once its float64 steps are done, and the epochs archive stores them as
-float32.
+Signal values are microvolts.  A session's samples are float32, as the
+session file stores them (see SessionRecording); epochs and their batches are
+float64 arrays.  The preprocessed epochs hold float32 values in those float64
+arrays: preprocess rounds them once its float64 steps are done, and the epochs
+archive stores them as float32.
 """
 
 from __future__ import annotations
@@ -201,13 +201,10 @@ class EventMarker:
 class SessionRecording:
     """One subject's full multichannel recording with markers and ratings.
 
-    samples: channels x time, microvolts, read-only.  float32 samples are kept
-    as float32, flagged read-only in place rather than copied: synth.read_session
-    reads a session as stored, as float32, and a float64 copy beside it would
-    double the largest array of a subject.  (preprocess never reads a whole
-    session: it reads each song's channel rows through a synth.SessionReader.)
-    Samples of any other dtype are copied to float64, as generate_session
-    makes them.
+    samples: channels x time, microvolts, float32, read-only: the bits that
+    samples.f32 stores, whether the session was generated or read.  float32
+    samples are flagged read-only in place rather than copied; samples of any
+    other dtype are rounded to a float32 copy.
     ratings: song_id -> (enjoyment 1-5, familiarity 1-5).
     """
 
@@ -218,12 +215,8 @@ class SessionRecording:
     ratings: dict[int, tuple[int, int]] = field(default_factory=dict)
 
     def __post_init__(self):
-        samples = np.asarray(self.samples)
-        if samples.dtype == np.float32:
-            samples = np.ascontiguousarray(samples)
-            samples.flags.writeable = False
-        else:
-            samples = _freeze(samples)
+        samples = np.ascontiguousarray(self.samples, dtype=np.float32)
+        samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "markers", tuple(self.markers))
         if self.samples.ndim != 2:

@@ -102,7 +102,8 @@ def build_feature_matrix(
     EpochsReader.epochs does, keeps one epoch in memory.
 
     ratings maps (subject_id, song_id) to (enjoyment, familiarity); epochs with
-    no entry get zeros in those meta columns.
+    no entry get zeros in those meta columns.  It is read as each epoch's row
+    is made, so a generator of epochs may fill it as it goes.
     """
     selection = tuple(sorted(set(selection)))
     if not selection:
@@ -113,7 +114,7 @@ def build_feature_matrix(
             f"unknown feature families {sorted(unknown)}; "
             f"choose from {FEATURE_FAMILIES}"
         )
-    ratings = ratings or {}
+    ratings = {} if ratings is None else ratings
     extractors = []
     for family in selection:
         module, function = FAMILIES[family]

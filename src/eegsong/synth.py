@@ -36,13 +36,14 @@ key: value header, generator_version first, plus rating lines),
 SessionReader opens a session, manifest and events, and reads its samples
 one channel row's span at a time into a reused buffer, so preprocess holds
 no session-sized array.  read_session reads every row through it into one
-float32 array, as stored: half the bytes of the generated float64 session.
+float32 array, as stored.
 
-write_generated_session, which the generate stage runs, builds each channel
-row whole into one reused float64 row and writes it to samples.f32 at once,
-cast into one reused float32 row, so it holds no session-sized array: only
-that row and a few row-sized scratch arrays.  generate_session builds the same
-rows into one float64 session array, for callers that want it in memory.
+Each channel row is built whole into one reused float64 row and cast to
+float32.  write_generated_session, which the generate stage runs, writes each
+cast row to samples.f32 at once, so it holds no session-sized array: only that
+row and a few row-sized scratch arrays.  generate_session casts the same rows
+into one float32 session array, for callers that want it in memory, so a
+generated session holds the bits that read_session reads back from its files.
 """
 
 from __future__ import annotations
@@ -219,11 +220,12 @@ def _session_rows(
 
 
 def generate_session(config: GeneratorConfig, subject_id: int) -> SessionRecording:
-    """Generate one subject's session in memory. Pure in (config, subject_id)."""
+    """Generate one subject's session in memory, with the float32 samples
+    that write_generated_session writes. Pure in (config, subject_id)."""
     markers, ratings, rows = _session_rows(config, subject_id)
-    samples = np.empty((config.n_channels, config.session_samples))
+    samples = np.empty((config.n_channels, config.session_samples), dtype="<f4")
     for out, row in zip(samples, rows):
-        out[...] = row
+        np.copyto(out, row)
     return SessionRecording(
         subject_id=subject_id,
         sample_rate_hz=config.sample_rate_hz,
@@ -484,9 +486,8 @@ def read_session(manifest_path: str | Path) -> SessionRecording:
     """Read a session written by write_session, every row through a
     SessionReader.
 
-    The samples are kept as stored, one read-only float32 array: they
-    round-trip exactly except for float32 quantization, and a float64 cast
-    of any part of them is exact.
+    The samples are kept as stored, one read-only float32 array, so a
+    session read back equals the session written.
     """
     with SessionReader(manifest_path) as reader:
         samples = np.empty((reader.n_channels, reader.n_samples), dtype="<f4")

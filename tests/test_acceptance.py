@@ -41,14 +41,17 @@ def build_corpus(n_subjects: int, class_separation: float, seed: int):
     gen = GeneratorConfig(
         n_subjects=n_subjects, class_separation=class_separation, seed=seed
     )
-    epochs, ratings = [], {}
-    for subject_id in range(1, n_subjects + 1):
-        session = generate_session(gen, subject_id)
-        result = run_pipeline(session, PreprocessConfig())
-        epochs.extend(result.epochs)
-        for song_id, pair in session.ratings.items():
-            ratings[(subject_id, song_id)] = pair
-    return build_feature_matrix(epochs, ["spectopo"], ratings=ratings)
+    ratings = {}
+
+    def epochs():
+        # one subject's session and batch alive at a time
+        for subject_id in range(1, n_subjects + 1):
+            session = generate_session(gen, subject_id)
+            for song_id, pair in session.ratings.items():
+                ratings[(subject_id, song_id)] = pair
+            yield from run_pipeline(session, PreprocessConfig()).epochs
+
+    return build_feature_matrix(epochs(), ["spectopo"], ratings=ratings)
 
 
 @pytest.fixture(scope="module")

@@ -72,9 +72,11 @@ class TestSessionRecording:
             s.samples[0, 0] = 99.0
 
     @pytest.mark.parametrize("dtype", [np.float16, np.int32, np.float64])
-    def test_other_samples_become_float64(self, dtype):
-        s = SessionRecording(1, 250, np.ones((4, 100), dtype=dtype), (), {})
-        assert s.samples.dtype == np.float64
+    def test_other_samples_become_float32(self, dtype):
+        samples = (np.arange(400).reshape(4, 100) * 0.1).astype(dtype)
+        s = SessionRecording(1, 250, samples, (), {})
+        assert s.samples.dtype == np.float32
+        assert np.array_equal(s.samples, samples.astype(np.float32))
         assert not s.samples.flags.writeable
 
 

@@ -82,6 +82,21 @@ def test_ratings_attached_by_subject_song(rng):
     assert list(ds.familiarity) == [1, 0]
 
 
+def test_ratings_filled_while_the_epochs_are_generated(rng):
+    """An empty ratings dict that the epoch generator fills is read as each
+    row is made, not swapped for a new one."""
+    ratings = {}
+
+    def epochs():
+        for song, pair in ((2, (5, 1)), (3, (2, 4))):
+            ratings[(7, song)] = pair
+            yield make_epoch(rng, subject=7, song=song)
+
+    ds = build_feature_matrix(epochs(), ["entropy"], ratings=ratings)
+    assert list(ds.enjoyment) == [5, 2]
+    assert list(ds.familiarity) == [1, 4]
+
+
 def test_all_four_families_have_finite_values(rng):
     ds = build_feature_matrix(
         [make_epoch(rng, n_channels=2)], ["spectopo", "wavedec", "dfa", "entropy"]

@@ -85,7 +85,7 @@ class TestCapture:
         start = tiny_config.lead_silence_seconds * fs
         assert np.array_equal(
             first.baseline_mean,
-            tiny_session.samples[:, start - 10 * fs : start].mean(axis=1),
+            tiny_session.samples[:, start - 10 * fs : start].astype(np.float64).mean(axis=1),
         )
 
     def test_epochs_tile_the_song(self, tiny_session):
