@@ -5,10 +5,10 @@ write and the sorted-unique helper that every stage uses.
 All types are immutable after construction (frozen dataclasses; numpy arrays
 are flagged read-only), so they can be shared freely across workers.
 Signal values are microvolts.  A session's samples are float32, as the
-session file stores them (see SessionRecording); epochs and their batches are
-float64 arrays.  The preprocessed epochs hold float32 values in those float64
-arrays: preprocess rounds them once its float64 steps are done, and the epochs
-archive stores them as float32.
+session file stores them (see SessionRecording).  A preprocessed EpochBatch is
+float32 too, as the epochs archive stores it: preprocess does its float64 work
+one block of songs at a time and rounds each block into the batch.  An Epoch
+holds float64 data, copied from a float32 batch or archive member.
 """
 
 from __future__ import annotations
@@ -285,8 +285,11 @@ class Epoch:
 class EpochBatch:
     """One subject's epochs as one (n_epochs, n_channels, n_samples) array,
     the layout of MNE-Python's Epochs.get_data(), with per-epoch song ids,
-    epoch indices and (n_epochs, n_channels) baseline offsets.  The arrays
-    are flagged read-only in place, not copied."""
+    epoch indices and (n_epochs, n_channels) float64 baseline offsets.
+    preprocess.run_pipeline fills data as float32, rounded from the float64
+    scratch in which it preprocesses each block of songs; epochs copies each
+    epoch to a float64 Epoch.  The arrays are flagged read-only in place, not
+    copied."""
 
     subject_id: int
     data: np.ndarray
@@ -311,7 +314,8 @@ class EpochBatch:
 
     @property
     def epochs(self) -> tuple[Epoch, ...]:
-        """Per-epoch views into the batch."""
+        """Per-epoch Epochs: views into a float64 batch, float64 copies of
+        a float32 one."""
         return tuple(
             Epoch(
                 subject_id=self.subject_id,

@@ -5,21 +5,24 @@ run_pipeline runs the steps in one fixed order: capture, baseline, notch,
 rereference, then bad_channels; every captured epoch is kept.  It
 re-references before rejecting bad channels, as the original acquisition
 pipeline does, so a bad channel pollutes the common average; the order is
-part of the method, not a setting.  Last, once the masks are computed from
-the float64 batch, it rounds the batch to float32 values, the precision of
-the float32 session it was read from, so the epochs keep the same bits
-whether a stage takes them from run_pipeline or from the epochs archive.
+part of the method, not a setting.
 
-run_pipeline holds one subject's epochs as one (n_epochs, n_channels,
-n_samples) float64 batch, the layout of MNE-Python's Epochs.get_data(): capture
-casts every song's epochs from the session straight into it, one channel row
-at a time, and each later step rewrites it in place.  Capture takes its rows
-from an in-memory session or from an open synth.SessionReader, which reads
-each song's channel rows from disk into one reused buffer; a subject read that
-way costs the batch and a few row-sized buffers, and no session-sized array.
-The epochs archive stores each subject's batch as one float32 member, written
-one epoch at a time through one reused float32 epoch, and EpochsReader reads
-it back one epoch at a time into a float64 Epoch.
+run_pipeline returns one subject's epochs as one (n_epochs, n_channels,
+n_samples) float32 batch, the layout of MNE-Python's Epochs.get_data(), at the
+precision of the float32 session it was read from, so the epochs keep the same
+bits whether a stage takes them from run_pipeline or from the epochs archive.
+The float64 work happens one block of whole songs at a time: capture casts a
+block's epochs from the session into a float64 scratch, one channel row at a
+time; baseline, notch and rereference rewrite the scratch in place; and the
+scratch is rounded into the batch.  Each of those steps works on each epoch on
+its own, so the blocks give the bits of the steps over the whole subject at
+once.  bad_channels then reads the float32 batch.  Capture takes its rows from
+an in-memory session or from an open synth.SessionReader, which reads each
+song's channel rows from disk into one reused buffer; a subject read that way
+costs the batch, one block and a few row-sized buffers, and no session-sized
+array.  The epochs archive stores each subject's batch as one float32 member,
+written from the batch's own buffer, and EpochsReader reads it back one epoch
+at a time into a float64 Epoch.
 
 The mains filter is a zero-phase second-order IIR notch, not a sliding-window
 sinusoid regression; same intent (kill the 50 Hz line), far simpler, and its
@@ -30,8 +33,8 @@ forward and backward in the operation order of scipy's C lfilter, one Python
 step per sample over every row at once, in place in tiles of samples.  Each
 sample sees the same floating-point operations in the same order as in
 scipy.signal.filtfilt, so the output matches it bit for bit.  run_pipeline
-filters a subject's whole batch in one call, which spreads the per-sample
-loop over all its rows.
+filters each block in one call, which spreads the per-sample loop over all
+its rows.
 """
 
 from __future__ import annotations
@@ -72,24 +75,17 @@ class PipelineResult:
 
     @property
     def epochs(self) -> tuple[Epoch, ...]:
-        """Read-only per-epoch views into the batch."""
+        """Per-epoch float64 copies of the float32 batch."""
         return self.batch.epochs
 
 
-def _capture(
-    session: SessionRecording | SessionReader, epoch_seconds: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every song's non-overlapping epochs copied into one (E, C, S) array,
-    with each epoch's (C,) baseline offset (the per-channel mean of the
-    BASELINE_SECONDS of silence before its song's onset), song id and index.
-
-    The samples are taken through session.row, one channel's baseline and
-    song at a time: a view of an in-memory session, or a read from an open
-    session file into one reused buffer."""
-    fs = session.sample_rate_hz
-    epoch_len = epoch_seconds * fs
-    baseline_len = BASELINE_SECONDS * fs
-
+def _songs(
+    session: SessionRecording | SessionReader, epoch_len: int
+) -> list[tuple[int, int, int]]:
+    """Each song's (song_id, start, end) in song order, checked: its segment
+    divides into epoch_len-sample epochs, lies inside the recording and has
+    BASELINE_SECONDS of samples before it."""
+    baseline_len = BASELINE_SECONDS * session.sample_rate_hz
     starts = {m.song_id: m.sample_index for m in session.markers if m.kind == "song_start"}
     ends = {m.song_id: m.sample_index for m in session.markers if m.kind == "song_end"}
     if not starts:
@@ -118,26 +114,59 @@ def _capture(
                 f"{session.n_samples} samples of the recording"
             )
         songs.append((song_id, s, e))
+    return songs
 
-    n_channels = session.n_channels
-    n_epochs = sum((e - s) // epoch_len for _, s, e in songs)
-    data = np.empty((n_epochs, n_channels, epoch_len))
-    baseline_mean = np.empty((n_epochs, n_channels))
-    song_ids = np.empty(n_epochs, dtype=np.int64)
-    epoch_index = np.empty(n_epochs, dtype=np.int64)
+
+def _epoch_labels(
+    songs: list[tuple[int, int, int]], epoch_len: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The song id and the index within its song of every epoch of songs."""
+    per_song = [(e - s) // epoch_len for _, s, e in songs]
+    song_ids = np.repeat(np.asarray([sid for sid, _, _ in songs], dtype=np.int64), per_song)
+    epoch_index = np.concatenate([np.arange(n, dtype=np.int64) for n in per_song])
+    return song_ids, epoch_index
+
+
+def _capture_into(
+    session: SessionRecording | SessionReader,
+    songs: list[tuple[int, int, int]],
+    data: np.ndarray,
+    baseline_mean: np.ndarray,
+) -> None:
+    """Copy the epochs of songs, in order, into data (E, C, S) and each
+    epoch's (C,) baseline offset, the per-channel mean of the
+    BASELINE_SECONDS of silence before its song's onset, into baseline_mean
+    (E, C).
+
+    The samples are taken through session.row, one channel's baseline and
+    song at a time: a view of an in-memory session, or a read from an open
+    session file into one reused buffer."""
+    epoch_len = data.shape[-1]
+    baseline_len = BASELINE_SECONDS * session.sample_rate_hz
     at = 0
-    for song_id, s, e in songs:
+    for _, s, e in songs:
         n = (e - s) // epoch_len
-        for c in range(n_channels):
+        for c in range(data.shape[1]):
             row = session.row(c, s - baseline_len, e)
             # the same bits as the channel's row of a float64 baseline window's
             # mean over axis 1
             baseline_mean[at : at + n, c] = row[:baseline_len].astype(np.float64).mean()
-            # cast straight from the row into the batch: exact
+            # cast straight from the row into data: exact
             data[at : at + n, c] = row[baseline_len:].reshape(n, epoch_len)
-        song_ids[at : at + n] = song_id
-        epoch_index[at : at + n] = np.arange(n)
         at += n
+
+
+def _capture(
+    session: SessionRecording | SessionReader, epoch_seconds: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every song's non-overlapping epochs copied into one float64 (E, C, S)
+    array, with each epoch's (C,) baseline offset, song id and index."""
+    epoch_len = epoch_seconds * session.sample_rate_hz
+    songs = _songs(session, epoch_len)
+    song_ids, epoch_index = _epoch_labels(songs, epoch_len)
+    data = np.empty((len(song_ids), session.n_channels, epoch_len))
+    baseline_mean = np.empty(data.shape[:2])
+    _capture_into(session, songs, data, baseline_mean)
     return data, baseline_mean, song_ids, epoch_index
 
 
@@ -320,34 +349,71 @@ def _step(name: str) -> Iterator[None]:
         raise PipelineError(f"step {name!r} failed: {e}") from e
 
 
+# Bytes of the float64 scratch in which run_pipeline preprocesses one block
+# of whole consecutive songs; a song larger than this is a block of its own.
+# A TINY subject (8 channels, 8 epochs, 1.3 MB) is one block, so its notch
+# walks its samples once; a default one (7.7 MB a song) is a song a block.
+_BLOCK_BYTES = 8 * 2**20
+
+
+def _song_blocks(
+    songs: list[tuple[int, int, int]], epoch_len: int, epoch_bytes: int
+) -> Iterator[tuple[list[tuple[int, int, int]], int]]:
+    """songs split in order into blocks, each as many whole songs as fit in
+    _BLOCK_BYTES at epoch_bytes an epoch, and at least one; with each
+    block's epoch count."""
+    block, n_epochs = [], 0
+    for song in songs:
+        n = (song[2] - song[1]) // epoch_len
+        if block and (n_epochs + n) * epoch_bytes > _BLOCK_BYTES:
+            yield block, n_epochs
+            block, n_epochs = [], 0
+        block.append(song)
+        n_epochs += n
+    yield block, n_epochs
+
+
 def run_pipeline(
     session: SessionRecording | SessionReader, config: PreprocessConfig
 ) -> PipelineResult:
-    """Preprocess one subject's session: capture copies every epoch into one
-    (n_epochs, n_channels, n_samples) float64 batch, and baseline, notch,
-    rereference and bad_channels follow in that order, each on the batch in
-    place; bad_channels flags channels and drops no epoch.  The notch and
-    the re-reference each take the whole batch in one call.  Last, after
-    bad_channels has computed the mask, the batch is rounded in place to
-    float32 values, one epoch at a time through one float32 epoch: it stays
-    a float64 array, and the epochs archive stores it as float32 without
-    loss.  session is a SessionRecording or an open SessionReader, whose rows
-    are read from disk as they are cast.  Deterministic."""
+    """Preprocess one subject's session into one (n_epochs, n_channels,
+    n_samples) float32 batch.  Capture, baseline, notch and rereference run
+    in that order on one block of whole songs at a time (see _BLOCK_BYTES),
+    in a float64 scratch that is then copied into the batch; each of these
+    steps works on each epoch on its own, so the batch holds the bits of the
+    four steps over the whole subject at once, rounded to float32.  Last,
+    bad_channels flags channels from the float32 batch and drops no epoch.
+    session is a SessionRecording or an open SessionReader, whose rows are
+    read from disk as they are cast.  Deterministic."""
     fs = session.sample_rate_hz
+    epoch_len = config.epoch_seconds * fs
     with _step("capture"):
-        data, baseline_mean, song_id, epoch_index = _capture(session, config.epoch_seconds)
-    log = [f"capture: {len(data)} epochs of {config.epoch_seconds} s"]
-
-    _subtract_baseline(data, baseline_mean)
-    log.append("baseline: corrected against 10 s pre-song silence")
-
-    _notch(data, fs, config.notch_hz, config.notch_bandwidth_hz)
-    log.append(f"notch: {config.notch_hz} Hz zero-phase IIR")
-
-    n_channels = data.shape[1]
-    with _step("rereference"):
-        _rereference(data, _reference_channels(n_channels, ChannelMask.all_good(n_channels)))
-    log.append(f"rereference: common average over {n_channels} channels")
+        songs = _songs(session, epoch_len)
+    song_id, epoch_index = _epoch_labels(songs, epoch_len)
+    n_channels = session.n_channels
+    data = np.empty((len(song_id), n_channels, epoch_len), dtype=np.float32)
+    baseline_mean = np.empty(data.shape[:2])
+    at = 0
+    for block, n in _song_blocks(songs, epoch_len, n_channels * epoch_len * 8):
+        scratch = np.empty((n, n_channels, epoch_len))
+        offsets = baseline_mean[at : at + n]
+        _capture_into(session, block, scratch, offsets)
+        _subtract_baseline(scratch, offsets)
+        _notch(scratch, fs, config.notch_hz, config.notch_bandwidth_hz)
+        with _step("rereference"):
+            _rereference(
+                scratch, _reference_channels(n_channels, ChannelMask.all_good(n_channels))
+            )
+        data[at : at + n] = scratch
+        # freed before the next block's scratch is made
+        del scratch
+        at += n
+    log = [
+        f"capture: {len(data)} epochs of {config.epoch_seconds} s",
+        "baseline: corrected against 10 s pre-song silence",
+        f"notch: {config.notch_hz} Hz zero-phase IIR",
+        f"rereference: common average over {n_channels} channels",
+    ]
 
     with _step("bad_channels"):
         mask = reject_bad_channels(data, config.rejection_zscore, fs)
@@ -357,11 +423,6 @@ def run_pipeline(
         )
     if not mask.reasons:
         log.append("bad_channels: none rejected")
-
-    rounded = np.empty(data.shape[1:], dtype=np.float32)
-    for epoch in data:
-        rounded[...] = epoch
-        epoch[...] = rounded
 
     return PipelineResult(
         batch=EpochBatch(session.subject_id, data, baseline_mean, song_id, epoch_index, fs),
@@ -441,9 +502,10 @@ class EpochsWriter:
         self.n_epochs = 0
 
     def add(self, batch: EpochBatch) -> None:
-        """Write one subject's epochs as float32, one epoch at a time; each
-        subject may be added once, and every value must be float32-exact, as
-        run_pipeline leaves it."""
+        """Write one subject's epochs as float32; each subject may be added
+        once.  A float32 batch, as run_pipeline returns, is written from its
+        own buffer; any other is cast one epoch at a time, and every value
+        must be float32-exact."""
         if batch.subject_id in self._subjects:
             raise PipelineError(f"subject {batch.subject_id} was already added")
         layout = (batch.sample_rate_hz, *batch.data.shape[1:])
@@ -457,18 +519,21 @@ class EpochsWriter:
             )
         if not len(batch.data):
             raise PipelineError(f"subject {batch.subject_id} has no epochs to write")
-        cast = np.empty(batch.data.shape[1:], dtype=_EPOCH_DTYPE)
         with _open_member(
             self._archive, f"data_{batch.subject_id}", _EPOCH_DTYPE, batch.data.shape
         ) as fh:
-            for i, epoch in enumerate(batch.data):
-                cast[...] = epoch
-                if not np.array_equal(cast, epoch):
-                    raise PipelineError(
-                        f"subject {batch.subject_id} epoch {i} holds values that "
-                        "float32 cannot store exactly"
-                    )
-                fh.write(cast.reshape(-1).view(np.uint8))
+            if batch.data.dtype == _EPOCH_DTYPE:
+                fh.write(np.ascontiguousarray(batch.data).reshape(-1).view(np.uint8))
+            else:
+                cast = np.empty(batch.data.shape[1:], dtype=_EPOCH_DTYPE)
+                for i, epoch in enumerate(batch.data):
+                    cast[...] = epoch
+                    if not np.array_equal(cast, epoch):
+                        raise PipelineError(
+                            f"subject {batch.subject_id} epoch {i} holds values that "
+                            "float32 cannot store exactly"
+                        )
+                    fh.write(cast.reshape(-1).view(np.uint8))
         self._subjects.append(batch.subject_id)
         n = batch.data.shape[0]
         self.n_epochs += n

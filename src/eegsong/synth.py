@@ -189,10 +189,8 @@ def _session_rows(
             _band_envelope(song_freqs, song_band_profile(s, config.n_songs))
             for s in range(1, config.n_songs + 1)
         ]
-        mains = 2.0 * np.pi * 50.0 * (np.arange(n_total) / fs)
         # The row and the scratch that every row reuses.
         row = np.empty(n_total)
-        line = np.empty(n_total)
         spec = np.empty(pink.shape, dtype=np.complex128)
         signature = np.empty(song_len)
         song_spec = np.empty(song_freqs.shape, dtype=np.complex128)
@@ -205,10 +203,16 @@ def _session_rows(
                 continue
             _shaped_noise(row_rng, row, pink, spec)
             row *= BACKGROUND_RMS_UV
-            np.add(mains, line_phases[ch], out=line)
-            np.sin(line, out=line)
-            line *= config.line_noise_amplitude_uv
-            row += line
+            # the mains line, one song-length slice at a time in signature
+            for start in range(0, n_total, song_len):
+                stop = min(start + song_len, n_total)
+                line = signature[: stop - start]
+                np.divide(np.arange(start, stop), fs, out=line)
+                line *= 2.0 * np.pi * 50.0
+                line += line_phases[ch]
+                np.sin(line, out=line)
+                line *= config.line_noise_amplitude_uv
+                row[start:stop] += line
             song_seeds = row_seed.spawn(config.n_songs)
             for start, envelope, gain, song_seed in zip(song_starts, envelopes, song_gains, song_seeds):
                 _shaped_noise(np.random.default_rng(song_seed), signature, envelope, song_spec)

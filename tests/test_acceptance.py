@@ -14,7 +14,7 @@ import pytest
 from scipy import stats
 
 from eegsong.cli import main as cli_main
-from eegsong.core import ChannelMask
+from eegsong.core import ChannelMask, Epoch
 from eegsong.evaluation import evaluate, evaluate_ratings, split_dataset
 from eegsong.features import build_feature_matrix
 from eegsong.features.dfa import dfa
@@ -44,12 +44,24 @@ def build_corpus(n_subjects: int, class_separation: float, seed: int):
     ratings = {}
 
     def epochs():
-        # one subject's session and batch alive at a time
+        # one subject's session, then its float32 batch, alive at a time,
+        # and one float64 Epoch of the batch
         for subject_id in range(1, n_subjects + 1):
             session = generate_session(gen, subject_id)
             for song_id, pair in session.ratings.items():
                 ratings[(subject_id, song_id)] = pair
-            yield from run_pipeline(session, PreprocessConfig()).epochs
+            batch = run_pipeline(session, PreprocessConfig()).batch
+            del session
+            for i in range(len(batch.data)):
+                yield Epoch(
+                    subject_id=subject_id,
+                    song_id=int(batch.song_id[i]),
+                    epoch_index=int(batch.epoch_index[i]),
+                    data=batch.data[i],
+                    baseline_mean=batch.baseline_mean[i],
+                    sample_rate_hz=batch.sample_rate_hz,
+                )
+            del batch
 
     return build_feature_matrix(epochs(), ["spectopo"], ratings=ratings)
 

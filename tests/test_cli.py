@@ -18,7 +18,7 @@ from eegsong.cli import STAGES, ConfigError, _build_parser, load_run_config, mai
 from eegsong.config import _FIELD_VALUES, FEATURE_FAMILIES, ModelSpec
 from eegsong.dsp import _TILE
 from eegsong.features import build_feature_matrix
-from eegsong.preprocess import EpochsReader, PreprocessConfig, run_pipeline
+from eegsong.preprocess import _BLOCK_BYTES, EpochsReader, PreprocessConfig, run_pipeline
 from eegsong.synth import MANIFEST_NAME, GeneratorConfig, read_session, session_dir_name
 
 from conftest import LONG_SESSION_GENERATOR, MEMORY_GENERATOR, TINY
@@ -623,33 +623,41 @@ def _long_session_bytes() -> dict[str, int]:
     gen = GeneratorConfig(**LONG_SESSION_GENERATOR)
     row = gen.session_samples * 8
     epoch_len = PreprocessConfig().epoch_seconds * gen.sample_rate_hz
-    n_epochs = gen.n_songs * gen.song_seconds * gen.sample_rate_hz // epoch_len
+    song_epochs = gen.song_seconds * gen.sample_rate_hz // epoch_len
+    n_epochs = gen.n_songs * song_epochs
+    epoch = gen.n_channels * epoch_len * 8
+    # the whole songs that fit in one float64 block, and at least one
+    block_epochs = song_epochs * min(gen.n_songs, max(1, _BLOCK_BYTES // (song_epochs * epoch)))
     return {
         # one channel's spectrum and row-sized temporaries
         "rows": 2 * row,
         # the float32 row that generate casts each built row into to write it
         "cast": gen.session_samples * 4,
-        "batch": n_epochs * gen.n_channels * epoch_len * 8,
-        "tile": _TILE * 3 * n_epochs * gen.n_channels * 8,
-        "epoch": gen.n_channels * epoch_len * 8,
+        # run_pipeline's float32 batch
+        "batch": n_epochs * epoch // 2,
+        # the float64 scratch of one block of songs
+        "block": block_epochs * epoch,
+        "float64_batch": n_epochs * epoch,
+        "tile": _TILE * 3 * block_epochs * gen.n_channels * 8,
+        "epoch": epoch,
         # each epoch's (C,) baseline offset, subject, song and index
         "per_epoch": n_epochs * (gen.n_channels + 3) * 8,
-        # the rest of generate's row-sized scratch (the row it builds, the 1/f
-        # gain, the mains phase and the mains line) and the interpreter's own
-        # allocations
+        # the rest of generate's row-sized scratch (the row it builds and the
+        # 1/f gain) and the interpreter's own allocations
         "slack": 4 * row + 1_000_000,
     }
 
 
 def test_signal_stages_hold_no_session_sized_array(tmp_path, capsys):
     """generate holds a few one-channel rows, writing each row as it is
-    built; preprocess holds the float64 batch, the notch's tile scratch and a
-    few rows, reading the session from disk row by row rather than whole; and
+    built; preprocess holds the float32 batch, one float64 block of songs,
+    the notch's tile scratch and a few rows, reading the session from disk
+    row by row rather than whole, and never a float64 copy of the batch; and
     features holds one epoch at a time beside the per-epoch arrays."""
     size = _long_session_bytes()
     budgets = {
         "generate": size["rows"] + size["cast"] + size["slack"],
-        "preprocess": size["batch"] + size["tile"] + size["rows"] + size["slack"],
+        "preprocess": size["batch"] + size["block"] + size["tile"] + size["rows"] + size["slack"],
         "features": size["epoch"] + size["per_epoch"] + size["slack"],
     }
     cfg_path = tmp_path / "cfg.json"
@@ -659,15 +667,16 @@ def test_signal_stages_hold_no_session_sized_array(tmp_path, capsys):
     capsys.readouterr()
     over = {stage: (peaks[stage], budget) for stage, budget in budgets.items() if peaks[stage] >= budget}
     assert over == {}
+    assert peaks["preprocess"] < size["float64_batch"], (peaks["preprocess"], size["float64_batch"])
 
 
 def test_pipeline_process_peaks_within_the_preprocess_budget(tmp_path, capsys):
     """One `pipeline` process, every stage in turn, peaks under preprocess's
-    budget of the float64 batch, the notch's tile scratch, a few rows and
-    slack: generate, which builds a session, holds no session-sized array,
-    and no stage holds a second batch-sized one."""
+    budget of the float32 batch, one float64 block, the notch's tile scratch,
+    a few rows and slack: generate, which builds a session, holds no
+    session-sized array, and no stage holds a second batch-sized one."""
     size = _long_session_bytes()
-    budget = size["batch"] + size["tile"] + size["rows"] + size["slack"]
+    budget = size["batch"] + size["block"] + size["tile"] + size["rows"] + size["slack"]
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(dict(SMALL_CONFIG, generator=LONG_SESSION_GENERATOR)))
     peak = _traced_peak(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
@@ -678,8 +687,8 @@ def test_pipeline_process_peaks_within_the_preprocess_budget(tmp_path, capsys):
 def test_features_from_the_epochs_file_equal_the_in_memory_ones(tmp_path, capsys):
     """The CLI's file path (run_pipeline, epochs.npz, EpochsReader) and the
     in-memory path (run_pipeline's epochs) build the same feature matrix,
-    bit for bit: run_pipeline rounds the batch to the float32 values that
-    the archive stores."""
+    bit for bit: run_pipeline's batch holds the float32 values that the
+    archive stores."""
     generator = dataclasses.asdict(TINY)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"seed": TINY.seed, "generator": generator}))

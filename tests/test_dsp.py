@@ -133,9 +133,9 @@ class TestNotch:
             notch_filter(x, FS)
 
     def test_run_pipeline_blocks_match_epoch_by_epoch(self, tiny_session):
-        # run_pipeline filters and re-references the whole batch in one call
-        # each, the notch in tiles of samples that do not divide the
-        # 2,500-sample epochs
+        # run_pipeline filters and re-references a TINY subject's batch, one
+        # block, in one call each, the notch in tiles of samples that do not
+        # divide the 2,500-sample epochs
         config = PreprocessConfig()
         batched = run_pipeline(tiny_session, config).epochs
         epochs = capture_music_epochs(tiny_session, config.epoch_seconds)
@@ -144,7 +144,7 @@ class TestNotch:
         all_good = ChannelMask.all_good(tiny_session.n_channels)
         for got, ep in zip(batched, epochs):
             expected = average_rereference(notch_filter(baseline_correct(ep).data, FS), all_good)
-            # run_pipeline ends by rounding the batch to float32 values
+            # run_pipeline rounds each block into its float32 batch
             assert np.array_equal(got.data, expected.astype(np.float32))
 
 

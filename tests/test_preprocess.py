@@ -21,8 +21,10 @@ from eegsong.core import (
     validate_session,
 )
 from eegsong.preprocess import (
+    _BLOCK_BYTES,
     EpochsFile,
     EpochsReader,
+    _capture,
     _rejection_measures,
     _rereference,
     _write_member,
@@ -416,10 +418,36 @@ class TestRunPipeline:
         with pytest.raises(PipelineError, match="step 'capture' failed: .* no song_start marker"):
             run_pipeline(songless, PreprocessConfig())
 
+    @pytest.mark.parametrize("default_geometry", [False, True], ids=["tiny", "default_2_songs"])
+    def test_blocks_equal_the_whole_subject_at_once(self, default_geometry, tiny_session):
+        """run_pipeline preprocesses a block of songs at a time into a float32
+        batch: the batch equals capture, baseline, notch and rereference over
+        every epoch at once in float64, cast to float32, and its mask the
+        mask of that float64 batch."""
+        session = (
+            generate_session(GeneratorConfig(n_songs=2, n_bad_channels=1, seed=4), 1)
+            if default_geometry
+            else tiny_session
+        )
+        config = PreprocessConfig()
+        fs = session.sample_rate_hz
+        data, baseline_mean, song_id, epoch_index = _capture(session, config.epoch_seconds)
+        # a TINY subject is one block, two default songs are two
+        assert (data.nbytes > _BLOCK_BYTES) == default_geometry
+        data -= baseline_mean[..., None]
+        data = notch_filter(data, fs, config.notch_hz, config.notch_bandwidth_hz)
+        data = average_rereference(data, ChannelMask.all_good(session.n_channels))
+        expected_mask = reject_bad_channels(data, config.rejection_zscore, fs)
+        result = run_pipeline(session, config)
+        assert np.array_equal(result.batch.data, data.astype(np.float32))
+        assert np.array_equal(result.batch.baseline_mean, baseline_mean)
+        assert np.array_equal(result.batch.song_id, song_id)
+        assert np.array_equal(result.batch.epoch_index, epoch_index)
+        assert np.array_equal(result.channel_mask.good, expected_mask.good)
+        assert result.channel_mask.reasons == expected_mask.reasons
+
     def test_batch_holds_float32_values(self, tiny_pipeline):
-        data = tiny_pipeline.batch.data
-        assert data.dtype == np.float64
-        assert np.array_equal(data, data.astype(np.float32))
+        assert tiny_pipeline.batch.data.dtype == np.float32
 
     def test_log_records_each_step(self, tiny_pipeline):
         # one or more lines per step, in the fixed order
@@ -619,7 +647,7 @@ class TestEpochsFile:
 
     def test_writer_refuses_a_value_float32_cannot_hold(self, tiny_pipeline, tmp_path):
         batch = tiny_pipeline.batch
-        data = batch.data.copy()
+        data = batch.data.astype(np.float64)
         # one float64 step off a float32 value
         data[1, 2, 3] = np.nextafter(data[1, 2, 3], np.inf)
         path = tmp_path / "epochs.npz"
