@@ -128,11 +128,7 @@ def _preprocess_subject(config: RunConfig, out: Path, subject_id: int, writer: E
             violations.append(f"manifest records subject {session.subject_id}")
         if violations:
             raise PipelineError(f"{manifest.parent}: " + "; ".join(violations))
-        for song_id, pair in session.ratings.items():
-            writer.ratings[(subject_id, song_id)] = pair
-        result = run_pipeline(session, config.preprocess)
-    writer.add(result.batch)
-    writer.masks[subject_id] = result.channel_mask
+        writer.add(run_pipeline(session, config.preprocess), session.ratings)
 
 
 def _preprocess(config: RunConfig, out: Path) -> str:
@@ -147,7 +143,7 @@ def _preprocess(config: RunConfig, out: Path) -> str:
     with write_epochs(path) as writer:
         for subject_id in range(1, config.generator.n_subjects + 1):
             _preprocess_subject(config, out, subject_id, writer)
-    return f"{writer.n_epochs} epochs from {len(writer.masks)} subjects -> {path}"
+    return f"{writer.n_epochs} epochs from {config.generator.n_subjects} subjects -> {path}"
 
 
 def _features(config: RunConfig, out: Path) -> str:

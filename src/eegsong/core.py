@@ -5,10 +5,10 @@ write and the sorted-unique helper that every stage uses.
 All types are immutable after construction (frozen dataclasses; numpy arrays
 are flagged read-only), so they can be shared freely across workers.
 Signal values are microvolts.  A session's samples are float32, as the
-session file stores them (see SessionRecording).  A preprocessed EpochBatch is
-float32 too, as the epochs archive stores it: preprocess does its float64 work
-one block of songs at a time and rounds each block into the batch.  An Epoch
-holds float64 data, copied from a float32 batch or archive member.
+session file stores them (see SessionRecording).  A preprocessed subject is
+one EpochBatch: its float32 epochs, as the epochs archive stores them, and the
+ChannelMask of the channels rejected from them.  An Epoch holds float64 data,
+copied from a float32 batch or archive member.
 """
 
 from __future__ import annotations
@@ -285,11 +285,12 @@ class Epoch:
 class EpochBatch:
     """One subject's epochs as one (n_epochs, n_channels, n_samples) array,
     the layout of MNE-Python's Epochs.get_data(), with per-epoch song ids,
-    epoch indices and (n_epochs, n_channels) float64 baseline offsets.
-    preprocess.run_pipeline fills data as float32, rounded from the float64
-    scratch in which it preprocesses each block of songs; epochs copies each
-    epoch to a float64 Epoch.  The arrays are flagged read-only in place, not
-    copied."""
+    epoch indices and (n_epochs, n_channels) float64 baseline offsets, and
+    the subject's channel mask, as MNE keeps Epochs.info['bads'] with the
+    epochs they describe.  preprocess.run_pipeline fills data as float32 and
+    the mask from bad-channel rejection; capture_music_epochs fills data as
+    float64 and masks no channel.  The arrays are flagged read-only in place,
+    not copied."""
 
     subject_id: int
     data: np.ndarray
@@ -297,6 +298,7 @@ class EpochBatch:
     song_id: np.ndarray
     epoch_index: np.ndarray
     sample_rate_hz: int
+    channel_mask: ChannelMask
 
     def __post_init__(self):
         for name in ("data", "baseline_mean", "song_id", "epoch_index"):
@@ -311,13 +313,18 @@ class EpochBatch:
             )
         if self.song_id.shape != (n,) or self.epoch_index.shape != (n,):
             raise ValueError("song_id and epoch_index must have one entry per epoch")
+        if self.channel_mask.n_channels != self.data.shape[1]:
+            raise ValueError(
+                f"channel_mask covers {self.channel_mask.n_channels} channels, "
+                f"data has {self.data.shape[1]}"
+            )
 
     @property
-    def epochs(self) -> tuple[Epoch, ...]:
-        """Per-epoch Epochs: views into a float64 batch, float64 copies of
-        a float32 one."""
-        return tuple(
-            Epoch(
+    def epochs(self) -> Iterator[Epoch]:
+        """Each epoch as an Epoch, made as it is reached: a view into a
+        float64 batch, a float64 copy of a float32 one."""
+        for i in range(self.data.shape[0]):
+            yield Epoch(
                 subject_id=self.subject_id,
                 song_id=int(self.song_id[i]),
                 epoch_index=int(self.epoch_index[i]),
@@ -325,8 +332,6 @@ class EpochBatch:
                 baseline_mean=self.baseline_mean[i],
                 sample_rate_hz=self.sample_rate_hz,
             )
-            for i in range(self.data.shape[0])
-        )
 
 
 REJECTION_MEASURES = ("probability", "kurtosis", "spectrum")

@@ -1,9 +1,8 @@
 """Multilevel discrete wavelet transform with the 16-tap Daubechies-8 filter.
 
 Analysis uses periodic (circular) boundary extension; odd-length levels are
-extended by repeating the final sample before periodization. For even level
-lengths the transform is orthonormal, so reconstruction is exact and energy
-is conserved.
+extended by repeating the final sample before periodization. Each level is
+orthonormal, so it conserves the energy of its (extended) input.
 
 Per-channel "wavedec band power" is the relative energy in each detail level
 d1..dL plus the final approximation aL; level count is chosen so the coarsest
@@ -58,7 +57,6 @@ class WaveletCoefficients:
 
     approx: np.ndarray
     details: tuple[np.ndarray, ...]
-    level_lengths: tuple[int, ...]  # input length at each analysis level
 
 
 def _analysis_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -74,18 +72,6 @@ def _analysis_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out[..., 0], out[..., 1]
 
 
-def _synthesis_step(
-    approx: np.ndarray, detail: np.ndarray, out_len: int
-) -> np.ndarray:
-    # Transpose of the analysis operator: exact inverse for even out_len.
-    n = approx.shape[-1] * 2
-    x = np.zeros(approx.shape[:-1] + (n,))
-    idx = (2 * np.arange(n // 2)[:, None] + np.arange(16)[None, :]) % n
-    np.add.at(x, (..., idx), approx[..., :, None] * DB8_LOWPASS)
-    np.add.at(x, (..., idx), detail[..., :, None] * DB8_HIGHPASS)
-    return x[..., :out_len]
-
-
 def dwt_multilevel(signal: np.ndarray, levels: int) -> WaveletCoefficients:
     """Decompose the last axis of a (..., samples) array into `levels` detail
     bands plus an approximation."""
@@ -93,29 +79,15 @@ def dwt_multilevel(signal: np.ndarray, levels: int) -> WaveletCoefficients:
         raise ValueError(f"levels must be >= 1, got {levels}")
     x = np.asarray(signal, dtype=np.float64)
     details = []
-    lengths = []
     for level in range(1, levels + 1):
         if x.shape[-1] < len(DB8_LOWPASS):
             raise ValueError(
                 f"signal too short at level {level}: {x.shape[-1]} samples "
                 f"< {len(DB8_LOWPASS)}-tap filter"
             )
-        lengths.append(x.shape[-1])
         x, d = _analysis_step(x)
         details.append(d)
-    return WaveletCoefficients(
-        approx=x, details=tuple(details), level_lengths=tuple(lengths)
-    )
-
-
-def idwt_multilevel(coefficients: WaveletCoefficients) -> np.ndarray:
-    """Invert dwt_multilevel. Exact when every level length was even."""
-    x = coefficients.approx
-    for detail, out_len in zip(
-        reversed(coefficients.details), reversed(coefficients.level_lengths)
-    ):
-        x = _synthesis_step(x, detail, out_len)
-    return x
+    return WaveletCoefficients(approx=x, details=tuple(details))
 
 
 def wavedec_levels(sample_rate_hz: float) -> int:

@@ -7,10 +7,11 @@ re-references before rejecting bad channels, as the original acquisition
 pipeline does, so a bad channel pollutes the common average; the order is
 part of the method, not a setting.
 
-run_pipeline returns one subject's epochs as one (n_epochs, n_channels,
-n_samples) float32 batch, the layout of MNE-Python's Epochs.get_data(), at the
-precision of the float32 session it was read from, so the epochs keep the same
-bits whether a stage takes them from run_pipeline or from the epochs archive.
+run_pipeline returns one subject as one EpochBatch: its epochs as one
+(n_epochs, n_channels, n_samples) float32 array, the layout of MNE-Python's
+Epochs.get_data(), at the precision of the float32 session it was read from,
+so the epochs keep the same bits whether a stage takes them from run_pipeline
+or from the epochs archive; and the channel mask of bad-channel rejection.
 The float64 work happens one block of whole songs at a time: capture casts a
 block's epochs from the session into a float64 scratch, one channel row at a
 time; baseline, notch and rereference rewrite the scratch in place; and the
@@ -20,9 +21,10 @@ once.  bad_channels then reads the float32 batch.  Capture takes its rows from
 an in-memory session or from an open synth.SessionReader, which reads each
 song's channel rows from disk into one reused buffer; a subject read that way
 costs the batch, one block and a few row-sized buffers, and no session-sized
-array.  The epochs archive stores each subject's batch as one float32 member,
-written from the batch's own buffer, and EpochsReader reads it back one epoch
-at a time into a float64 Epoch.
+array.  EpochsWriter.add writes a whole subject to the epochs archive: the
+batch as one float32 member, from the batch's own buffer, with its mask and
+the subject's ratings; EpochsReader reads the batch back one epoch at a time
+into a float64 Epoch.
 
 The mains filter is a zero-phase second-order IIR notch, not a sliding-window
 sinusoid regression; same intent (kill the 50 Hz line), far simpler, and its
@@ -40,11 +42,11 @@ its rows.
 from __future__ import annotations
 
 import zipfile
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -65,18 +67,6 @@ from .core import (
 
 if TYPE_CHECKING:
     from .synth import SessionReader
-
-
-@dataclass(frozen=True)
-class PipelineResult:
-    batch: EpochBatch
-    channel_mask: ChannelMask
-    log: tuple[str, ...] = ()
-
-    @property
-    def epochs(self) -> tuple[Epoch, ...]:
-        """Per-epoch float64 copies of the float32 batch."""
-        return self.batch.epochs
 
 
 def _songs(
@@ -176,7 +166,10 @@ def capture_music_epochs(
     """Slice every song into non-overlapping epochs, each carrying the per-channel
     mean of the BASELINE_SECONDS of silence before its song's onset."""
     batch = EpochBatch(
-        session.subject_id, *_capture(session, epoch_seconds), session.sample_rate_hz
+        session.subject_id,
+        *_capture(session, epoch_seconds),
+        session.sample_rate_hz,
+        ChannelMask.all_good(session.n_channels),
     )
     return list(batch.epochs)
 
@@ -375,14 +368,15 @@ def _song_blocks(
 
 def run_pipeline(
     session: SessionRecording | SessionReader, config: PreprocessConfig
-) -> PipelineResult:
-    """Preprocess one subject's session into one (n_epochs, n_channels,
-    n_samples) float32 batch.  Capture, baseline, notch and rereference run
-    in that order on one block of whole songs at a time (see _BLOCK_BYTES),
-    in a float64 scratch that is then copied into the batch; each of these
-    steps works on each epoch on its own, so the batch holds the bits of the
-    four steps over the whole subject at once, rounded to float32.  Last,
-    bad_channels flags channels from the float32 batch and drops no epoch.
+) -> EpochBatch:
+    """Preprocess one subject's session into one EpochBatch: an (n_epochs,
+    n_channels, n_samples) float32 batch and its channel mask.  Capture,
+    baseline, notch and rereference run in that order on one block of whole
+    songs at a time (see _BLOCK_BYTES), in a float64 scratch that is then
+    copied into the batch; each of these steps works on each epoch on its
+    own, so the batch holds the bits of the four steps over the whole subject
+    at once, rounded to float32.  Last, bad_channels makes the batch's
+    channel mask from the float32 batch and drops no epoch.
     session is a SessionRecording or an open SessionReader, whose rows are
     read from disk as they are cast.  Deterministic."""
     fs = session.sample_rate_hz
@@ -408,27 +402,9 @@ def run_pipeline(
         # freed before the next block's scratch is made
         del scratch
         at += n
-    log = [
-        f"capture: {len(data)} epochs of {config.epoch_seconds} s",
-        "baseline: corrected against 10 s pre-song silence",
-        f"notch: {config.notch_hz} Hz zero-phase IIR",
-        f"rereference: common average over {n_channels} channels",
-    ]
-
     with _step("bad_channels"):
         mask = reject_bad_channels(data, config.rejection_zscore, fs)
-    for ch in sorted(mask.reasons):
-        log.append(
-            f"bad_channels: rejected channel {ch} ({', '.join(sorted(mask.reasons[ch]))})"
-        )
-    if not mask.reasons:
-        log.append("bad_channels: none rejected")
-
-    return PipelineResult(
-        batch=EpochBatch(session.subject_id, data, baseline_mean, song_id, epoch_index, fs),
-        channel_mask=mask,
-        log=tuple(log),
-    )
+    return EpochBatch(session.subject_id, data, baseline_mean, song_id, epoch_index, fs, mask)
 
 
 # Version 3 writes each subject's (E, C, S) batch as its own data_<subject>
@@ -454,25 +430,6 @@ class EpochsFile:
     sample_rate_hz: int
 
 
-@contextmanager
-def _open_member(
-    archive: zipfile.ZipFile, name: str, dtype: np.dtype, shape: tuple[int, ...]
-) -> Iterator[IO[bytes]]:
-    """The archive member name.npy open for writing, its .npy 1.0 header of
-    a C-ordered array of dtype and shape written; the block writes the
-    array's bytes."""
-    with archive.open(name + ".npy", "w", force_zip64=True) as fh:
-        np.lib.format.write_array_header_1_0(
-            fh,
-            {
-                "descr": np.lib.format.dtype_to_descr(dtype),
-                "fortran_order": False,
-                "shape": shape,
-            },
-        )
-        yield fh
-
-
 def _write_member(archive: zipfile.ZipFile, name: str, array) -> None:
     """One array as the archive member name.npy, byte for byte as np.savez
     writes a C-ordered array: the .npy 1.0 header, then the array's own
@@ -480,15 +437,23 @@ def _write_member(archive: zipfile.ZipFile, name: str, array) -> None:
     array = np.asarray(array)
     if not array.flags.c_contiguous:
         array = array.copy(order="C")
-    with _open_member(archive, name, array.dtype, array.shape) as fh:
+    with archive.open(name + ".npy", "w", force_zip64=True) as fh:
+        np.lib.format.write_array_header_1_0(
+            fh,
+            {
+                "descr": np.lib.format.dtype_to_descr(array.dtype),
+                "fortran_order": False,
+                "shape": array.shape,
+            },
+        )
         fh.write(array.reshape(-1).view(np.uint8))
 
 
 class EpochsWriter:
     """An epochs archive being written one subject at a time (see
-    write_epochs).  add writes a subject's batch at once; the caller fills in
-    masks and ratings, which are written with the small per-epoch arrays when
-    the archive is finished."""
+    write_epochs).  add writes a subject's batch at once and keeps its mask
+    and ratings, which are written with the small per-epoch arrays when the
+    archive is finished."""
 
     def __init__(self, archive: zipfile.ZipFile):
         self._archive = archive
@@ -496,49 +461,39 @@ class EpochsWriter:
         self._per_epoch: dict[str, list[np.ndarray]] = {
             name: [] for name in ("baseline_mean", "subject_id", "song_id", "epoch_index")
         }
-        self._subjects: list[int] = []
-        self.masks: dict[int, ChannelMask] = {}
-        self.ratings: dict[tuple[int, int], tuple[int, int]] = {}
+        self._masks: dict[int, ChannelMask] = {}
+        self._ratings: dict[tuple[int, int], tuple[int, int]] = {}
         self.n_epochs = 0
 
-    def add(self, batch: EpochBatch) -> None:
-        """Write one subject's epochs as float32; each subject may be added
-        once.  A float32 batch, as run_pipeline returns, is written from its
-        own buffer; any other is cast one epoch at a time, and every value
-        must be float32-exact."""
-        if batch.subject_id in self._subjects:
-            raise PipelineError(f"subject {batch.subject_id} was already added")
+    def add(self, batch: EpochBatch, ratings: Mapping[int, tuple[int, int]]) -> None:
+        """Write one subject: its float32 batch, from the batch's own buffer,
+        its channel mask and its ratings, song_id -> (enjoyment,
+        familiarity).  Each subject may be added once."""
+        sid = batch.subject_id
+        if sid in self._masks:
+            raise PipelineError(f"subject {sid} was already added")
+        if batch.data.dtype != _EPOCH_DTYPE:
+            raise PipelineError(
+                f"subject {sid} epochs are {batch.data.dtype}, not float32"
+            )
         layout = (batch.sample_rate_hz, *batch.data.shape[1:])
         if self._layout is None:
             self._layout = layout
         elif layout != self._layout:
             raise PipelineError(
-                f"epochs have mixed shapes: subject {batch.subject_id} has "
+                f"epochs have mixed shapes: subject {sid} has "
                 f"{layout[1:]} at {layout[0]} Hz, earlier subjects "
                 f"{self._layout[1:]} at {self._layout[0]} Hz"
             )
         if not len(batch.data):
-            raise PipelineError(f"subject {batch.subject_id} has no epochs to write")
-        with _open_member(
-            self._archive, f"data_{batch.subject_id}", _EPOCH_DTYPE, batch.data.shape
-        ) as fh:
-            if batch.data.dtype == _EPOCH_DTYPE:
-                fh.write(np.ascontiguousarray(batch.data).reshape(-1).view(np.uint8))
-            else:
-                cast = np.empty(batch.data.shape[1:], dtype=_EPOCH_DTYPE)
-                for i, epoch in enumerate(batch.data):
-                    cast[...] = epoch
-                    if not np.array_equal(cast, epoch):
-                        raise PipelineError(
-                            f"subject {batch.subject_id} epoch {i} holds values that "
-                            "float32 cannot store exactly"
-                        )
-                    fh.write(cast.reshape(-1).view(np.uint8))
-        self._subjects.append(batch.subject_id)
+            raise PipelineError(f"subject {sid} has no epochs to write")
+        _write_member(self._archive, f"data_{sid}", batch.data)
+        self._masks[sid] = batch.channel_mask
+        self._ratings.update({(sid, song): pair for song, pair in ratings.items()})
         n = batch.data.shape[0]
         self.n_epochs += n
         self._per_epoch["baseline_mean"].append(batch.baseline_mean)
-        self._per_epoch["subject_id"].append(np.full(n, batch.subject_id, dtype=np.int64))
+        self._per_epoch["subject_id"].append(np.full(n, sid, dtype=np.int64))
         self._per_epoch["song_id"].append(batch.song_id)
         self._per_epoch["epoch_index"].append(batch.epoch_index)
 
@@ -546,30 +501,25 @@ class EpochsWriter:
         if not self.n_epochs:
             raise PipelineError("refusing to save an empty epoch collection")
         sample_rate_hz, n_channels, _ = self._layout
-        subjects = sorted(self.masks)
-        if subjects != sorted(self._subjects):
-            raise PipelineError(
-                f"channel masks for subjects {subjects} but epochs for subjects "
-                f"{sorted(self._subjects)}"
-            )
+        subjects = sorted(self._masks)
         reason_flags = np.zeros(
             (len(subjects), n_channels, len(REJECTION_MEASURES)), dtype=bool
         )
         for i, sid in enumerate(subjects):
-            for ch, why in self.masks[sid].reasons.items():
+            for ch, why in self._masks[sid].reasons.items():
                 for j, measure in enumerate(REJECTION_MEASURES):
                     reason_flags[i, ch, j] = measure in why
-        rating_keys = sorted(self.ratings)
+        rating_keys = sorted(self._ratings)
         payload = {
             "format_version": np.asarray(EPOCHS_FORMAT_VERSION),
             "sample_rate_hz": np.asarray(sample_rate_hz),
             **{name: np.concatenate(parts) for name, parts in self._per_epoch.items()},
             "mask_subjects": np.asarray(subjects, dtype=np.int64),
-            "mask_good": np.stack([np.asarray(self.masks[s].good) for s in subjects]),
+            "mask_good": np.stack([self._masks[s].good for s in subjects]),
             "mask_reasons": reason_flags,
             "rating_keys": np.asarray(rating_keys, dtype=np.int64).reshape(-1, 2),
             "rating_values": np.asarray(
-                [self.ratings[k] for k in rating_keys], dtype=np.int64
+                [self._ratings[k] for k in rating_keys], dtype=np.int64
             ).reshape(-1, 2),
         }
         for name, array in payload.items():
@@ -592,26 +542,47 @@ def write_epochs(path) -> Iterator[EpochsWriter]:
 def save_epochs(path, epochs_file: EpochsFile):
     """Write pooled epochs as an epochs archive, one batch per subject in the
     order the subjects first appear.  Every epoch must share one channel
-    count and epoch length, and hold float32 values, as run_pipeline's do."""
+    count and epoch length, and hold float32 values, as run_pipeline's do;
+    the masks must be those of the subjects with epochs, and the ratings of
+    no other subject."""
     epochs = epochs_file.epochs
     shapes = {ep.data.shape for ep in epochs}
     if len(shapes) > 1:
         raise PipelineError(f"epochs have mixed shapes {sorted(shapes)}")
+    subjects = list(dict.fromkeys(ep.subject_id for ep in epochs))
+    with_epochs = sorted(subjects)
+    masked = sorted(epochs_file.masks)
+    rated = sorted({sid for sid, _ in epochs_file.ratings})
+    if masked != with_epochs:
+        raise PipelineError(
+            f"channel masks for subjects {masked} but epochs for subjects {with_epochs}"
+        )
+    if not set(rated) <= set(subjects):
+        raise PipelineError(f"ratings for subjects {rated} but epochs for subjects {with_epochs}")
     with write_epochs(path) as writer:
-        for sid in dict.fromkeys(ep.subject_id for ep in epochs):
+        for sid in subjects:
             group = [ep for ep in epochs if ep.subject_id == sid]
-            writer.add(
-                EpochBatch(
-                    sid,
-                    np.stack([ep.data for ep in group]),
-                    np.stack([ep.baseline_mean for ep in group]),
-                    np.asarray([ep.song_id for ep in group], dtype=np.int64),
-                    np.asarray([ep.epoch_index for ep in group], dtype=np.int64),
-                    epochs_file.sample_rate_hz,
-                )
+            data = np.empty((len(group), *group[0].data.shape), dtype=_EPOCH_DTYPE)
+            for i, ep in enumerate(group):
+                data[i] = ep.data
+                if not np.array_equal(data[i], ep.data):
+                    raise PipelineError(
+                        f"subject {sid} epoch {i} holds values that float32 cannot "
+                        "store exactly"
+                    )
+            batch = EpochBatch(
+                sid,
+                data,
+                np.stack([ep.baseline_mean for ep in group]),
+                np.asarray([ep.song_id for ep in group], dtype=np.int64),
+                np.asarray([ep.epoch_index for ep in group], dtype=np.int64),
+                epochs_file.sample_rate_hz,
+                epochs_file.masks[sid],
             )
-        writer.masks.update(epochs_file.masks)
-        writer.ratings.update(epochs_file.ratings)
+            writer.add(
+                batch,
+                {song: pair for (subject, song), pair in epochs_file.ratings.items() if subject == sid},
+            )
     return Path(path)
 
 

@@ -93,7 +93,7 @@ def tiny_pipeline(tiny_session):
 
 @pytest.fixture(scope="session")
 def tiny_epochs(tiny_pipeline):
-    return tiny_pipeline.epochs
+    return tuple(tiny_pipeline.epochs)
 
 
 @pytest.fixture()

@@ -14,11 +14,11 @@ import pytest
 from scipy import stats
 
 from eegsong.cli import main as cli_main
-from eegsong.core import ChannelMask, Epoch
+from eegsong.core import ChannelMask
 from eegsong.evaluation import evaluate, evaluate_ratings, split_dataset
 from eegsong.features import build_feature_matrix
 from eegsong.features.dfa import dfa
-from eegsong.features.wavelet import dwt_multilevel, idwt_multilevel
+from eegsong.features.wavelet import DB8_HIGHPASS, DB8_LOWPASS, dwt_multilevel
 from eegsong.models import MODEL_KINDS, ModelSpec, fit, fit_dataset
 from eegsong.models.neural import init_mlp, mlp_loss_and_grads
 from eegsong.preprocess import (
@@ -50,17 +50,9 @@ def build_corpus(n_subjects: int, class_separation: float, seed: int):
             session = generate_session(gen, subject_id)
             for song_id, pair in session.ratings.items():
                 ratings[(subject_id, song_id)] = pair
-            batch = run_pipeline(session, PreprocessConfig()).batch
+            batch = run_pipeline(session, PreprocessConfig())
             del session
-            for i in range(len(batch.data)):
-                yield Epoch(
-                    subject_id=subject_id,
-                    song_id=int(batch.song_id[i]),
-                    epoch_index=int(batch.epoch_index[i]),
-                    data=batch.data[i],
-                    baseline_mean=batch.baseline_mean[i],
-                    sample_rate_hz=batch.sample_rate_hz,
-                )
+            yield from batch.epochs
             del batch
 
     return build_feature_matrix(epochs(), ["spectopo"], ratings=ratings)
@@ -143,11 +135,25 @@ def test_criterion_04_dfa_exponents():
     verdict(4, ok, f"white alpha {w:.3f} (0.50±0.05), pink alpha {p:.3f} (1.00±0.10)")
 
 
+def _dwt_transpose(coeffs):
+    """The transpose of dwt_multilevel's analysis operator, from the
+    coarsest level down: its inverse when every level length is even."""
+    x = coeffs.approx
+    for detail in reversed(coeffs.details):
+        n = x.shape[-1] * 2
+        rebuilt = np.zeros(x.shape[:-1] + (n,))
+        idx = (2 * np.arange(n // 2)[:, None] + np.arange(16)[None, :]) % n
+        np.add.at(rebuilt, (..., idx), x[..., :, None] * DB8_LOWPASS)
+        np.add.at(rebuilt, (..., idx), detail[..., :, None] * DB8_HIGHPASS)
+        x = rebuilt
+    return x
+
+
 def test_criterion_05_wavelet_reconstruction():
     rng = np.random.default_rng(0)
     x = rng.standard_normal(2048)
     coeffs = dwt_multilevel(x, 5)
-    recon_err = np.linalg.norm(idwt_multilevel(coeffs) - x) / np.linalg.norm(x)
+    recon_err = np.linalg.norm(_dwt_transpose(coeffs) - x) / np.linalg.norm(x)
     coeff_energy = np.sum(coeffs.approx**2) + sum(np.sum(d**2) for d in coeffs.details)
     energy_err = abs(coeff_energy - np.sum(x**2)) / np.sum(x**2)
     flat = dwt_multilevel(np.full(1024, 3.7), 5)

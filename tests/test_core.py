@@ -9,6 +9,7 @@ from eegsong.core import (
     MARKER_KINDS,
     ChannelMask,
     Epoch,
+    EpochBatch,
     atomic_write,
     sorted_unique,
 )
@@ -99,6 +100,16 @@ class TestEpoch:
         assert (e2.subject_id, e2.song_id, e2.epoch_index) == (2, 5, 3)
         assert np.all(e2.data == 7.0)
         assert e2.baseline_mean is e.baseline_mean
+
+
+class TestEpochBatch:
+    def test_mask_of_another_width_is_refused(self):
+        fs = 250
+        with pytest.raises(ValueError, match="channel_mask covers 3 channels, data has 4"):
+            EpochBatch(
+                1, np.zeros((2, 4, fs * 10), dtype=np.float32), np.zeros((2, 4)),
+                np.zeros(2, dtype=np.int64), np.arange(2), fs, ChannelMask.all_good(3),
+            )
 
 
 class TestChannelMask:

@@ -137,12 +137,12 @@ class TestNotch:
         # block, in one call each, the notch in tiles of samples that do not
         # divide the 2,500-sample epochs
         config = PreprocessConfig()
-        batched = run_pipeline(tiny_session, config).epochs
+        batch = run_pipeline(tiny_session, config)
         epochs = capture_music_epochs(tiny_session, config.epoch_seconds)
-        assert len(epochs) == len(batched) == 8
+        assert len(epochs) == len(batch.data) == 8
         assert epochs[0].data.shape[-1] % dsp._TILE != 0
         all_good = ChannelMask.all_good(tiny_session.n_channels)
-        for got, ep in zip(batched, epochs):
+        for got, ep in zip(batch.epochs, epochs):
             expected = average_rereference(notch_filter(baseline_correct(ep).data, FS), all_good)
             # run_pipeline rounds each block into its float32 batch
             assert np.array_equal(got.data, expected.astype(np.float32))

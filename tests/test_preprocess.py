@@ -373,7 +373,7 @@ class TestRejectBadChannels:
 class TestRunPipeline:
     def test_every_captured_epoch_is_kept(self, tiny_pipeline, tiny_config):
         per_song = tiny_config.song_seconds // 10
-        assert len(tiny_pipeline.epochs) == tiny_config.n_songs * per_song
+        assert len(tiny_pipeline.data) == tiny_config.n_songs * per_song
 
     def test_planted_bad_channel_flagged_at_default_scale(self):
         cfg = GeneratorConfig(
@@ -439,29 +439,22 @@ class TestRunPipeline:
         data = average_rereference(data, ChannelMask.all_good(session.n_channels))
         expected_mask = reject_bad_channels(data, config.rejection_zscore, fs)
         result = run_pipeline(session, config)
-        assert np.array_equal(result.batch.data, data.astype(np.float32))
-        assert np.array_equal(result.batch.baseline_mean, baseline_mean)
-        assert np.array_equal(result.batch.song_id, song_id)
-        assert np.array_equal(result.batch.epoch_index, epoch_index)
+        assert np.array_equal(result.data, data.astype(np.float32))
+        assert np.array_equal(result.baseline_mean, baseline_mean)
+        assert np.array_equal(result.song_id, song_id)
+        assert np.array_equal(result.epoch_index, epoch_index)
         assert np.array_equal(result.channel_mask.good, expected_mask.good)
         assert result.channel_mask.reasons == expected_mask.reasons
 
     def test_batch_holds_float32_values(self, tiny_pipeline):
-        assert tiny_pipeline.batch.data.dtype == np.float32
-
-    def test_log_records_each_step(self, tiny_pipeline):
-        # one or more lines per step, in the fixed order
-        steps = [line.split(":")[0] for line in tiny_pipeline.log]
-        assert list(dict.fromkeys(steps)) == [
-            "capture", "baseline", "notch", "rereference", "bad_channels"
-        ]
+        assert tiny_pipeline.data.dtype == np.float32
 
 
 class TestEpochsFile:
     def make_file(self, pipeline, session):
         ratings = {(session.subject_id, s): r for s, r in session.ratings.items()}
         return EpochsFile(
-            epochs=pipeline.epochs,
+            epochs=tuple(pipeline.epochs),
             masks={session.subject_id: pipeline.channel_mask},
             ratings=ratings,
             sample_rate_hz=session.sample_rate_hz,
@@ -586,7 +579,7 @@ class TestEpochsFile:
         save_epochs(
             path,
             EpochsFile(
-                epochs=tiny_pipeline.epochs + second.epochs,
+                epochs=(*tiny_pipeline.epochs, *second.epochs),
                 masks={1: tiny_pipeline.channel_mask, 2: second.channel_mask},
                 ratings=ratings,
                 sample_rate_hz=FS,
@@ -612,50 +605,67 @@ class TestEpochsFile:
     def test_writer_refuses_masks_of_a_subject_without_epochs(
         self, tiny_pipeline, tiny_session, tmp_path
     ):
-        """save_epochs cannot write an archive that load_epochs would refuse."""
+        """save_epochs cannot write an archive that load_epochs would refuse,
+        nor one with ratings of a subject without epochs."""
         sid = tiny_session.subject_id
-        ef = dataclasses.replace(
-            self.make_file(tiny_pipeline, tiny_session),
-            masks={sid: tiny_pipeline.channel_mask, sid + 1: tiny_pipeline.channel_mask},
-        )
+        ef = self.make_file(tiny_pipeline, tiny_session)
+        orphans = [
+            (
+                dataclasses.replace(ef, masks={**ef.masks, sid + 1: tiny_pipeline.channel_mask}),
+                f"channel masks for subjects [{sid}, {sid + 1}] but epochs for subjects [{sid}]",
+            ),
+            (
+                dataclasses.replace(ef, ratings={**ef.ratings, (sid + 1, 1): (3, 3)}),
+                f"ratings for subjects [{sid}, {sid + 1}] but epochs for subjects [{sid}]",
+            ),
+        ]
         path = tmp_path / "epochs.npz"
-        message = f"channel masks for subjects [{sid}, {sid + 1}] but epochs for subjects [{sid}]"
-        with pytest.raises(PipelineError, match=re.escape(message)):
-            save_epochs(path, ef)
-        assert not path.exists()
+        for orphan, message in orphans:
+            with pytest.raises(PipelineError, match=re.escape(message)):
+                save_epochs(path, orphan)
+            assert not path.exists()
 
     def test_writer_refuses_a_subject_added_twice(self, tiny_pipeline, tiny_session, tmp_path):
         path = tmp_path / "epochs.npz"
         sid = tiny_session.subject_id
         with pytest.raises(PipelineError, match=f"subject {sid} was already added"):
             with write_epochs(path) as writer:
-                writer.add(tiny_pipeline.batch)
-                writer.masks[sid] = tiny_pipeline.channel_mask
-                writer.add(tiny_pipeline.batch)
+                writer.add(tiny_pipeline, tiny_session.ratings)
+                writer.add(tiny_pipeline, tiny_session.ratings)
         assert not path.exists()
 
     def test_writer_refuses_an_empty_batch(self, tmp_path):
         path = tmp_path / "epochs.npz"
         empty = EpochBatch(
-            3, np.zeros((0, 8, 2500)), np.zeros((0, 8)),
+            3, np.zeros((0, 8, 2500), dtype=np.float32), np.zeros((0, 8)),
             np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), FS,
+            ChannelMask.all_good(8),
         )
         with pytest.raises(PipelineError, match="subject 3 has no epochs to write"):
             with write_epochs(path) as writer:
-                writer.add(empty)
+                writer.add(empty, {})
         assert not path.exists()
 
-    def test_writer_refuses_a_value_float32_cannot_hold(self, tiny_pipeline, tmp_path):
-        batch = tiny_pipeline.batch
-        data = batch.data.astype(np.float64)
-        # one float64 step off a float32 value
-        data[1, 2, 3] = np.nextafter(data[1, 2, 3], np.inf)
+    def test_writer_refuses_a_float64_batch(self, tiny_pipeline, tiny_session, tmp_path):
+        batch = dataclasses.replace(tiny_pipeline, data=tiny_pipeline.data.astype(np.float64))
         path = tmp_path / "epochs.npz"
-        message = f"subject {batch.subject_id} epoch 1 holds values that float32 cannot store exactly"
+        message = f"subject {batch.subject_id} epochs are float64, not float32"
         with pytest.raises(PipelineError, match=message):
             with write_epochs(path) as writer:
-                writer.add(dataclasses.replace(batch, data=data))
-                writer.masks[batch.subject_id] = tiny_pipeline.channel_mask
+                writer.add(batch, tiny_session.ratings)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_writer_refuses_a_value_float32_cannot_hold(self, tiny_pipeline, tiny_session, tmp_path):
+        ef = self.make_file(tiny_pipeline, tiny_session)
+        epochs = list(ef.epochs)
+        data = epochs[1].data.copy()
+        # one float64 step off a float32 value
+        data[2, 3] = np.nextafter(data[2, 3], np.inf)
+        epochs[1] = epochs[1].with_data(data)
+        path = tmp_path / "epochs.npz"
+        message = f"subject {tiny_session.subject_id} epoch 1 holds values that float32 cannot store exactly"
+        with pytest.raises(PipelineError, match=message):
+            save_epochs(path, dataclasses.replace(ef, epochs=tuple(epochs)))
         assert list(tmp_path.iterdir()) == []
 
     def test_data_members_are_little_endian_float32(self, two_subject_file, tiny_config):

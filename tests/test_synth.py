@@ -509,11 +509,10 @@ class TestSessionReader:
             from_file = run_pipeline(reader, PreprocessConfig())
         for from_memory in (run_pipeline(back, PreprocessConfig()), run_pipeline(generated, PreprocessConfig())):
             for name in ("data", "baseline_mean", "song_id", "epoch_index"):
-                assert np.array_equal(getattr(from_file.batch, name), getattr(from_memory.batch, name)), name
-            assert from_file.batch.subject_id == from_memory.batch.subject_id
+                assert np.array_equal(getattr(from_file, name), getattr(from_memory, name)), name
+            assert from_file.subject_id == from_memory.subject_id
             assert np.array_equal(from_file.channel_mask.good, from_memory.channel_mask.good)
             assert from_file.channel_mask.reasons == from_memory.channel_mask.reasons
-            assert from_file.log == from_memory.log
 
     def test_reads_what_read_session_reads(self, tiny_session, tmp_path):
         manifest = write_session(tiny_session, tmp_path)
