@@ -21,10 +21,12 @@ once.  bad_channels then reads the float32 batch.  Capture takes its rows from
 an in-memory session or from an open synth.SessionReader, which reads each
 song's channel rows from disk into one reused buffer; a subject read that way
 costs the batch, one block and a few row-sized buffers, and no session-sized
-array.  EpochsWriter.add writes a whole subject to the epochs archive: the
-batch as one float32 member, from the batch's own buffer, with its mask and
-the subject's ratings; EpochsReader reads the batch back one epoch at a time
-into a float64 Epoch.
+array.  EpochsWriter.add writes a whole subject to the epochs archive as one
+record of its own members: the batch as one float32 member, from the batch's
+own buffer, each epoch's baseline offset and labels, the channel mask and the
+subject's ratings.  Nothing in the archive is pooled across subjects but the
+list of them, so a reader joins no index to another; EpochsReader reads each
+batch back one epoch at a time into a float64 Epoch.
 
 The mains filter is a zero-phase second-order IIR notch, not a sliding-window
 sinusoid regression; same intent (kill the 50 Hz line), far simpler, and its
@@ -385,6 +387,8 @@ def run_pipeline(
         songs = _songs(session, epoch_len)
     song_id, epoch_index = _epoch_labels(songs, epoch_len)
     n_channels = session.n_channels
+    with _step("rereference"):
+        good = _reference_channels(n_channels, ChannelMask.all_good(n_channels))
     data = np.empty((len(song_id), n_channels, epoch_len), dtype=np.float32)
     baseline_mean = np.empty(data.shape[:2])
     at = 0
@@ -394,10 +398,7 @@ def run_pipeline(
         _capture_into(session, block, scratch, offsets)
         _subtract_baseline(scratch, offsets)
         _notch(scratch, fs, config.notch_hz, config.notch_bandwidth_hz)
-        with _step("rereference"):
-            _rereference(
-                scratch, _reference_channels(n_channels, ChannelMask.all_good(n_channels))
-            )
+        _rereference(scratch, good)
         data[at : at + n] = scratch
         # freed before the next block's scratch is made
         del scratch
@@ -409,20 +410,19 @@ def run_pipeline(
 
 # Version 3 writes each subject's (E, C, S) batch as its own data_<subject>
 # member, as soon as that subject is preprocessed; version 4 stores those
-# members as little-endian float32.
-EPOCHS_FORMAT_VERSION = 4
+# members as little-endian float32; version 5 stores everything of a subject
+# in that subject's own members (_RECORD), written with its batch.
+EPOCHS_FORMAT_VERSION = 5
 _EPOCH_DTYPE = np.dtype("<f4")
-_EPOCHS_ARRAYS = (
-    "sample_rate_hz", "baseline_mean", "subject_id",
-    "song_id", "epoch_index", "mask_subjects", "mask_good", "mask_reasons",
-    "rating_keys", "rating_values",
-)
+# the members of one subject's record, each stored as <name>_<subject>
+_RECORD = ("data", "baseline_mean", "labels", "mask", "ratings")
 
 
 @dataclass(frozen=True)
 class EpochsFile:
-    """Pooled preprocessed epochs from one or more subjects, as stored on disk:
-    each epoch's data and its (C,) baseline offset, not the baseline window."""
+    """Preprocessed epochs of one or more subjects pooled in memory, with
+    their masks and ratings: each epoch's data and its (C,) baseline offset,
+    not the baseline window.  The archive stores each subject apart."""
 
     epochs: tuple[Epoch, ...]
     masks: dict[int, ChannelMask]
@@ -451,26 +451,23 @@ def _write_member(archive: zipfile.ZipFile, name: str, array) -> None:
 
 class EpochsWriter:
     """An epochs archive being written one subject at a time (see
-    write_epochs).  add writes a subject's batch at once and keeps its mask
-    and ratings, which are written with the small per-epoch arrays when the
-    archive is finished."""
+    write_epochs).  add writes a subject's whole record at once; finishing
+    the archive writes only the format version, the sample rate and the
+    list of subjects."""
 
     def __init__(self, archive: zipfile.ZipFile):
         self._archive = archive
         self._layout: tuple[int, ...] | None = None
-        self._per_epoch: dict[str, list[np.ndarray]] = {
-            name: [] for name in ("baseline_mean", "subject_id", "song_id", "epoch_index")
-        }
-        self._masks: dict[int, ChannelMask] = {}
-        self._ratings: dict[tuple[int, int], tuple[int, int]] = {}
+        self._subjects: list[int] = []
         self.n_epochs = 0
 
     def add(self, batch: EpochBatch, ratings: Mapping[int, tuple[int, int]]) -> None:
-        """Write one subject: its float32 batch, from the batch's own buffer,
-        its channel mask and its ratings, song_id -> (enjoyment,
-        familiarity).  Each subject may be added once."""
+        """Write one subject's record: its float32 batch, from the batch's
+        own buffer, each epoch's baseline offset, song id and index, its
+        channel mask and its ratings, song_id -> (enjoyment, familiarity).
+        Each subject may be added once."""
         sid = batch.subject_id
-        if sid in self._masks:
+        if sid in self._subjects:
             raise PipelineError(f"subject {sid} was already added")
         if batch.data.dtype != _EPOCH_DTYPE:
             raise PipelineError(
@@ -487,50 +484,45 @@ class EpochsWriter:
             )
         if not len(batch.data):
             raise PipelineError(f"subject {sid} has no epochs to write")
-        _write_member(self._archive, f"data_{sid}", batch.data)
-        self._masks[sid] = batch.channel_mask
-        self._ratings.update({(sid, song): pair for song, pair in ratings.items()})
-        n = batch.data.shape[0]
-        self.n_epochs += n
-        self._per_epoch["baseline_mean"].append(batch.baseline_mean)
-        self._per_epoch["subject_id"].append(np.full(n, sid, dtype=np.int64))
-        self._per_epoch["song_id"].append(batch.song_id)
-        self._per_epoch["epoch_index"].append(batch.epoch_index)
+        mask = batch.channel_mask
+        # each channel's good flag, then whether each REJECTION_MEASURES tripped
+        flags = np.zeros((mask.n_channels, 1 + len(REJECTION_MEASURES)), dtype=bool)
+        flags[:, 0] = mask.good
+        for ch, why in mask.reasons.items():
+            flags[ch, 1:] = [measure in why for measure in REJECTION_MEASURES]
+        record = {
+            "data": batch.data,
+            "baseline_mean": batch.baseline_mean,
+            "labels": np.stack([batch.song_id, batch.epoch_index], axis=1),
+            "mask": flags,
+            "ratings": np.asarray(
+                [(song, *pair) for song, pair in sorted(ratings.items())], dtype=np.int64
+            ).reshape(-1, 3),
+        }
+        for name in _RECORD:
+            _write_member(self._archive, f"{name}_{sid}", record[name])
+        self._subjects.append(sid)
+        self.n_epochs += len(batch.data)
 
     def _finish(self) -> None:
-        if not self.n_epochs:
+        if not self._subjects:
             raise PipelineError("refusing to save an empty epoch collection")
-        sample_rate_hz, n_channels, _ = self._layout
-        subjects = sorted(self._masks)
-        reason_flags = np.zeros(
-            (len(subjects), n_channels, len(REJECTION_MEASURES)), dtype=bool
-        )
-        for i, sid in enumerate(subjects):
-            for ch, why in self._masks[sid].reasons.items():
-                for j, measure in enumerate(REJECTION_MEASURES):
-                    reason_flags[i, ch, j] = measure in why
-        rating_keys = sorted(self._ratings)
-        payload = {
-            "format_version": np.asarray(EPOCHS_FORMAT_VERSION),
-            "sample_rate_hz": np.asarray(sample_rate_hz),
-            **{name: np.concatenate(parts) for name, parts in self._per_epoch.items()},
-            "mask_subjects": np.asarray(subjects, dtype=np.int64),
-            "mask_good": np.stack([self._masks[s].good for s in subjects]),
-            "mask_reasons": reason_flags,
-            "rating_keys": np.asarray(rating_keys, dtype=np.int64).reshape(-1, 2),
-            "rating_values": np.asarray(
-                [self._ratings[k] for k in rating_keys], dtype=np.int64
-            ).reshape(-1, 2),
-        }
-        for name, array in payload.items():
-            _write_member(self._archive, name, array)
+        _write_member(self._archive, "format_version", EPOCHS_FORMAT_VERSION)
+        _write_member(self._archive, "sample_rate_hz", self._layout[0])
+        _write_member(self._archive, "subjects", np.asarray(self._subjects, dtype=np.int64))
 
 
 @contextmanager
 def write_epochs(path) -> Iterator[EpochsWriter]:
-    """An EpochsWriter onto the epochs archive at path (format 4).  The
-    archive goes to a temporary file that replaces path when the block
-    completes; if the block or the final write raises, path is untouched."""
+    """An EpochsWriter onto the epochs archive at path (format 5): one record
+    per subject, as data_<subject> (E, C, S) <f4, baseline_mean_<subject>
+    (E, C), labels_<subject> (E, 2) of song id and epoch index, mask_<subject>
+    (C, 1 + 3) of the good flag and each REJECTION_MEASURES flag, and
+    ratings_<subject> (R, 3) of song, enjoyment and familiarity; then
+    format_version, sample_rate_hz and subjects, in the order they were
+    added.  The archive goes to a temporary file that replaces path when the
+    block completes; if the block or the final write raises, path is
+    untouched."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_write(path) as tmp, zipfile.ZipFile(tmp, "w", allowZip64=True) as archive:
@@ -587,13 +579,15 @@ def save_epochs(path, epochs_file: EpochsFile):
 
 
 class EpochsReader:
-    """An epochs archive open for reading one epoch at a time; the masks,
-    ratings and per-epoch arrays are read on opening.  Close it, or
-    use it as a context manager."""
+    """An epochs archive open for reading one epoch at a time; the masks and
+    ratings are read on opening, each subject's baseline offsets and labels
+    when its epochs are reached.  The archive must list each subject once and
+    hold every member of each listed subject's record.  Close it, or use it
+    as a context manager."""
 
     def __init__(self, path):
         self._archive = read_archive(
-            path, "epochs", EPOCHS_FORMAT_VERSION, _EPOCHS_ARRAYS, PipelineError
+            path, "epochs", EPOCHS_FORMAT_VERSION, ("sample_rate_hz", "subjects"), PipelineError
         )
         try:
             self._read_header()
@@ -601,50 +595,47 @@ class EpochsReader:
             self.close()
             raise
 
+    def _rows(self, name: str, width: int) -> np.ndarray:
+        """The member name, checked to be a 2-D array of width columns."""
+        array = self._archive[name]
+        if array.ndim != 2 or array.shape[1] != width:
+            raise PipelineError(
+                f"{self._archive.path}: {name} has shape {array.shape}, not (rows, {width})"
+            )
+        return array
+
     def _read_header(self) -> None:
         archive = self._archive
         self.sample_rate_hz = int(archive["sample_rate_hz"])
-        self._per_epoch = {
-            name: archive[name]
-            for name in ("baseline_mean", "subject_id", "song_id", "epoch_index")
-        }
-        self._subjects = tuple(dict.fromkeys(self._per_epoch["subject_id"].tolist()))
-        archive.require(f"data_{sid}" for sid in self._subjects)
-        mask_subjects = archive["mask_subjects"]
-        masked, with_epochs = sorted(mask_subjects.tolist()), sorted(self._subjects)
-        if masked != with_epochs:
-            raise PipelineError(
-                f"{archive.path}: channel masks for subjects {masked} but epochs "
-                f"for subjects {with_epochs}"
-            )
-        mask_good, mask_reasons = archive["mask_good"], archive["mask_reasons"]
-        self.masks = {}
-        for sid, good, flags in zip(mask_subjects, mask_good, mask_reasons):
-            reasons = {}
-            for ch in range(flags.shape[0]):
-                tripped = frozenset(
-                    REJECTION_MEASURES[j]
-                    for j in range(len(REJECTION_MEASURES))
-                    if flags[ch, j]
-                )
-                if tripped:
-                    reasons[ch] = tripped
-            self.masks[int(sid)] = ChannelMask(good=good, reasons=reasons)
-        self.ratings = {
-            (int(k[0]), int(k[1])): (int(v[0]), int(v[1]))
-            for k, v in zip(archive["rating_keys"], archive["rating_values"])
-        }
+        self._subjects = archive["subjects"].reshape(-1).tolist()
+        repeated = sorted({sid for sid in self._subjects if self._subjects.count(sid) > 1})
+        if repeated:
+            raise PipelineError(f"{archive.path}: subjects lists subjects {repeated} more than once")
+        archive.require(f"{name}_{sid}" for sid in self._subjects for name in _RECORD)
+        self.masks, self.ratings = {}, {}
+        for sid in self._subjects:
+            flags = self._rows(f"mask_{sid}", 1 + len(REJECTION_MEASURES))
+            reasons = {
+                ch: frozenset(m for m, tripped in zip(REJECTION_MEASURES, row[1:]) if tripped)
+                for ch, row in enumerate(flags)
+                if row[1:].any()
+            }
+            self.masks[sid] = ChannelMask(good=flags[:, 0], reasons=reasons)
+            for song, enjoyment, familiarity in self._rows(f"ratings_{sid}", 3).tolist():
+                self.ratings[sid, song] = (enjoyment, familiarity)
 
     def _stream(self, subject_id: int) -> Iterator[Epoch]:
         """One subject's epochs, each read from its data_<subject> member
         into one reused float32 epoch as it is reached, which Epoch copies to
         float64.  The member's .npy header must be the version 1.0 one that
         EpochsWriter writes, of a C-ordered little-endian float32 (epochs,
-        channels, samples) array that matches the per-epoch arrays; the
-        member is read to its end, so zipfile checks its CRC."""
+        channels, samples) array whose epochs and channels are those of the
+        subject's labels, mask and baseline offsets; the member is read to its
+        end, so zipfile checks its CRC."""
         path, name = self._archive.path, f"data_{subject_id}"
-        rows = np.flatnonzero(self._per_epoch["subject_id"] == subject_id)
-        n_channels = self._per_epoch["baseline_mean"].shape[1]
+        baseline_mean = self._archive[f"baseline_mean_{subject_id}"]
+        labels = self._rows(f"labels_{subject_id}", 2)
+        expected = (len(labels), self.masks[subject_id].n_channels)
         with self._archive.stream(name) as fh:
             version = np.lib.format.read_magic(fh)
             if version != (1, 0):
@@ -655,21 +646,22 @@ class EpochsReader:
                     f"{path}: {name} holds {dtype} in "
                     f"{'Fortran' if fortran_order else 'C'} order, not C-ordered <f4"
                 )
-            if len(shape) != 3 or shape[:2] != (rows.size, n_channels):
+            if len(shape) != 3 or shape[:2] != expected or baseline_mean.shape != expected:
                 raise PipelineError(
-                    f"{path}: {name} has shape {shape}, the per-epoch arrays "
-                    f"({rows.size}, {n_channels}, samples)"
+                    f"{path}: {name} has shape {shape} and baseline_mean_{subject_id} "
+                    f"{baseline_mean.shape}, where labels_{subject_id} and "
+                    f"mask_{subject_id} give (epochs, channels) {expected}"
                 )
             data = np.empty(shape[1:], dtype=_EPOCH_DTYPE)
-            for i in rows:
+            for (song_id, epoch_index), offsets in zip(labels.tolist(), baseline_mean):
                 if fh.readinto(memoryview(data.view(np.uint8))) != data.nbytes:
                     raise PipelineError(f"{path}: {name} ends inside its epochs")
                 yield Epoch(
                     subject_id=subject_id,
-                    song_id=int(self._per_epoch["song_id"][i]),
-                    epoch_index=int(self._per_epoch["epoch_index"][i]),
+                    song_id=song_id,
+                    epoch_index=epoch_index,
                     data=data,
-                    baseline_mean=self._per_epoch["baseline_mean"][i],
+                    baseline_mean=offsets,
                     sample_rate_hz=self.sample_rate_hz,
                 )
             if fh.read(1):

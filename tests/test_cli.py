@@ -235,9 +235,9 @@ class TestSessionIngest:
         assert main(["generate", "--config", str(cfg_path), "--subjects", "3", "--out", str(out)]) == 0
         assert main(["pipeline", "--config", str(cfg_path), "--subjects", "2", "--out", str(out)]) == 0
         assert "from 2 subjects" in capsys.readouterr().out
-        with np.load(out / "epochs.npz") as archive:
-            assert sorted(set(archive["subject_id"].tolist())) == [1, 2]
-            assert archive["mask_subjects"].tolist() == [1, 2]
+        with EpochsReader(out / "epochs.npz") as reader:
+            assert sorted({ep.subject_id for ep in reader.epochs()}) == [1, 2]
+            assert list(reader.masks) == [1, 2]
 
     @pytest.mark.parametrize(
         "flags, was, now",
@@ -323,8 +323,8 @@ class TestSessionIngest:
         code = main(["pipeline", "--config", str(cfg_path), "--epoch-seconds", "20", "--out", str(out)])
         assert code == 0
         capsys.readouterr()
-        with np.load(out / "epochs.npz") as archive:
-            songs = archive["subject_id"] * 100 + archive["song_id"]
+        with EpochsReader(out / "epochs.npz") as reader:
+            songs = [ep.subject_id * 100 + ep.song_id for ep in reader.epochs()]
         _, per_song = np.unique(songs, return_counts=True)
         assert per_song.tolist() == [3] * gen["n_subjects"] * gen["n_songs"]
 
@@ -554,6 +554,25 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert f"{model_path}: model archive has no param_value array" in err
+
+    def test_epochs_at_odds_with_their_data_member_are_refused_by_features(
+        self, workspace, tmp_path, capsys
+    ):
+        """An epochs archive whose per-epoch labels are one row short of the
+        subject's data member is refused by path, not read past its end."""
+        _, cfg_path, run = workspace
+        with np.load(run / "epochs.npz") as archive:
+            payload = dict(archive)
+        payload["labels_1"] = payload["labels_1"][:-1]
+        out = tmp_path / "run"
+        out.mkdir()
+        path = out / "epochs.npz"
+        np.savez(path, **payload)
+        assert main(["features", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{path}: data_1 has shape" in err
+        assert not (out / "dataset.csv").exists()
 
     def test_nonfinite_dataset_value_is_refused_by_split(self, workspace, tmp_path, capsys):
         _, cfg_path, run = workspace

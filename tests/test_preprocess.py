@@ -461,7 +461,19 @@ class TestEpochsFile:
         )
 
     def test_round_trip(self, tiny_pipeline, tiny_session, tmp_path):
-        ef = self.make_file(tiny_pipeline, tiny_session)
+        # rejected channels with one, two and every reason, which the TINY
+        # subject's own mask does not have
+        good = np.ones(tiny_session.n_channels, dtype=bool)
+        good[[0, 3, 7]] = False
+        reasons = {
+            0: frozenset({"kurtosis"}),
+            3: frozenset({"probability", "spectrum"}),
+            7: frozenset(REJECTION_MEASURES),
+        }
+        ef = dataclasses.replace(
+            self.make_file(tiny_pipeline, tiny_session),
+            masks={tiny_session.subject_id: ChannelMask(good=good, reasons=reasons)},
+        )
         path = tmp_path / "epochs.npz"
         save_epochs(path, ef)
         back = load_epochs(path)
@@ -492,10 +504,11 @@ class TestEpochsFile:
         save_epochs(path, self.make_file(tiny_pipeline, tiny_session))
         with np.load(path) as archive:
             payload = dict(archive)
+        sid = tiny_session.subject_id
         payload["format_version"] = np.asarray(1)
-        payload["data"] = payload.pop(f"data_{tiny_session.subject_id}")
+        payload["data"] = payload.pop(f"data_{sid}")
         payload["baseline"] = np.zeros(payload["data"].shape[:2] + (10 * FS,))
-        del payload["baseline_mean"]
+        del payload[f"baseline_mean_{sid}"]
         np.savez(path, **payload)
         with pytest.raises(PipelineError, match="unsupported epochs format version 1"):
             load_epochs(path)
@@ -526,6 +539,24 @@ class TestEpochsFile:
         with pytest.raises(PipelineError, match="unsupported epochs format version 3"):
             load_epochs(path)
 
+    def test_refuses_version_4(self, tiny_pipeline, tiny_session, tmp_path):
+        """A version-4 file (per-epoch arrays, masks and ratings pooled across
+        subjects beside the data members) is not read."""
+        path = tmp_path / "epochs.npz"
+        save_epochs(path, self.make_file(tiny_pipeline, tiny_session))
+        sid = tiny_session.subject_id
+        with np.load(path) as archive:
+            payload = dict(archive)
+        labels = payload.pop(f"labels_{sid}")
+        payload["format_version"] = np.asarray(4)
+        payload["subject_id"] = np.full(len(labels), sid)
+        payload["song_id"], payload["epoch_index"] = labels.T
+        payload["baseline_mean"] = payload.pop(f"baseline_mean_{sid}")
+        payload["mask_subjects"] = payload.pop("subjects")
+        np.savez(path, **payload)
+        with pytest.raises(PipelineError, match="unsupported epochs format version 4"):
+            load_epochs(path)
+
     def test_refuses_truncated_archive_by_path(self, tiny_pipeline, tiny_session, tmp_path):
         path = tmp_path / "epochs.npz"
         save_epochs(path, self.make_file(tiny_pipeline, tiny_session))
@@ -538,9 +569,42 @@ class TestEpochsFile:
         save_epochs(path, self.make_file(tiny_pipeline, tiny_session))
         with np.load(path) as archive:
             payload = dict(archive)
-        del payload["mask_good"]
+        del payload["subjects"]
         np.savez(path, **payload)
-        with pytest.raises(PipelineError, match=re.escape(f"{path}: epochs archive has no mask_good array")):
+        with pytest.raises(PipelineError, match=re.escape(f"{path}: epochs archive has no subjects array")):
+            load_epochs(path)
+
+    @pytest.mark.parametrize("member", ["data", "baseline_mean", "labels", "mask", "ratings"])
+    def test_refuses_a_subject_missing_a_member_by_path(self, two_subject_file, member):
+        path = two_subject_file
+        with np.load(path) as archive:
+            payload = dict(archive)
+        del payload[f"{member}_2"]
+        np.savez(path, **payload)
+        with pytest.raises(PipelineError, match=re.escape(f"{path}: epochs archive has no {member}_2 array")):
+            load_epochs(path)
+
+    def test_refuses_a_subject_listed_twice(self, two_subject_file):
+        path = two_subject_file
+        with np.load(path) as archive:
+            payload = dict(archive)
+        payload["subjects"] = np.asarray([2, 1, 2])
+        np.savez(path, **payload)
+        with pytest.raises(PipelineError, match=re.escape(f"{path}: subjects lists subjects [2] more than once")):
+            load_epochs(path)
+
+    @pytest.mark.parametrize(
+        "member, keep",
+        [("mask_1", lambda flags: flags[:, 0]), ("ratings_2", lambda rows: rows[:, :2])],
+        ids=["mask", "ratings"],
+    )
+    def test_refuses_a_mask_or_ratings_member_of_another_width(self, two_subject_file, member, keep):
+        path = two_subject_file
+        with np.load(path) as archive:
+            payload = dict(archive)
+        payload[member] = keep(payload[member])
+        np.savez(path, **payload)
+        with pytest.raises(PipelineError, match=re.escape(f"{path}: {member} has shape")):
             load_epochs(path)
 
     @pytest.mark.parametrize(
@@ -586,21 +650,6 @@ class TestEpochsFile:
             ),
         )
         return path
-
-    def test_refuses_masks_of_a_subject_without_epochs(self, two_subject_file):
-        """An archive in which subject 2 has a mask and ratings but no epochs
-        is partial and refused, naming the path and the subjects."""
-        path = two_subject_file
-        with np.load(path) as archive:
-            payload = dict(archive)
-        del payload["data_2"]
-        keep = payload["subject_id"] == 1
-        for name in ("baseline_mean", "subject_id", "song_id", "epoch_index"):
-            payload[name] = payload[name][keep]
-        np.savez(path, **payload)
-        message = f"{path}: channel masks for subjects [1, 2] but epochs for subjects [1]"
-        with pytest.raises(PipelineError, match=re.escape(message)):
-            load_epochs(path)
 
     def test_writer_refuses_masks_of_a_subject_without_epochs(
         self, tiny_pipeline, tiny_session, tmp_path
@@ -688,17 +737,20 @@ class TestEpochsFile:
         with EpochsReader(two_subject_file) as reader:
             streamed = list(reader.epochs())
         with np.load(two_subject_file) as archive:
-            members = {sid: archive[f"data_{sid}"] for sid in (1, 2)}
-            per_epoch = {name: archive[name] for name in ("subject_id", "song_id", "epoch_index", "baseline_mean")}
-        assert [ep.subject_id for ep in streamed] == per_epoch["subject_id"].tolist()
-        assert [ep.song_id for ep in streamed] == per_epoch["song_id"].tolist()
-        assert [ep.epoch_index for ep in streamed] == per_epoch["epoch_index"].tolist()
+            assert archive["subjects"].tolist() == [1, 2]
+            records = {
+                sid: {name: archive[f"{name}_{sid}"] for name in ("data", "baseline_mean", "labels")}
+                for sid in (1, 2)
+            }
+        assert [ep.subject_id for ep in streamed] == [sid for sid in (1, 2) for _ in records[sid]["data"]]
         at = {1: 0, 2: 0}
-        for i, ep in enumerate(streamed):
-            assert np.array_equal(ep.data, members[ep.subject_id][at[ep.subject_id]])
-            assert np.array_equal(ep.baseline_mean, per_epoch["baseline_mean"][i])
+        for ep in streamed:
+            record, i = records[ep.subject_id], at[ep.subject_id]
+            assert np.array_equal(ep.data, record["data"][i])
+            assert np.array_equal(ep.baseline_mean, record["baseline_mean"][i])
+            assert [ep.song_id, ep.epoch_index] == record["labels"][i].tolist()
             at[ep.subject_id] += 1
-        assert at == {sid: len(data) for sid, data in members.items()}
+        assert at == {sid: len(record["data"]) for sid, record in records.items()}
         # each epoch is its own array, not a view of a subject's batch
         assert all(ep.data.base is None for ep in streamed)
 
@@ -716,24 +768,31 @@ class TestEpochsFile:
         assert "CRC" in str(err.value)
 
     @pytest.mark.parametrize(
-        "damage, message",
+        "member, damage, message",
         [
-            (lambda data: data[:-1], r"has shape \(\d+, 8, 2500\), the per-epoch arrays"),
-            (lambda data: data[:, :-1], r"has shape \(\d+, 7, 2500\), the per-epoch arrays"),
-            (lambda data: data[0], "has shape"),
-            (lambda data: data.astype(np.float64), "holds float64 in C order"),
-            (np.asfortranarray, "holds float32 in Fortran order"),
+            ("data_1", lambda data: data[:-1], r"data_1 has shape \(\d+, 8, 2500\) and baseline_mean_1 \(\d+, 8\), where"),
+            ("data_1", lambda data: data[:, :-1], r"data_1 has shape \(\d+, 7, 2500\) and baseline_mean_1"),
+            ("data_1", lambda data: data[0], "data_1 has shape"),
+            ("data_1", lambda data: data.astype(np.float64), "data_1 holds float64 in C order"),
+            ("data_1", np.asfortranarray, "data_1 holds float32 in Fortran order"),
+            ("labels_1", lambda labels: labels[:-1], r"data_1 has shape .* give \(epochs, channels\) \(\d+, 8\)"),
+            ("labels_1", lambda labels: labels[:, 0], r"labels_1 has shape \(\d+,\), not \(rows, 2\)"),
+            ("baseline_mean_1", lambda offsets: offsets[:-1], "data_1 has shape"),
+            ("mask_1", lambda flags: flags[:-1], r"data_1 has shape .* give \(epochs, channels\) \(\d+, 7\)"),
         ],
-        ids=["epochs", "channels", "2-D", "float64", "fortran"],
+        ids=[
+            "epochs", "channels", "2-D", "float64", "fortran",
+            "labels", "labels-1-D", "baseline_mean", "mask",
+        ],
     )
     def test_data_member_at_odds_with_the_per_epoch_arrays_is_refused(
-        self, two_subject_file, damage, message
+        self, two_subject_file, member, damage, message
     ):
         path = two_subject_file
         with np.load(path) as archive:
             payload = dict(archive)
-        payload["data_1"] = damage(payload["data_1"])
+        payload[member] = damage(payload[member])
         np.savez(path, **payload)
         with EpochsReader(path) as reader:
-            with pytest.raises(PipelineError, match=f"{re.escape(str(path))}: data_1 " + message):
+            with pytest.raises(PipelineError, match=f"{re.escape(str(path))}: " + message):
                 list(reader.epochs())
