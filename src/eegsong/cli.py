@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING
 from .config import (
     FEATURE_FAMILIES,
     SECTION_FLAGS,
-    ConfigError,
     RunConfig,
     load_run_config,
 )
@@ -128,7 +127,11 @@ def _preprocess_subject(config: RunConfig, out: Path, subject_id: int, writer: E
             violations.append(f"manifest records subject {session.subject_id}")
         if violations:
             raise PipelineError(f"{manifest.parent}: " + "; ".join(violations))
-        writer.add(run_pipeline(session, config.preprocess), session.ratings)
+        try:
+            batch = run_pipeline(session, config.preprocess)
+        except (ValueError, PipelineError) as exc:
+            raise PipelineError(f"{manifest.parent}: {exc}") from exc
+        writer.add(batch, session.ratings)
 
 
 def _preprocess(config: RunConfig, out: Path) -> str:
@@ -200,7 +203,7 @@ def _evaluate(config: RunConfig, out: Path) -> str:
 def _report(config: RunConfig, out: Path) -> str:
     from .evaluation import read_report, render_confusion
 
-    report, _ = read_report(out / REPORT_FILE)
+    report = read_report(out / REPORT_FILE)
     csv_path, pgm_path = render_confusion(report, out)
     return f"wrote {csv_path} and {pgm_path}"
 

@@ -5,7 +5,8 @@ the feature family names, the model kinds, the default held-out fraction and
 its rounding, the shortest spectopo epoch and the fewest channels that
 bad-channel rejection takes.  The stage modules import these names from here,
 so the command line resolves and validates a config without importing any
-stage.
+stage.  ModelSpec holds what a run config may set for a model; each kind's
+fixed hyperparameters are constants of its module under eegsong.models.
 """
 
 from __future__ import annotations
@@ -150,37 +151,15 @@ class ModelSpec:
     tree_max_depth: int = 8
     tree_min_leaf: int = 2
     gboost_rounds: int = 100
-    gboost_depth: int = 2
-    gboost_learning_rate: float = 0.1
-    mlp_hidden: int = 64
     mlp_epochs: int = 200
-    mlp_learning_rate: float = 0.01
-    mlp_batch: int = 32
-    n_clusters: int | None = None  # kmeans/gmm; None = number of training classes
-    gmm_var_floor: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}; choose from {MODEL_KINDS}")
-        positives = (
-            "knn_k",
-            "tree_max_depth",
-            "tree_min_leaf",
-            "gboost_rounds",
-            "gboost_depth",
-            "mlp_hidden",
-            "mlp_epochs",
-            "mlp_batch",
-        )
-        for name in positives:
+        for name in ("knn_k", "tree_max_depth", "tree_min_leaf", "gboost_rounds", "mlp_epochs"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("gboost_learning_rate", "mlp_learning_rate", "gmm_var_floor"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.n_clusters is not None and self.n_clusters <= 0:
-            raise ValueError("n_clusters must be positive")
 
 
 @dataclass(frozen=True)
@@ -191,6 +170,14 @@ class RunConfig:
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
     model: ModelSpec = field(default_factory=lambda: ModelSpec(kind="knn"))
+
+
+def training_rows(config: RunConfig) -> int:
+    """Rows in the training fold of a run of config: every (subject, song)
+    stratum's epochs but the ones split_dataset holds out."""
+    per_song = config.generator.song_seconds // config.preprocess.epoch_seconds
+    n_train = per_song - held_out_rows(config.test_fraction, per_song)
+    return config.generator.n_subjects * config.generator.n_songs * n_train
 
 
 _TOP_KEYS = ("seed", "features", "test_fraction", "generator", "preprocess", "model")
@@ -210,11 +197,10 @@ SECTION_FLAGS = {
 
 
 # JSON has one number type, so a count in a config file may come as 2.5, 8.0 or
-# true: a numeric field takes only its annotated type (never a bool), an int
-# where a float is meant, and null where None is
+# true: a numeric field takes only its annotated type (never a bool), or an int
+# where a float is meant
 _FIELD_VALUES = {
     int: ((int,), "an integer"),
-    int | None: ((int, type(None)), "an integer or null"),
     float: ((int, float), "a number"),
 }
 
@@ -313,6 +299,14 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(
             f"test_fraction {fraction} holds out {n_test} of the {per_song} "
             "epochs of each song, leaving an empty fold"
+        )
+    kind, n_songs, n_train = config.model.kind, config.generator.n_songs, training_rows(config)
+    if kind in SUPERVISED_KINDS and n_songs < 2:
+        raise ConfigError(f"model kind {kind!r} needs at least two songs, got n_songs {n_songs}")
+    if kind == "knn" and config.model.knn_k > n_train:
+        raise ConfigError(
+            f"knn_k {config.model.knn_k} exceeds the {n_train} training rows that "
+            "n_subjects, n_songs, song_seconds, epoch_seconds and test_fraction leave"
         )
     nyquist_hz = config.generator.sample_rate_hz / 2
     pre = config.preprocess

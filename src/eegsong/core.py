@@ -354,10 +354,6 @@ class ChannelMask:
                 raise ValueError(f"unknown rejection reasons {bad} for channel {ch}")
 
     @property
-    def n_good(self) -> int:
-        return int(self.good.sum())
-
-    @property
     def n_channels(self) -> int:
         return self.good.shape[0]
 

@@ -43,7 +43,6 @@ class SplitPlan:
     seed: int
     n_rows: int
     test_indices: np.ndarray  # sorted row indices of the held-out fold
-    strata: tuple[tuple[int, int, int], ...] = ()  # (subject, song, n_test)
 
     @property
     def train_indices(self) -> np.ndarray:
@@ -89,7 +88,6 @@ def split_dataset(
     pairs = np.stack([dataset.subject_id, dataset.song_id], axis=1)
     unique_pairs = sorted_unique(pairs, axis=0)
     test_parts = []
-    strata = []
     for subject, song in unique_pairs:
         rows = np.nonzero((pairs[:, 0] == subject) & (pairs[:, 1] == song))[0]
         n_test = held_out_rows(test_fraction, rows.shape[0])
@@ -100,14 +98,12 @@ def split_dataset(
             )
         picked = rng.permutation(rows)[:n_test]
         test_parts.append(np.sort(picked))
-        strata.append((int(subject), int(song), n_test))
     test_indices = np.sort(np.concatenate(test_parts))
     plan = SplitPlan(
         test_fraction=test_fraction,
         seed=seed,
         n_rows=dataset.n_rows,
         test_indices=test_indices,
-        strata=tuple(strata),
     )
     return dataset.subset(plan.train_indices), dataset.subset(test_indices), plan
 
@@ -319,9 +315,9 @@ def write_report(
     return path
 
 
-def read_report(path: str | Path) -> tuple[EvalReport, dict[str, str]]:
-    """Parse a report file back into an EvalReport plus any extra fields
-    (target, mae) found in it."""
+def read_report(path: str | Path) -> EvalReport:
+    """Parse a report file back into an EvalReport; the optional target and
+    mae lines are skipped."""
     path = Path(path)
     lines = [ln for ln in path.read_text().splitlines() if ln]
     fields: dict[str, str] = {}
@@ -358,8 +354,7 @@ def read_report(path: str | Path) -> tuple[EvalReport, dict[str, str]]:
         raise EvalError(f"{path}: malformed report file ({exc})") from exc
     if report.confusion.shape != (class_labels.shape[0], class_labels.shape[0]):
         raise EvalError(f"{path}: confusion block does not match class_labels")
-    extras = {k: v for k, v in fields.items() if k in ("target", "mae")}
-    return report, extras
+    return report
 
 
 def render_confusion(report: EvalReport, out_dir: str | Path) -> tuple[Path, Path]:

@@ -9,7 +9,9 @@ curves included.  scores(params, Xs, n_columns) gives one row of
 non-negative scores per input row, summing to 1.  A TrainedModel's classes
 name the score columns, so every kind predicts classes[argmax(scores)]:
 supervised kinds have one column per training class, clustering kinds one
-per cluster, named by the cluster's majority training label.
+cluster per training class, named by the cluster's majority training label.
+ModelSpec holds what a run config may set; every other hyperparameter is a
+constant of the kind's module, such as trees.GBOOST_DEPTH.
 
 All kinds standardize features using statistics captured from the training
 rows at fit time, break every tie toward the smallest column index, and draw
@@ -94,8 +96,6 @@ def fit(spec: ModelSpec, X: np.ndarray, labels: np.ndarray) -> TrainedModel:
     Xs = apply_standardization(X, mean, std)
     y_idx = np.searchsorted(classes, labels)
     n_columns = classes.shape[0]
-    if spec.kind in CLUSTERING_KINDS and spec.n_clusters is not None:
-        n_columns = spec.n_clusters
     fit_kind, scores = _kind_functions(spec.kind)
     params = fit_kind(Xs, y_idx, n_columns, spec)
     if spec.kind in CLUSTERING_KINDS:

@@ -17,7 +17,6 @@ import numpy as np
 
 from ..config import ModelSpec
 from .common import (
-    FitError,
     diag_gaussian_log_pdf,
     logsumexp,
     normalize_log_scores,
@@ -28,6 +27,7 @@ from .common import (
 KMEANS_MAX_ITER = 300
 GMM_MAX_ITER = 200
 GMM_TOL = 1e-6
+GMM_VAR_FLOOR = 1e-6
 
 
 def _plus_plus_init(
@@ -54,8 +54,6 @@ def _lloyd(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (centroids, assignments, per-iteration objective)."""
     n = X.shape[0]
-    if k > n:
-        raise FitError(f"n_clusters={k} exceeds the {n} training rows available")
     rng = np.random.default_rng(seed)
     centroids = _plus_plus_init(X, k, rng)
     assignments = np.full(n, -1, dtype=np.int64)
@@ -122,7 +120,7 @@ def fit_gmm(
     for c in range(k):
         member = assignments == c
         variances[c] = X[member].var(axis=0) if member.any() else X.var(axis=0)
-    variances = np.maximum(variances, spec.gmm_var_floor)
+    variances = np.maximum(variances, GMM_VAR_FLOOR)
 
     history = []
     for _ in range(GMM_MAX_ITER):
@@ -139,7 +137,7 @@ def fit_gmm(
         for c in range(k):
             diff = X - means[c]
             variances[c] = (resp[:, c] @ diff**2) / mass[c]
-        variances = np.maximum(variances, spec.gmm_var_floor)
+        variances = np.maximum(variances, GMM_VAR_FLOOR)
     return {"weights": weights, "means": means, "variances": variances, "loglik": np.asarray(history)}
 
 

@@ -11,6 +11,10 @@ import numpy as np
 from ..config import ModelSpec
 from .common import mean_cross_entropy, one_hot, softmax
 
+MLP_HIDDEN = 64
+MLP_LEARNING_RATE = 0.01
+MLP_BATCH = 32
+
 
 def init_mlp(
     rng: np.random.Generator, n_features: int, hidden: int, n_classes: int
@@ -59,17 +63,17 @@ def fit_mlp(
     """The trained weights plus epoch_loss, the mean minibatch loss of each
     epoch."""
     rng = np.random.default_rng(spec.seed)
-    params = init_mlp(rng, X.shape[1], spec.mlp_hidden, n_classes)
+    params = init_mlp(rng, X.shape[1], MLP_HIDDEN, n_classes)
     n = X.shape[0]
     epoch_loss = np.empty(spec.mlp_epochs)
     for e in range(spec.mlp_epochs):
         perm = rng.permutation(n)
         losses = []
-        for start in range(0, n, spec.mlp_batch):
-            take = perm[start : start + spec.mlp_batch]
+        for start in range(0, n, MLP_BATCH):
+            take = perm[start : start + MLP_BATCH]
             loss, grads = mlp_loss_and_grads(params, X[take], y_idx[take], n_classes)
             for name, grad in grads.items():
-                params[name] -= spec.mlp_learning_rate * grad
+                params[name] -= MLP_LEARNING_RATE * grad
             losses.append(loss)
         epoch_loss[e] = float(np.mean(losses))
     params["epoch_loss"] = epoch_loss

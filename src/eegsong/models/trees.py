@@ -27,6 +27,8 @@ from ..core import sorted_unique
 from .common import FitError, PredictError, mean_cross_entropy, one_hot, softmax
 
 LEAF = -1
+GBOOST_DEPTH = 2
+GBOOST_LEARNING_RATE = 0.1
 Forest = dict[str, np.ndarray]
 
 
@@ -238,15 +240,15 @@ def fit_gboost(
     for r in range(spec.gboost_rounds):
         residual = targets - proba
         for c in range(n_classes):
-            t = grow_tree(X, residual[:, c : c + 1], spec.gboost_depth, 1, sorted_idx=sorted_idx)
+            t = grow_tree(X, residual[:, c : c + 1], GBOOST_DEPTH, 1, sorted_idx=sorted_idx)
             leaf_ids = forest_leaves(t, X)[:, 0]
             _newton_leaf_values(t, leaf_ids, residual[:, c], n_classes)
-            logits[:, c] += spec.gboost_learning_rate * t["value"][leaf_ids, 0]
+            logits[:, c] += GBOOST_LEARNING_RATE * t["value"][leaf_ids, 0]
             trees.append(t)
         proba = softmax(logits)
         losses[r] = mean_cross_entropy(proba, y_idx)
     params = join_forests(trees)
-    params["learning_rate"] = np.asarray(spec.gboost_learning_rate)
+    params["learning_rate"] = np.asarray(GBOOST_LEARNING_RATE)
     params["train_loss"] = losses
     return params
 

@@ -249,9 +249,11 @@ def test_criterion_10_evaluation_identities(null_corpus, tmp_path):
     report = evaluate(fit_dataset(ModelSpec(kind="knn", seed=1), train), test)
     trace_exact = report.overall_accuracy_pct == 100.0 * np.trace(report.confusion) / report.n_test
     mass_exact = int(report.confusion.sum()) == report.n_test
+    held_out = np.stack([null_corpus.subject_id, null_corpus.song_id], axis=1)[plan.test_indices]
+    _, per_stratum = np.unique(held_out, axis=0, return_counts=True)
     counts_exact = (
-        all(n == 4 for _, _, n in plan.strata)
-        and len(plan.strata) == 4 * 12
+        all(per_stratum == 4)
+        and len(per_stratum) == 4 * 12
         and test.n_rows == 192
         and train.n_rows + test.n_rows == null_corpus.n_rows
     )

@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eegsong.cli import STAGES, ConfigError, _build_parser, load_run_config, main
-from eegsong.config import _FIELD_VALUES, FEATURE_FAMILIES, ModelSpec
+from eegsong.cli import STAGES, _build_parser, load_run_config, main
+from eegsong.config import _FIELD_VALUES, FEATURE_FAMILIES, ConfigError, ModelSpec
 from eegsong.dsp import _TILE
 from eegsong.features import build_feature_matrix
 from eegsong.preprocess import _BLOCK_BYTES, EpochsReader, PreprocessConfig, run_pipeline
@@ -39,6 +39,11 @@ SMALL_CONFIG = {
         "class_separation": 1.0,
     },
 }
+
+# One subject leaves 4 training rows, fewer than the default knn_k of 5.
+ONE_SUBJECT_CONFIG = dict(
+    SMALL_CONFIG, generator=dict(SMALL_CONFIG["generator"], n_subjects=1), model={"knn_k": 3}
+)
 
 ARTIFACTS = (
     "epochs.npz",
@@ -269,9 +274,8 @@ class TestSessionIngest:
         assert "sessions of subjects [2] of the 2" in capsys.readouterr().err
 
     def test_marker_past_the_end_is_refused(self, tmp_path, capsys):
-        cfg = dict(SMALL_CONFIG, generator=dict(SMALL_CONFIG["generator"], n_subjects=1))
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
+        cfg_path.write_text(json.dumps(ONE_SUBJECT_CONFIG))
         out = tmp_path / "run"
         assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
         with open(out / "sessions" / "subject_1" / "events.csv", "a") as fh:
@@ -290,6 +294,23 @@ class TestSessionIngest:
         manifest.write_text(manifest.read_text().replace("subject_id: 2", "subject_id: 1"))
         assert main(["preprocess", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert "subject_2: manifest records subject 1" in capsys.readouterr().err
+        assert not (out / "epochs.npz").exists()
+
+    def test_preprocess_failure_names_its_subject(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_CONFIG))
+        out = tmp_path / "run"
+        assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        gen = SMALL_CONFIG["generator"]
+        # channel 0, one second into the first song
+        samples = np.memmap(out / "sessions" / "subject_2" / "samples.f32", dtype="<f4", mode="r+")
+        samples[(gen["lead_silence_seconds"] + 1) * gen["sample_rate_hz"]] = np.nan
+        samples.flush()
+        del samples
+        assert main(["preprocess", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "subject_2: input contains non-finite samples" in err
         assert not (out / "epochs.npz").exists()
 
     def test_failure_on_a_later_subject_leaves_no_epochs_file(self, tmp_path, capsys):
@@ -354,6 +375,19 @@ class TestSessionIngest:
                 {"preprocess": {"amplitude_reject_uv": 100.0}}, [],
                 "unknown preprocess config key 'amplitude_reject_uv'",
             ),
+            ({"model": {"gboost_depth": 2}}, [], "unknown model config key 'gboost_depth'"),
+            (
+                {"model": {"gboost_learning_rate": 0.1}}, [],
+                "unknown model config key 'gboost_learning_rate'",
+            ),
+            ({"model": {"mlp_hidden": 64}}, [], "unknown model config key 'mlp_hidden'"),
+            (
+                {"model": {"mlp_learning_rate": 0.01}}, [],
+                "unknown model config key 'mlp_learning_rate'",
+            ),
+            ({"model": {"mlp_batch": 32}}, [], "unknown model config key 'mlp_batch'"),
+            ({"model": {"gmm_var_floor": 1e-6}}, [], "unknown model config key 'gmm_var_floor'"),
+            ({"model": {"n_clusters": 3}}, [], "unknown model config key 'n_clusters'"),
             ({}, ["--epoch-seconds", "1"], "spectopo needs epochs of at least 2 s"),
             ({}, ["--channels", "3"], "bad_channels step needs at least 4 channels"),
             ({}, ["--test-fraction", "1.5"], "test_fraction must be in (0, 1), got 1.5"),
@@ -372,8 +406,14 @@ class TestSessionIngest:
                 "preprocess config key 'epoch_seconds' must be an integer, got 2.5",
             ),
             (
-                {"model": {"n_clusters": True}}, [],
-                "model config key 'n_clusters' must be an integer or null, got True",
+                {"generator": dict(SMALL_CONFIG["generator"], n_songs=1)}, [],
+                "model kind 'knn' needs at least two songs, got n_songs 1",
+            ),
+            # 2 subjects x 4 songs x (2 - 1) training epochs per song
+            (
+                {"model": {"knn_k": 9}}, [],
+                "knn_k 9 exceeds the 8 training rows that n_subjects, n_songs, "
+                "song_seconds, epoch_seconds and test_fraction leave",
             ),
             (
                 {"generator": dict(SMALL_CONFIG["generator"], line_noise_amplitude_uv="5")}, [],
@@ -392,6 +432,13 @@ class TestSessionIngest:
             "notch_above_nyquist",
             "notch_band_above_nyquist",
             "amplitude_reject_uv_key",
+            "gboost_depth_key",
+            "gboost_learning_rate_key",
+            "mlp_hidden_key",
+            "mlp_learning_rate_key",
+            "mlp_batch_key",
+            "gmm_var_floor_key",
+            "n_clusters_key",
             "epoch_below_spectopo_minimum",
             "channels_below_rejection_minimum",
             "test_fraction_above_one",
@@ -399,7 +446,8 @@ class TestSessionIngest:
             "fractional_subject_count",
             "float_channel_count",
             "fractional_epoch_seconds",
-            "boolean_cluster_count",
+            "one_song_for_a_supervised_kind",
+            "knn_k_above_the_training_rows",
             "string_line_noise_amplitude",
             "boolean_seed",
             "step_order_key",
@@ -484,9 +532,8 @@ class TestDeterminism:
         assert [name for name in a if a[name] != b[name]] == []
 
     def test_seed_flag_reaches_every_stage(self, tmp_path, capsys):
-        cfg = dict(SMALL_CONFIG, generator=dict(SMALL_CONFIG["generator"], n_subjects=1))
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
+        cfg_path.write_text(json.dumps(ONE_SUBJECT_CONFIG))
         out = tmp_path / "seeded"
         code = main(["generate", "--config", str(cfg_path), "--seed", "7", "--out", str(out)])
         assert code == 0
@@ -496,9 +543,8 @@ class TestDeterminism:
         assert meta["config"]["model"]["seed"] == 7
 
     def test_seed_changes_the_data(self, tmp_path):
-        cfg = dict(SMALL_CONFIG, generator=dict(SMALL_CONFIG["generator"], n_subjects=1))
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
+        cfg_path.write_text(json.dumps(ONE_SUBJECT_CONFIG))
         blobs = []
         for seed in ("5", "6"):
             out = tmp_path / f"seed_{seed}"

@@ -119,11 +119,12 @@ class TestChannelMask:
 
     def test_counts(self):
         m = ChannelMask(good=np.array([True, False, True]))
-        assert m.n_good == 2
+        assert m.good.sum() == 2
         assert m.n_channels == 3
 
     def test_all_good_factory(self):
-        assert ChannelMask.all_good(5).n_good == 5
+        assert ChannelMask.all_good(5).good.all()
+        assert ChannelMask.all_good(5).n_channels == 5
 
 
 class TestValidateSession:

@@ -63,8 +63,9 @@ class TestSplit:
         ds = toy_dataset(GRID)
         train, test, plan = split_dataset(ds, 1 / 3, seed=0)
         assert test.n_rows == 6 * 4 and train.n_rows == 6 * 8
-        assert plan.strata == tuple((s, g, 4) for s, g, _ in GRID)
+        held_out = np.stack([ds.subject_id, ds.song_id], axis=1)[plan.test_indices]
         for subj, sg, _ in GRID:
+            assert np.sum((held_out[:, 0] == subj) & (held_out[:, 1] == sg)) == 4
             member = (test.subject_id == subj) & (test.song_id == sg)
             assert member.sum() == 4
 
@@ -256,7 +257,7 @@ class TestReportFiles:
     def test_round_trip(self, rng, tmp_path):
         report = self.make_report(rng)
         path = write_report(report, tmp_path / "report.txt", mae=1.25, target="enjoyment")
-        back, extras = read_report(path)
+        back = read_report(path)
         assert np.array_equal(back.confusion, report.confusion)
         assert np.array_equal(back.class_labels, report.class_labels)
         assert back.n_test == report.n_test
@@ -266,14 +267,15 @@ class TestReportFiles:
         np.testing.assert_allclose(
             back.per_subject_accuracy_pct, report.per_subject_accuracy_pct, rtol=1e-10
         )
-        assert extras == {"target": "enjoyment", "mae": "1.25"}
+        assert "target: enjoyment\nn_test:" in path.read_text()
+        assert "\nmae: 1.25\n" in path.read_text()
 
     def test_nan_per_class_round_trips(self, tmp_path):
         report = report_from_predictions(
             np.array([1, 2]), np.array([1, 2]), np.ones(2, dtype=int),
             class_labels=np.array([1, 2, 3]),
         )
-        back, _ = read_report(write_report(report, tmp_path / "r.txt"))
+        back = read_report(write_report(report, tmp_path / "r.txt"))
         assert np.isnan(back.per_class_accuracy_pct[2])
 
     def test_malformed_report_rejected(self, tmp_path):

@@ -61,15 +61,11 @@ class TestSpecValidation:
             ModelSpec(kind="svm")
 
     @pytest.mark.parametrize(
-        "field", ["knn_k", "gboost_rounds", "mlp_epochs", "gmm_var_floor"]
+        "field", ["knn_k", "gboost_rounds", "mlp_epochs"]
     )
     def test_positive_fields(self, field):
         with pytest.raises(ValueError, match=field):
             ModelSpec(kind="knn", **{field: 0})
-
-    def test_n_clusters_positive(self):
-        with pytest.raises(ValueError, match="n_clusters"):
-            ModelSpec(kind="kmeans", n_clusters=-1)
 
 
 class TestBasicsAcrossKinds:
@@ -298,15 +294,15 @@ class TestNeural:
 
 class TestClustering:
     def test_kmeans_objective_never_increases(self, rng):
-        X, _ = blobs(rng, THREE_CENTERS, 40, scale=2.0)
-        model = fit(ModelSpec(kind="kmeans", n_clusters=3), X, np.zeros(120, dtype=int))
+        X, y = blobs(rng, THREE_CENTERS, 40, scale=2.0)
+        model = fit(ModelSpec(kind="kmeans"), X, y)
         objective = model.params["objective"]
         assert objective.shape[0] >= 2
         assert np.all(np.diff(objective) <= 1e-9)
 
     def test_gmm_loglik_never_decreases(self, rng):
-        X, _ = blobs(rng, THREE_CENTERS, 40, scale=2.0)
-        model = fit(ModelSpec(kind="gmm", n_clusters=3), X, np.zeros(120, dtype=int))
+        X, y = blobs(rng, THREE_CENTERS, 40, scale=2.0)
+        model = fit(ModelSpec(kind="gmm"), X, y)
         loglik = model.params["loglik"]
         assert loglik.shape[0] >= 2
         assert np.all(np.diff(loglik) >= -1e-8)
@@ -328,11 +324,6 @@ class TestClustering:
         X, y = blobs(rng, THREE_CENTERS, 20)
         model = fit(ModelSpec(kind="kmeans"), X, y)
         assert model.params["centroids"].shape[0] == 3
-
-    def test_more_clusters_than_rows(self, rng):
-        X, y = blobs(rng, TWO_CENTERS, 3)
-        with pytest.raises(FitError, match="exceeds the 6 training rows"):
-            fit(ModelSpec(kind="kmeans", n_clusters=7), X, y)
 
 
 class TestErrorPaths:
