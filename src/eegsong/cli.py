@@ -26,6 +26,7 @@ from .config import (
 from .core import PipelineError, atomic_write
 
 if TYPE_CHECKING:
+    from .evaluation import SplitPlan
     from .preprocess import EpochsWriter
 
 SESSIONS_DIR = "sessions"
@@ -40,16 +41,10 @@ CONFUSION_FILE = "confusion.csv"
 def _sessions_mismatch(config: RunConfig, out: Path) -> str | None:
     """Why the sessions under out cannot serve config, or None when they can:
     the sessions sidecar must record config's generator, and each of its
-    subjects must have a manifest, samples and events file, the manifest
-    written by this GENERATOR_VERSION."""
-    from .synth import (
-        EVENTS_NAME,
-        MANIFEST_NAME,
-        SAMPLES_NAME,
-        SessionFormatError,
-        parse_manifest,
-        session_dir_name,
-    )
+    subjects must open as a SessionReader, which checks that the manifest was
+    written by this GENERATOR_VERSION, that the samples have the manifest's
+    length and that the events parse."""
+    from .synth import MANIFEST_NAME, SessionFormatError, SessionReader, session_dir_name
 
     sessions_dir = out / SESSIONS_DIR
     if not sessions_dir.is_dir():
@@ -76,24 +71,19 @@ def _sessions_mismatch(config: RunConfig, out: Path) -> str | None:
             "run `generate` again"
         )
     n_subjects = config.generator.n_subjects
-    missing = [
-        subject_id
-        for subject_id in range(1, n_subjects + 1)
-        if not all(
-            (sessions_dir / session_dir_name(subject_id) / name).is_file()
-            for name in (MANIFEST_NAME, SAMPLES_NAME, EVENTS_NAME)
-        )
-    ]
+    missing = []
+    for subject_id in range(1, n_subjects + 1):
+        try:
+            SessionReader(sessions_dir / session_dir_name(subject_id) / MANIFEST_NAME).close()
+        except FileNotFoundError:
+            missing.append(subject_id)
+        except SessionFormatError as exc:
+            return str(exc)
     if missing:
         return (
             f"{sessions_dir}: sessions of subjects {missing} of the {n_subjects} "
             "are missing; run `generate` again"
         )
-    for subject_id in range(1, n_subjects + 1):
-        try:
-            parse_manifest(sessions_dir / session_dir_name(subject_id) / MANIFEST_NAME)
-        except SessionFormatError as exc:
-            return str(exc)
     return None
 
 
@@ -174,24 +164,41 @@ def _split(config: RunConfig, out: Path) -> str:
     return f"{test.n_rows} of {dataset.n_rows} rows held out -> {path}"
 
 
+def _read_plan(config: RunConfig, out: Path) -> SplitPlan:
+    """The split plan under out, refused unless split with config's seed and
+    test_fraction."""
+    from .evaluation import read_plan
+
+    path = out / PLAN_FILE
+    plan = read_plan(path)
+    for name in ("seed", "test_fraction"):
+        planned, wanted = getattr(plan, name), getattr(config, name)
+        if planned != wanted:
+            raise PipelineError(
+                f"{path}: split with {name}={planned!r}, but this run has "
+                f"{name}={wanted!r}; run `split` again"
+            )
+    return plan
+
+
 def _train(config: RunConfig, out: Path) -> str:
-    from .evaluation import apply_plan, read_plan
+    from .evaluation import apply_plan
     from .features import read_dataset_csv
     from .models import fit_dataset, save_model
 
     dataset = read_dataset_csv(out / DATASET_FILE)
-    train, _ = apply_plan(dataset, read_plan(out / PLAN_FILE))
+    train, _ = apply_plan(dataset, _read_plan(config, out))
     path = out / MODEL_FILE
     save_model(fit_dataset(config.model, train), path)
     return f"{config.model.kind} fitted on {train.n_rows} rows -> {path}"
 
 
 def _evaluate(config: RunConfig, out: Path) -> str:
-    from .evaluation import apply_plan, evaluate, read_plan, write_report
+    from .evaluation import apply_plan, evaluate, write_report
     from .features import read_dataset_csv
     from .models import load_model
 
-    _, test = apply_plan(read_dataset_csv(out / DATASET_FILE), read_plan(out / PLAN_FILE))
+    _, test = apply_plan(read_dataset_csv(out / DATASET_FILE), _read_plan(config, out))
     report = evaluate(load_model(out / MODEL_FILE), test)
     write_report(report, out / REPORT_FILE)
     return (

@@ -301,7 +301,7 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
             "epochs of each song, leaving an empty fold"
         )
     kind, n_songs, n_train = config.model.kind, config.generator.n_songs, training_rows(config)
-    if kind in SUPERVISED_KINDS and n_songs < 2:
+    if n_songs < 2:
         raise ConfigError(f"model kind {kind!r} needs at least two songs, got n_songs {n_songs}")
     if kind == "knn" and config.model.knn_k > n_train:
         raise ConfigError(

@@ -136,10 +136,11 @@ def read_archive(
 
 @contextmanager
 def atomic_write(path) -> Iterator[Path]:
-    """A temporary path beside path to write an artifact to.  It replaces path
-    when the block completes and is removed when the block raises, so path
-    only ever holds a complete artifact."""
+    """A temporary path beside path, whose directory is made if missing, to
+    write an artifact to.  It replaces path when the block completes and is
+    removed when the block raises, so path only ever holds a whole artifact."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         yield tmp

@@ -174,7 +174,8 @@ def evaluate_ratings(
     seed: int = 0,
 ) -> RatingEvalResult:
     """Relabel epochs by a 1-5 rating, rerun the split/fit/evaluate protocol,
-    and add a mean absolute error over the ordinal labels."""
+    and add the mean absolute error over the ordinal labels, taken from the
+    report's confusion counts."""
     if target == "enjoyment":
         ratings = dataset.enjoyment
     elif target == "familiarity":
@@ -183,32 +184,20 @@ def evaluate_ratings(
         raise EvalError(f"rating target must be enjoyment or familiarity, got {target!r}")
     if np.any((ratings < 1) | (ratings > 5)):
         raise EvalError(f"{target} ratings outside 1..5; dataset lacks rating metadata")
-    from .models import fit_dataset, predict_labels
+    from .models import fit_dataset
 
-    relabeled = dataset.relabeled(ratings)
-    train, test, _ = split_dataset(relabeled, test_fraction, seed)
-    model = fit_dataset(spec, train)
-    predicted = predict_labels(model, test.X)
-    train_classes = set(sorted_unique(train.labels).tolist())
-    excluded = tuple(
-        int(c) for c in sorted_unique(test.labels) if int(c) not in train_classes
-    )
+    train, test, _ = split_dataset(dataset.relabeled(ratings), test_fraction, seed)
+    report = evaluate(fit_dataset(spec, train), test)
+    excluded = tuple(int(c) for c in sorted_unique(test.labels) if c not in train.labels)
     if excluded:
         warnings.warn(
             f"rating classes {excluded} absent from training fold; "
             "their rows cannot be predicted correctly",
             stacklevel=2,
         )
-    report = report_from_predictions(
-        test.labels,
-        predicted,
-        test.subject_id,
-        sorted_unique(np.concatenate([test.labels, train.labels, predicted])),
-    )
-    mae = float(np.mean(np.abs(predicted.astype(float) - test.labels.astype(float))))
-    return RatingEvalResult(
-        target=target, report=report, mae=mae, excluded_classes=excluded
-    )
+    errors = np.abs(np.subtract.outer(report.class_labels, report.class_labels))
+    mae = float((report.confusion * errors).sum() / report.n_test)
+    return RatingEvalResult(target=target, report=report, mae=mae, excluded_classes=excluded)
 
 
 # --- plan files ---------------------------------------------------------------
@@ -225,7 +214,6 @@ def write_plan(plan: SplitPlan, path: str | Path) -> Path:
     ]
     for i in range(plan.n_rows):
         lines.append(f"{i},{'test' if i in test_set else 'train'}")
-    path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_write(path) as tmp:
         tmp.write_text("\n".join(lines) + "\n")
     return path
@@ -309,7 +297,6 @@ def write_report(
     lines.append("confusion:")
     for row in report.confusion:
         lines.append(",".join(str(int(v)) for v in row))
-    path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_write(path) as tmp:
         tmp.write_text("\n".join(lines) + "\n")
     return path
@@ -361,7 +348,6 @@ def render_confusion(report: EvalReport, out_dir: str | Path) -> tuple[Path, Pat
     """Write the confusion counts as CSV and a row-normalized grayscale
     heatmap as a binary portable graymap (higher count = brighter pixel)."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "confusion.csv"
     pgm_path = out_dir / "confusion.pgm"
 

@@ -4,8 +4,8 @@ Every kind is one (fit, scores) pair, named in KINDS by its module and
 function names; a kind's module is imported the first time that kind is
 fitted or scored.  fit(Xs, y_idx, n_columns, spec) takes the standardized
 training rows, their class indices, the number of score columns and the
-ModelSpec, and returns exactly the arrays that model.npz stores, training
-curves included.  scores(params, Xs, n_columns) gives one row of
+ModelSpec, and returns exactly the arrays that KINDS names for the kind,
+training curves included.  scores(params, Xs, n_columns) gives one row of
 non-negative scores per input row, summing to 1.  A TrainedModel's classes
 name the score columns, so every kind predicts classes[argmax(scores)]:
 supervised kinds have one column per training class, clustering kinds one
@@ -55,21 +55,23 @@ __all__ = [
     "save_model",
 ]
 
-# kind -> (module under eegsong.models, its fit function, its scores function)
+_FOREST = ("roots", "feature", "threshold", "left", "right", "value")
+# kind -> (module under eegsong.models, its fit function, its scores function,
+# the names of the arrays its fit returns: its parameters and training curve)
 KINDS = {
-    "knn": ("neighbors", "fit_knn", "knn_scores"),
-    "tree": ("trees", "fit_tree", "tree_scores"),
-    "gboost": ("trees", "fit_gboost", "gboost_scores"),
-    "gnb": ("bayes", "fit_gnb", "gnb_scores"),
-    "mlp": ("neural", "fit_mlp", "mlp_scores"),
-    "kmeans": ("clustering", "fit_kmeans", "kmeans_scores"),
-    "gmm": ("clustering", "fit_gmm", "gmm_scores"),
+    "knn": ("neighbors", "fit_knn", "knn_scores", ("train_x", "train_y_idx", "k")),
+    "tree": ("trees", "fit_tree", "tree_scores", _FOREST),
+    "gboost": ("trees", "fit_gboost", "gboost_scores", (*_FOREST, "learning_rate", "train_loss")),
+    "gnb": ("bayes", "fit_gnb", "gnb_scores", ("means", "variances", "log_priors")),
+    "mlp": ("neural", "fit_mlp", "mlp_scores", ("w1", "b1", "w2", "b2", "epoch_loss")),
+    "kmeans": ("clustering", "fit_kmeans", "kmeans_scores", ("centroids", "objective")),
+    "gmm": ("clustering", "fit_gmm", "gmm_scores", ("weights", "means", "variances", "loglik")),
 }
 
 
 def _kind_functions(kind: str):
     """The (fit, scores) pair of kind, importing its module."""
-    module_name, fit_name, scores_name = KINDS[kind]
+    module_name, fit_name, scores_name, _ = KINDS[kind]
     module = import_module(f".{module_name}", __name__)
     return getattr(module, fit_name), getattr(module, scores_name)
 

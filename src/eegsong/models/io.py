@@ -1,4 +1,5 @@
-"""Trained-model serialization as a versioned .npz archive."""
+"""Trained-model serialization as a versioned .npz archive, with one
+param_<name> array for each name in the kind's row of models.KINDS."""
 
 from __future__ import annotations
 
@@ -14,21 +15,6 @@ from .common import TrainedModel
 FORMAT_VERSION = 3
 _PARAM_PREFIX = "param_"
 _MODEL_ARRAYS = ("kind", "classes", "feature_mean", "feature_std")
-_FOREST = (
-    "param_roots", "param_feature", "param_threshold", "param_left", "param_right",
-    "param_value",
-)
-# The arrays each kind's fit stores beyond _MODEL_ARRAYS: its parameters
-# and its training curve.
-_KIND_ARRAYS = {
-    "knn": ("param_train_x", "param_train_y_idx", "param_k"),
-    "tree": _FOREST,
-    "gboost": (*_FOREST, "param_learning_rate", "param_train_loss"),
-    "gnb": ("param_means", "param_variances", "param_log_priors"),
-    "mlp": ("param_w1", "param_b1", "param_w2", "param_b2", "param_epoch_loss"),
-    "kmeans": ("param_centroids", "param_objective"),
-    "gmm": ("param_weights", "param_means", "param_variances", "param_loglik"),
-}
 
 
 def save_model(model: TrainedModel, path: str | Path) -> Path:
@@ -42,7 +28,6 @@ def save_model(model: TrainedModel, path: str | Path) -> Path:
     }
     for name, value in model.params.items():
         payload[_PARAM_PREFIX + name] = np.asarray(value)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_write(path) as tmp, open(tmp, "wb") as fh:
         np.savez(fh, **payload)
     return path
@@ -51,12 +36,15 @@ def save_model(model: TrainedModel, path: str | Path) -> Path:
 def load_model(path: str | Path) -> TrainedModel:
     """A model saved by save_model.  Raises ValueError, naming path, when the
     archive is unreadable, of another format version, of an unknown kind, or
-    lacks any array that its kind stores."""
+    lacks param_<name> for any name that its row of models.KINDS lists."""
+    # imported here: models/__init__ imports this module before it defines KINDS
+    from . import KINDS
+
     with read_archive(path, "model", FORMAT_VERSION, _MODEL_ARRAYS, ValueError) as archive:
         kind = str(archive["kind"])
-        if kind not in _KIND_ARRAYS:
+        if kind not in KINDS:
             raise ValueError(f"{path}: unknown model kind {kind!r}")
-        archive.require(_KIND_ARRAYS[kind])
+        archive.require([_PARAM_PREFIX + name for name in KINDS[kind][3]])
         arrays = {name: archive[name] for name in archive.files}
     params = {
         key[len(_PARAM_PREFIX) :]: value

@@ -523,8 +523,6 @@ def write_epochs(path) -> Iterator[EpochsWriter]:
     added.  The archive goes to a temporary file that replaces path when the
     block completes; if the block or the final write raises, path is
     untouched."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_write(path) as tmp, zipfile.ZipFile(tmp, "w", allowZip64=True) as archive:
         writer = EpochsWriter(archive)
         yield writer

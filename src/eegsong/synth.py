@@ -267,7 +267,6 @@ def _write_session_files(
     written before the next is taken, so a failing row leaves no samples
     file."""
     root = Path(directory) / session_dir_name(subject_id)
-    root.mkdir(parents=True, exist_ok=True)
     n_channels, n_samples = shape
 
     lines = [

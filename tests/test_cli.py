@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -216,6 +217,51 @@ class TestHeldOutDiscipline:
         assert code == 0
         assert "[generate] wrote" in capsys.readouterr().out
 
+    def test_rerun_regenerates_a_truncated_samples_file(self, tmp_path, capsys):
+        """A samples file shorter than its manifest says does not serve the
+        run: pipeline regenerates the sessions instead of failing in
+        preprocess."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_CONFIG))
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        samples = out / "sessions" / "subject_2" / "samples.f32"
+        whole = samples.read_bytes()
+        samples.write_bytes(whole[:-4])
+        code = main(["pipeline", "--config", str(cfg_path), "--out", str(out), "--force"])
+        assert code == 0
+        assert "[generate] wrote" in capsys.readouterr().out
+        assert samples.read_bytes() == whole
+
+    @pytest.mark.parametrize("stage", ["train", "evaluate"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seed", "4"], "split with seed=3, but this run has seed=4"),
+            (
+                ["--test-fraction", "0.5"],
+                "split with test_fraction=0.3333333333333333, but this run has test_fraction=0.5",
+            ),
+        ],
+        ids=["seed", "test_fraction"],
+    )
+    def test_a_plan_of_another_split_is_refused(
+        self, stage, flags, message, workspace, tmp_path, capsys
+    ):
+        """train and evaluate refuse plan.csv when it records another seed or
+        test_fraction than their config, before they write anything."""
+        _, cfg_path, finished = workspace
+        out = tmp_path / "run"
+        shutil.copytree(finished, out)
+        before, contents = _snapshot(out), _contents(out)
+        force = ["--force"] if stage == "evaluate" else []
+        assert main([stage, "--config", str(cfg_path), *flags, "--out", str(out), *force]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {out / 'plan.csv'}: {message}; run `split` again\n"
+        assert _snapshot(out) == before
+        assert _contents(out) == contents
+
     def test_rerun_regenerates_sessions_of_another_generator_version(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(SMALL_CONFIG))
@@ -409,6 +455,16 @@ class TestSessionIngest:
                 {"generator": dict(SMALL_CONFIG["generator"], n_songs=1)}, [],
                 "model kind 'knn' needs at least two songs, got n_songs 1",
             ),
+            # one cluster per training class: one song scores 100 % at 100 % chance
+            (
+                {"generator": dict(SMALL_CONFIG["generator"], n_songs=1), "model": {"kind": "kmeans"}},
+                [],
+                "model kind 'kmeans' needs at least two songs, got n_songs 1",
+            ),
+            (
+                {"generator": dict(SMALL_CONFIG["generator"], n_songs=1)}, ["--model", "gmm"],
+                "model kind 'gmm' needs at least two songs, got n_songs 1",
+            ),
             # 2 subjects x 4 songs x (2 - 1) training epochs per song
             (
                 {"model": {"knn_k": 9}}, [],
@@ -447,6 +503,8 @@ class TestSessionIngest:
             "float_channel_count",
             "fractional_epoch_seconds",
             "one_song_for_a_supervised_kind",
+            "one_song_for_kmeans",
+            "one_song_for_gmm",
             "knn_k_above_the_training_rows",
             "string_line_noise_amplitude",
             "boolean_seed",

@@ -204,6 +204,13 @@ class TestAtomicWrite:
         assert path.read_text() == "new\n"
         assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
 
+    def test_missing_directory_is_created(self, tmp_path):
+        path = tmp_path / "run" / "kind" / "model.npz"
+        with atomic_write(path) as tmp:
+            tmp.write_bytes(b"model")
+        assert path.read_bytes() == b"model"
+        assert [p.name for p in path.parent.iterdir()] == ["model.npz"]
+
     def test_failed_block_keeps_the_old_artifact_and_no_temp_file(self, tmp_path):
         path = tmp_path / "report.txt"
         path.write_text("old\n")

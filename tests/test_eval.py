@@ -22,7 +22,7 @@ from eegsong.evaluation import (
     write_report,
 )
 from eegsong.features.dataset import Dataset
-from eegsong.models import ModelSpec, fit_dataset
+from eegsong.models import MODEL_KINDS, ModelSpec, fit_dataset, predict_labels
 
 
 def read_confusion_csv(path: Path) -> np.ndarray:
@@ -175,13 +175,32 @@ class TestRatingEvaluation:
         result = evaluate_ratings(ModelSpec(kind="knn", seed=0), ds, "enjoyment", seed=4)
         train, test, _ = split_dataset(ds.relabeled(np.asarray(ratings)), seed=4)
         model = fit_dataset(ModelSpec(kind="knn", seed=0), train)
-        from eegsong.models import predict_labels
-
         predicted = predict_labels(model, test.X)
         expected = float(np.mean(np.abs(predicted - test.labels)))
         assert result.mae == expected
         assert result.target == "enjoyment"
         assert result.report.n_test == test.n_rows
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_report_is_evaluate_on_the_relabeled_split(self, kind):
+        """With ratings constant per (subject, song), as the generator's are,
+        the report is evaluate's on the same split, and mae is the mean
+        absolute error of the predicted ratings."""
+        per_stratum = {(1, 1): 1, (1, 2): 3, (1, 3): 5, (2, 1): 2, (2, 2): 5, (2, 3): 4}
+        ratings = [per_stratum[s, g] for s, g, count in GRID for _ in range(count)]
+        ds = toy_dataset(GRID, seed=3, ratings=ratings)
+        spec = ModelSpec(kind=kind, seed=1)
+        result = evaluate_ratings(spec, ds, "enjoyment", seed=5)
+        train, test, _ = split_dataset(ds.relabeled(np.asarray(ratings)), seed=5)
+        model = fit_dataset(spec, train)
+        expected = evaluate(model, test)
+        for field in dataclasses.fields(expected):
+            assert np.array_equal(
+                getattr(result.report, field.name), getattr(expected, field.name), equal_nan=True
+            ), field.name
+        predicted = predict_labels(model, test.X)
+        assert result.mae == float(np.mean(np.abs(predicted - test.labels)))
+        assert result.excluded_classes == ()
 
     def test_rating_seen_only_in_test_is_reported(self):
         ds = toy_dataset(

@@ -128,10 +128,13 @@ def test_model_kinds_have_one_source():
     assert config.MODEL_KINDS == tuple(models.KINDS)
     assert models.MODEL_KINDS is config.MODEL_KINDS
     assert config.SUPERVISED_KINDS + config.CLUSTERING_KINDS == config.MODEL_KINDS
-    for module, fit_name, scores_name in models.KINDS.values():
+    for module, fit_name, scores_name, arrays in models.KINDS.values():
         kind_module = import_module(f"eegsong.models.{module}")
         assert callable(getattr(kind_module, fit_name))
         assert callable(getattr(kind_module, scores_name))
+        # the names of the param_<name> arrays that model.npz stores
+        assert arrays and len(set(arrays)) == len(arrays)
+        assert all(isinstance(name, str) and name.isidentifier() for name in arrays)
 
 
 def test_moved_names_keep_their_old_paths():

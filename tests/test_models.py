@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from eegsong.models import (
+    KINDS,
     MODEL_KINDS,
     FitError,
     ModelSpec,
@@ -17,7 +18,7 @@ from eegsong.models import (
     save_model,
 )
 from eegsong.models.common import majority_label, one_hot
-from eegsong.models.io import _KIND_ARRAYS, _MODEL_ARRAYS
+from eegsong.models.io import _MODEL_ARRAYS
 from eegsong.models.neural import init_mlp, mlp_loss_and_grads
 from eegsong.models.trees import LEAF, forest_leaves, grow_tree, join_forests
 
@@ -375,12 +376,14 @@ class TestSerialization:
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_saved_arrays_are_exactly_the_checked_ones(self, kind, rng, tmp_path):
         """Every array a fit saves, parameters and training curves included,
-        is one that load_model requires."""
+        is one that load_model requires: one that the kind's row of KINDS
+        names."""
         X, y = blobs(rng, THREE_CENTERS, 20)
         path = save_model(fit(ModelSpec(kind=kind, seed=0), X, y), tmp_path / "m.npz")
         with np.load(path) as archive:
             saved = sorted(archive.files)
-        assert saved == sorted(("format_version", *_MODEL_ARRAYS, *_KIND_ARRAYS[kind]))
+        params = [f"param_{name}" for name in KINDS[kind][3]]
+        assert saved == sorted(("format_version", *_MODEL_ARRAYS, *params))
 
     @pytest.mark.parametrize("version", [1, 2, 99])
     def test_unsupported_format_version(self, version, rng, tmp_path):
